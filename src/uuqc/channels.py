@@ -8,11 +8,11 @@ unnormalized so their trace keeps the channel's success weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, frobenius, tensor_product
+from .linalg import DEFAULT_TOL, dagger, frobenius
 
 __all__ = [
     "KrausChannel",
@@ -33,42 +33,42 @@ class KrausChannel:
 
     Every element is an ``out_dim x in_dim`` complex matrix.  Construction
     checks shapes only; physicality is a separate query so that deliberately
-    unphysical element sets can still be inspected.
+    unphysical element sets can still be inspected.  The elements are held
+    once, as the read-only ``(K, out_dim, in_dim)`` array ``stack``;
+    ``elements`` is the tuple of its per-element views.
     """
 
     elements: tuple
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elements) == 0:
             raise ValueError("a channel needs at least one Kraus element")
-        mats = []
-        shape = None
-        for k, e in enumerate(self.elements):
-            arr = np.asarray(e, dtype=complex)
+        mats = [np.asarray(e, dtype=complex) for e in self.elements]
+        for k, arr in enumerate(mats):
             if arr.ndim != 2:
                 raise ValueError(f"Kraus element {k} is not a matrix")
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
+            if arr.shape != mats[0].shape:
                 raise ValueError(
-                    f"Kraus element {k} has shape {arr.shape}, expected {shape}"
+                    f"Kraus element {k} has shape {arr.shape}, expected {mats[0].shape}"
                 )
-            arr = arr.copy()
-            arr.setflags(write=False)
-            mats.append(arr)
-        object.__setattr__(self, "elements", tuple(mats))
+        stack = np.array(mats)
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
 
     @property
     def in_dim(self) -> int:
-        return self.elements[0].shape[1]
+        return self.stack.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.stack.shape[1]
 
     def gram_sum(self) -> np.ndarray:
         """Sum of POVM elements ``sum_k E_k^dag E_k``."""
-        return sum(dagger(e) @ e for e in self.elements)
+        rows = self.stack.reshape(-1, self.in_dim)
+        return dagger(rows) @ rows
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,21 @@ def maximally_entangled_ket(d: int) -> np.ndarray:
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Operator-sum action ``sum_k E_k rho E_k^dag``."""
+    """Operator-sum action ``sum_k E_k rho E_k^dag``.
+
+    ``rho`` may also be a stack of states with leading batch axes; the
+    result then carries the same axes.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.in_dim, ch.in_dim):
+    if rho.shape[-2:] != (ch.in_dim, ch.in_dim):
         raise ValueError(f"state shape {rho.shape} does not match in_dim {ch.in_dim}")
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-    for e in ch.elements:
-        out += e @ rho @ dagger(e)
-    return out
+    k, out_dim, in_dim = ch.stack.shape
+    batch = rho.shape[:-2]
+    # Lay the blocks E_k rho side by side, so that one product with the
+    # stacked E_k^dag also sums over k.
+    left = (ch.stack.reshape(-1, in_dim) @ rho).reshape(batch + (k, out_dim, in_dim))
+    left = np.moveaxis(left, -3, -2).reshape(batch + (out_dim, k * in_dim))
+    return left @ ch.stack.conj().transpose(0, 2, 1).reshape(k * in_dim, out_dim)
 
 
 def is_physical(ch: KrausChannel, tol: float = DEFAULT_TOL) -> PhysicalityReport:
@@ -114,16 +121,13 @@ def choi_state(ch: KrausChannel) -> np.ndarray:
     The reference system has dimension ``in_dim`` and sits on the slow
     tensor slot.  The result is left unnormalized: its trace equals the
     average success weight ``Tr(sum_k E_k^dag E_k) / in_dim``.
+
+    Closed form ``V^T V^* / in_dim``: row ``k`` of ``V`` is ``vec(E_k)``
+    with the input index slowest (Choi 1975; Watrous, *Theory of Quantum
+    Information*, section 2.2).
     """
-    d = ch.in_dim
-    phi = maximally_entangled_ket(d)
-    rho = np.outer(phi, phi.conj())
-    out = np.zeros((d * ch.out_dim, d * ch.out_dim), dtype=complex)
-    eye = np.eye(d)
-    for e in ch.elements:
-        big = tensor_product(eye, e)
-        out += big @ rho @ dagger(big)
-    return out
+    v = ch.stack.transpose(0, 2, 1).reshape(len(ch.stack), -1)
+    return v.T @ v.conj() / ch.in_dim
 
 
 def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
@@ -138,4 +142,4 @@ def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
 
 def povm_of(ch: KrausChannel) -> tuple:
     """POVM elements ``E_k^dag E_k`` of the measurement the channel induces."""
-    return tuple(dagger(e) @ e for e in ch.elements)
+    return tuple(ch.stack.conj().transpose(0, 2, 1) @ ch.stack)

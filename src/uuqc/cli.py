@@ -295,7 +295,7 @@ def _run_ec_prob(args):
     prob, method = qec.unambiguous_correction_probability(
         code, noise, args.tol, seed=args.seed
     )
-    certain = qec.meets_certainty_condition(code, noise)
+    certain = qec.meets_certainty_condition(code, noise, args.tol)
     report = {
         "command": "ec-prob",
         "probability": float(prob),
@@ -396,15 +396,13 @@ def dispatch(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
     try:
         report, summary, code = _RUNNERS[args.command](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except np.linalg.LinAlgError as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     try:
         _emit(report, args.out)
     except OSError as exc:

@@ -18,16 +18,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import KrausChannel, apply, maximally_entangled_ket
+from .channels import KrausChannel, maximally_entangled_ket
 from .linalg import (
     DEFAULT_TOL,
     SubspaceIsometry,
     dagger,
-    partial_trace,
     shift_clock_unitaries,
     tensor_product,
 )
-from .unambiguous import certify_uuqc
+from .unambiguous import certify_uuqc, restrict_operator
 
 __all__ = [
     "SchmidtForm",
@@ -127,10 +126,11 @@ def uuqc_to_ues(
 
     Half of the canonical entangled ket is sent through the channel (with an
     identity riding on the kept half); the system output is projected onto
-    the certified subspace and the environment is traced away.  Returns the
-    success weight, which equals the certified probability, and the
-    normalized success ket, which is the kept-side identity tensored with
-    the certified unitary acting on the canonical ket.
+    the certified subspace and the environment is traced away: the Choi
+    state of the restricted elements.  Returns the success weight, which
+    equals the certified probability, and the normalized success ket, which
+    is the kept-side identity tensored with the certified unitary acting on
+    the canonical ket.
     """
     if v1 is None:
         v1 = SubspaceIsometry.full(ch.in_dim // env_in)
@@ -141,18 +141,15 @@ def uuqc_to_ues(
         raise ValueError("channel did not certify; cannot convert to a shared state")
     d = v1.sub_dim
 
-    phi = ues(d)
-    embedded = tensor_product(np.eye(d), v1.columns) @ phi
-    rho_in = tensor_product(np.outer(embedded, embedded.conj()), np.eye(env_in))
-    big = KrausChannel(tuple(tensor_product(np.eye(d), e) for e in ch.elements))
-    out = apply(big, rho_in)
-    reduced = partial_trace(out, (d, v2.ambient_dim, env_out), keep=(0, 1))
-    restrict = tensor_product(np.eye(d), v2.columns)
-    sigma = dagger(restrict) @ reduced @ restrict
-
-    weight = float(np.trace(sigma).real)
-    evals, evecs = np.linalg.eigh(sigma)
-    ket = evecs[:, -1]
+    restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
+    # Row (k, e_out, e_in) of w holds <s, e_out| R_k |i, e_in> over (i, s).
+    # The projected Choi state is w^T w^* / d: its trace is |w|^2 / d and its
+    # top eigenvector is the top right singular vector of w, which is far
+    # cheaper than an eigendecomposition of the d^2 x d^2 state.
+    w = restricted.reshape(-1, d, env_out, d, env_in).transpose(0, 2, 4, 3, 1).reshape(-1, d * d)
+    _, values, right_h = np.linalg.svd(w, full_matrices=False)
+    weight = float(np.sum(values**2)) / d
+    ket = right_h[0]
     idx = int(np.argmax(np.abs(ket)))
     phase = np.conj(ket[idx]) / abs(ket[idx])
     return weight, ket * phase

@@ -52,7 +52,8 @@ def doc_to_matrix(doc, field: str = "matrix") -> np.ndarray:
         if key not in doc:
             raise FormatError(f"{field}.{key}: missing")
     rows, cols = doc["rows"], doc["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    # bool subclasses int, so JSON true/false would pass a plain int check.
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (rows, cols)):
         raise FormatError(f"{field}.rows/cols: need positive integers")
     data = doc["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -65,7 +66,7 @@ def doc_to_matrix(doc, field: str = "matrix") -> np.ndarray:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise FormatError(f"{field}.data[{i}]: expected an [re, im] pair")
         out[i] = complex(pair[0], pair[1])

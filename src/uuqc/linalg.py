@@ -118,7 +118,8 @@ class FactoredPair:
     ``sys_factor`` carries the dominant direction at unit Frobenius norm,
     ``env_factor`` absorbs the dominant singular value, and ``residual`` is
     the Frobenius norm of the unfactorable remainder.  ``schmidt_values``
-    holds the full operator-Schmidt spectrum, descending.
+    holds the full operator-Schmidt spectrum, descending.  For a stack of
+    matrices each field gains the stack's leading axes.
     """
 
     sys_factor: np.ndarray
@@ -177,23 +178,26 @@ def factor_as_tensor(
     columns by ``(env_out, env_in)``; its SVD is the operator-Schmidt
     decomposition of ``m`` across the cut.  The dominant singular triple
     yields the returned factors, and the residual collects everything the
-    rank-one truncation misses.
+    rank-one truncation misses.  A stack of matrices (leading batch axes) is
+    factorized in one batched SVD, and every field of the result carries the
+    same leading axes.
     """
-    m = _as_complex(m, "matrix")
-    if m.shape != (sys_out * env_out, sys_in * env_in):
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (sys_out * env_out, sys_in * env_in):
         raise ValueError(
             f"matrix shape {m.shape} does not match "
             f"({sys_out}*{env_out}, {sys_in}*{env_in})"
         )
+    batch = m.shape[:-2]
     shuffled = (
-        m.reshape(sys_out, env_out, sys_in, env_in)
-        .transpose(0, 2, 1, 3)
-        .reshape(sys_out * sys_in, env_out * env_in)
+        m.reshape(batch + (sys_out, env_out, sys_in, env_in))
+        .swapaxes(-3, -2)
+        .reshape(batch + (sys_out * sys_in, env_out * env_in))
     )
     left, values, right_h = np.linalg.svd(shuffled, full_matrices=False)
-    sys_factor = left[:, 0].reshape(sys_out, sys_in)
-    env_factor = (values[0] * right_h[0, :]).reshape(env_out, env_in)
-    residual = float(np.sqrt(np.sum(values[1:] ** 2)))
+    sys_factor = left[..., 0].reshape(batch + (sys_out, sys_in))
+    env_factor = (values[..., :1] * right_h[..., 0, :]).reshape(batch + (env_out, env_in))
+    residual = np.sqrt(np.sum(values[..., 1:] ** 2, axis=-1))
     return FactoredPair(sys_factor, env_factor, residual, values)
 
 

@@ -31,8 +31,6 @@ from .linalg import (
     SubspaceIsometry,
     dagger,
     factor_as_tensor,
-    frobenius,
-    partial_trace,
     random_ket,
     tensor_product,
 )
@@ -106,27 +104,57 @@ def restrict_operator(
     """Compress the system legs of ``omega`` onto the chosen subspaces.
 
     Returns ``(V2^dag (x) I) omega (V1 (x) I)`` of shape
-    ``(d * env_out, d * env_in)``.
+    ``(d * env_out, d * env_in)``.  A stack of operators (leading batch
+    axes, such as ``KrausChannel.stack``) is compressed in one pass.
     """
     omega = np.asarray(omega, dtype=complex)
     _check_env_dims(env_in, env_out)
-    if omega.shape != (v2.ambient_dim * env_out, v1.ambient_dim * env_in):
+    amb1, amb2, d1, d2 = v1.ambient_dim, v2.ambient_dim, v1.sub_dim, v2.sub_dim
+    if omega.shape[-2:] != (amb2 * env_out, amb1 * env_in):
         raise ValueError(
             f"operator shape {omega.shape} does not match "
-            f"({v2.ambient_dim}*{env_out}, {v1.ambient_dim}*{env_in})"
+            f"({amb2}*{env_out}, {amb1}*{env_in})"
         )
-    left = tensor_product(dagger(v2.columns), np.eye(env_out))
-    right = tensor_product(v1.columns, np.eye(env_in))
-    return left @ omega @ right
+    batch = omega.shape[:-2]
+    # Contract the input system leg with V1, then the output one with V2^dag;
+    # two matrix products beat one three-operand einsum by far.
+    right = omega.reshape(batch + (amb2, env_out, amb1, env_in)).swapaxes(-1, -2) @ v1.columns
+    both = dagger(v2.columns) @ right.reshape(batch + (amb2, -1))
+    out = both.reshape(batch + (d2, env_out, env_in, d1)).swapaxes(-1, -2)
+    return out.reshape(batch + (d2 * env_out, d1 * env_in))
 
 
-def _fix_phase(u: np.ndarray) -> complex:
-    """Phase that makes the largest-modulus entry of ``u`` real positive."""
-    idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-    entry = u[idx]
-    if abs(entry) == 0.0:
-        return 1.0 + 0j
-    return np.conj(entry) / abs(entry)
+def _certify_restricted(
+    restricted: np.ndarray, d: int, env_in: int, env_out: int, tol: float
+) -> tuple:
+    """Per-operator certificates for a stack of restricted operators."""
+    pair = factor_as_tensor(restricted, d, env_out, d, env_in)
+    sys_factor = pair.sys_factor
+    gram = sys_factor.conj().swapaxes(1, 2) @ sys_factor
+    scale = np.trace(gram, axis1=1, axis2=2).real / d
+    unitarity_dev = np.linalg.norm(gram - scale[:, None, None] * np.eye(d), axis=(1, 2))
+    probability = pair.schmidt_values[:, 0] ** 2 / d
+
+    # sys_factor has unit norm, so scale is 1/d and never zero.
+    root = np.sqrt(scale)[:, None, None]
+    # Each largest-modulus entry real positive, as UumCertificate documents.
+    flat = sys_factor.reshape(len(sys_factor), -1)
+    peak = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    phase = np.exp(-1j * np.angle(peak))[:, None, None]
+    unitary = sys_factor / root * phase
+    env_factor = pair.env_factor * root * np.conj(phase)
+    return tuple(
+        UumCertificate(
+            is_uum=bool(pair.residual[k] <= tol and unitarity_dev[k] <= tol and probability[k] > tol),
+            probability=float(probability[k]),
+            unitary=unitary[k],
+            env_factor=env_factor[k],
+            residual=float(pair.residual[k]),
+            schmidt_values=pair.schmidt_values[k],
+            unitarity_deviation=float(unitarity_dev[k]),
+        )
+        for k in range(len(restricted))
+    )
 
 
 def certify_uum(
@@ -155,37 +183,8 @@ def certify_uum(
     d = v1.sub_dim
     if d != v2.sub_dim:
         raise ValueError(f"subspace dimensions differ: {d} vs {v2.sub_dim}")
-
     restricted = restrict_operator(omega, v1, v2, env_in, env_out)
-    pair = factor_as_tensor(restricted, d, env_out, d, env_in)
-
-    sys_factor = pair.sys_factor
-    gram = dagger(sys_factor) @ sys_factor
-    scale = float(np.trace(gram).real) / d
-    unitarity_dev = frobenius(gram - scale * np.eye(d))
-    probability = float(pair.schmidt_values[0] ** 2) / d
-
-    is_uum = pair.residual <= tol and unitarity_dev <= tol and probability > tol
-
-    if scale > 0:
-        unitary = sys_factor / np.sqrt(scale)
-        env_factor = np.sqrt(scale) * pair.env_factor
-    else:
-        unitary = sys_factor
-        env_factor = pair.env_factor
-    phase = _fix_phase(unitary)
-    unitary = unitary * phase
-    env_factor = env_factor * np.conj(phase)
-
-    return UumCertificate(
-        is_uum=is_uum,
-        probability=probability,
-        unitary=unitary,
-        env_factor=env_factor,
-        residual=pair.residual,
-        schmidt_values=pair.schmidt_values,
-        unitarity_deviation=unitarity_dev,
-    )
+    return _certify_restricted(restricted[None], d, env_in, env_out, tol)[0]
 
 
 def probability_profile(
@@ -245,9 +244,8 @@ def _random_subspace_density(d: int, rng) -> np.ndarray:
 
 
 def _definition_residual(
-    ch: KrausChannel,
-    v1: SubspaceIsometry,
-    v2: SubspaceIsometry,
+    restricted: np.ndarray,
+    d: int,
     env_in: int,
     env_out: int,
     q: float,
@@ -255,22 +253,17 @@ def _definition_residual(
     check_states: int,
     seed,
 ) -> float:
-    """Worst deviation of the projected channel action from ``q U rho U^dag``."""
+    """Worst deviation of the projected channel action from ``q U rho U^dag``.
+
+    The channel is applied through its restricted elements, which equals
+    applying it on the ambient spaces and then projecting onto the subspaces.
+    """
     rng = np.random.default_rng(seed)
-    d = v1.sub_dim
-    dim2 = v2.ambient_dim
-    eye_env = np.eye(env_in)
-    worst = 0.0
-    for _ in range(check_states):
-        rho = _random_subspace_density(d, rng)
-        embedded = v1.columns @ rho @ dagger(v1.columns)
-        full_in = tensor_product(embedded, eye_env)
-        out = apply(ch, full_in)
-        reduced = partial_trace(out, (dim2, env_out), keep=(0,))
-        lhs = dagger(v2.columns) @ reduced @ v2.columns
-        rhs = q * (unitary @ rho @ dagger(unitary))
-        worst = max(worst, frobenius(lhs - rhs))
-    return worst
+    rhos = np.array([_random_subspace_density(d, rng) for _ in range(check_states)]).reshape(-1, d, d)
+    out = apply(KrausChannel(restricted), np.kron(rhos, np.eye(env_in)))
+    lhs = np.trace(out.reshape(-1, d, env_out, d, env_out), axis1=2, axis2=4)
+    rhs = q * (unitary @ rhos @ dagger(unitary))
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)), initial=0.0))
 
 
 def certify_uuqc(
@@ -297,10 +290,11 @@ def certify_uuqc(
     if v2 is None:
         v2 = SubspaceIsometry.full(ch.out_dim // env_out)
     d = v1.sub_dim
+    if d != v2.sub_dim:
+        raise ValueError(f"subspace dimensions differ: {d} vs {v2.sub_dim}")
 
-    certs = tuple(
-        certify_uum(e, v1, v2, env_in, env_out, tol) for e in ch.elements
-    )
+    restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
+    certs = _certify_restricted(restricted, d, env_in, env_out, tol)
     contributing = [k for k, c in enumerate(certs) if c.probability > tol]
 
     ok = True
@@ -326,7 +320,7 @@ def certify_uuqc(
         ok = False
 
     residual = _definition_residual(
-        ch, v1, v2, env_in, env_out, q, unitary, check_states, seed
+        restricted, d, env_in, env_out, q, unitary, check_states, seed
     )
     if residual > tol:
         ok = False
@@ -376,24 +370,15 @@ def refine(
 
     # Expansion coefficients of every contributing environment factor:
     # row j, column i holds <out_j| T_k |in_i>.
-    weights2 = np.zeros((env_out, env_in))
-    for c in cert.per_element:
-        if c.probability > tol:
-            coeff = dagger(b_out) @ c.env_factor @ b_in
-            weights2 += np.abs(coeff) ** 2
-
-    embedded_u = v2.columns @ cert.unitary @ dagger(v1.columns)
-    elems = []
-    for j in range(env_out):
-        for i in range(env_in):
-            w = np.sqrt(weights2[j, i])
-            if w <= tol:
-                continue
-            env_part = np.outer(b_out[:, j], np.conj(b_in[:, i]))
-            elems.append(w * tensor_product(embedded_u, env_part))
-    if not elems:
+    factors = np.array([c.env_factor for c in cert.per_element if c.probability > tol])
+    weights = np.sqrt(np.sum(np.abs(dagger(b_out) @ factors @ b_in) ** 2, axis=0))
+    j, i = np.nonzero(weights > tol)
+    if len(j) == 0:
         raise ValueError("refinement produced no elements")
-    return KrausChannel(tuple(elems))
+    # One element per kept (j, i), in row-major order: w_ji U (x) |out_j><in_i|.
+    env_parts = weights[j, i][:, None, None] * b_out.T[j][:, :, None] * b_in.T.conj()[i][:, None, :]
+    embedded_u = v2.columns @ cert.unitary @ dagger(v1.columns)
+    return KrausChannel(np.kron(embedded_u, env_parts))
 
 
 def extend_by_identity(ch: KrausChannel, ancilla_dim: int) -> KrausChannel:
@@ -402,5 +387,4 @@ def extend_by_identity(ch: KrausChannel, ancilla_dim: int) -> KrausChannel:
         raise ValueError("ancilla_dim must be >= 1")
     if ancilla_dim == 1:
         return ch
-    eye = np.eye(ancilla_dim)
-    return KrausChannel(tuple(tensor_product(eye, e) for e in ch.elements))
+    return KrausChannel(np.kron(np.eye(ancilla_dim), ch.stack))

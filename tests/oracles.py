@@ -69,3 +69,43 @@ def majorized_by_uniform(lambdas_squared: np.ndarray, d: int) -> bool:
 
 def binom_sigma(p: float, n: int) -> float:
     return float(np.sqrt(max(p * (1.0 - p), 1e-12) / n))
+
+
+def choi_by_kron(elements) -> np.ndarray:
+    """Unnormalized Choi state sum_k (I (x) E_k)|phi><phi|(I (x) E_k)^dag,
+    with the reference on the slow slot and |phi> = sum_i |i>|i> / sqrt(n)."""
+    n = elements[0].shape[1]
+    phi = np.zeros(n * n, dtype=complex)
+    for i in range(n):
+        phi[i * n + i] = 1.0 / np.sqrt(n)
+    rho = np.outer(phi, phi.conj())
+    out = 0
+    for e in elements:
+        big = np.kron(np.eye(n), e)
+        out = out + big @ rho @ big.conj().T
+    return out
+
+
+def restrict_by_kron(omega, v1_cols, v2_cols, env_in: int, env_out: int) -> np.ndarray:
+    """(V2^dag (x) I_env_out) omega (V1 (x) I_env_in) by explicit Kronecker products."""
+    left = np.kron(v2_cols.conj().T, np.eye(env_out))
+    right = np.kron(v1_cols, np.eye(env_in))
+    return left @ omega @ right
+
+
+def projected_choi_by_kron(elements, v1_cols, v2_cols, env_in: int, env_out: int) -> np.ndarray:
+    """Send half of the canonical d x d ket, embedded by V1 and tensored with
+    the unnormalized environment identity, through I_d (x) E_k; trace out the
+    output environment by a sum over its basis, then project with I_d (x) V2."""
+    d = v1_cols.shape[1]
+    amb_out = v2_cols.shape[0]
+    phi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
+    embedded = np.kron(np.eye(d), v1_cols) @ phi
+    rho_in = np.kron(np.outer(embedded, embedded.conj()), np.eye(env_in))
+    out = 0
+    for e in elements:
+        big = np.kron(np.eye(d), e)
+        out = out + big @ rho_in @ big.conj().T
+    reduced = partial_trace_sum(out, (d, amb_out, env_out), traced=2)
+    project = np.kron(np.eye(d), v2_cols)
+    return project.conj().T @ reduced @ project

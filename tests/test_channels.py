@@ -14,6 +14,7 @@ from uuqc.channels import (
 from uuqc.linalg import random_unitary
 
 from builders import PAULI_X, PAULI_Y, PAULI_Z, rand_complex
+from oracles import choi_by_kron
 
 
 def random_density(rng, dim):
@@ -59,6 +60,17 @@ def test_apply_trace_preserving_channels_keep_trace():
     for _ in range(20):
         rho = random_density(rng, 2)
         assert np.trace(apply(ch, rho)).real == pytest.approx(1.0, abs=1e-10)
+
+
+def test_apply_stack_of_states_matches_one_by_one():
+    rng = np.random.default_rng(3)
+    ch = KrausChannel(tuple(0.4 * rand_complex(rng, (2, 3)) for _ in range(3)))
+    rhos = np.array([random_density(rng, 3) for _ in range(5)])
+    batched = apply(ch, rhos)
+    assert batched.shape == (5, 2, 2)
+    for rho, out in zip(rhos, batched):
+        by_hand = sum(e @ rho @ e.conj().T for e in ch.elements)
+        np.testing.assert_allclose(out, by_hand, atol=1e-12)
 
 
 def test_apply_dimension_mismatch():
@@ -111,6 +123,19 @@ def test_choi_trace_matches_gram_trace():
         ch = KrausChannel(tuple(0.5 * rand_complex(rng, (3, 2)) for _ in range(3)))
         expected = np.trace(ch.gram_sum()).real / ch.in_dim
         assert np.trace(choi_state(ch)).real == pytest.approx(expected, abs=1e-10)
+
+
+def test_choi_matches_kron_reference():
+    # in_dim != out_dim, up to eight elements, trace-decreasing
+    rng = np.random.default_rng(5)
+    for in_dim, out_dim, k in [(2, 3, 1), (3, 2, 4), (4, 5, 8), (5, 1, 2)]:
+        elems = rand_complex(rng, (k, out_dim, in_dim))
+        gram = sum(e.conj().T @ e for e in elems)
+        elems *= np.sqrt(0.8 / np.max(np.linalg.eigvalsh(gram)))
+        ch = KrausChannel(tuple(elems))
+        rep = is_physical(ch)
+        assert rep.physical and not rep.trace_preserving
+        np.testing.assert_allclose(choi_state(ch), choi_by_kron(ch.elements), atol=1e-12)
 
 
 def test_compose_with_identity():
@@ -167,3 +192,17 @@ def test_channel_shape_validation():
         KrausChannel((np.eye(2), np.eye(3)))
     with pytest.raises(ValueError):
         KrausChannel(())
+
+
+def test_stack_is_read_only_and_elements_stay_a_tuple():
+    ch = KrausChannel((np.eye(2), np.diag([1.0, -1.0])))
+    assert ch.stack.shape == (2, 2, 2)
+    assert not ch.stack.flags.writeable
+    assert isinstance(ch.elements, tuple)
+    assert all(not e.flags.writeable for e in ch.elements)
+    with pytest.raises(ValueError):
+        ch.elements[0][0, 0] = 5.0
+    extra = np.ones((2, 2))
+    longer = ch.elements + (extra,)
+    assert isinstance(longer, tuple) and len(longer) == 3
+    np.testing.assert_array_equal(KrausChannel(longer).stack[2], extra)

@@ -138,6 +138,17 @@ def test_ec_prob(capsys, tmp_path):
     assert report["certainty_condition"] is False
 
 
+def test_ec_prob_certainty_uses_tol(capsys, tmp_path):
+    # a pure Choi state whose Schmidt coefficients miss 1/sqrt(2) by ~4e-6
+    code_file = write(tmp_path / "triv.json", code_to_doc(CodeSpec(np.eye(2, dtype=complex))))
+    noise = KrausChannel((np.diag([1.0, 1.0 - 1e-5]).astype(complex),))
+    noise_file = write(tmp_path / "noise.json", channel_to_doc(noise))
+    code, report, _ = run(capsys, ["ec-prob", code_file, noise_file, "--tol", "1e-3"])
+    assert code == 0 and report["certainty_condition"] is True
+    code, report, _ = run(capsys, ["ec-prob", code_file, noise_file])
+    assert code == 0 and report["certainty_condition"] is False
+
+
 def test_dense_code_stats(capsys):
     code, report, _ = run(
         capsys,
@@ -185,6 +196,30 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
 
     code, _, _ = run(capsys, ["no-such-command"])
     assert code == 1
+
+
+def test_numerical_failure_exits_two(capsys, tmp_path):
+    # JSON NaN parses as a float; the SVD then fails to converge
+    nan_file = write(tmp_path / "nan.json", matrix_to_doc(np.array([[np.nan, 0.0], [0.0, 1.0]])))
+    code, report, err = run(capsys, ["check-uum", nan_file])
+    assert code == 2 and report is None
+    assert err.startswith("numerical failure:")
+
+
+def test_json_booleans_exit_one(capsys, tmp_path):
+    docs = {
+        "rows.json": {"rows": True, "cols": 1, "data": [[1.0, 0.0]]},
+        "cols.json": {"rows": 1, "cols": True, "data": [[1.0, 0.0]]},
+        "data.json": {"rows": 1, "cols": 1, "data": [[True, 0.0]]},
+    }
+    for name, doc in docs.items():
+        path = write(tmp_path / name, doc)
+        code, report, err = run(capsys, ["check-uum", path])
+        assert code == 1 and report is None, name
+        assert "omega" in err
+    ch_doc = {"in_dim": 1, "out_dim": 1, "elements": [docs["data.json"]]}
+    code, report, err = run(capsys, ["check-uuqc", write(tmp_path / "ch.json", ch_doc)])
+    assert code == 1 and "channel.elements[0].data[0]" in err
 
 
 def test_reports_byte_identical(tmp_path):

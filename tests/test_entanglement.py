@@ -19,7 +19,7 @@ from uuqc.linalg import SubspaceIsometry, random_ket, tensor_product
 from uuqc.unambiguous import certify_uuqc
 
 from builders import make_uuqc, rand_complex
-from oracles import filter_conversion_max, majorized_by_uniform
+from oracles import filter_conversion_max, majorized_by_uniform, projected_choi_by_kron
 
 
 def spectrum(*lam2):
@@ -127,6 +127,23 @@ def test_uuqc_to_ues_weight_and_output():
     target = tensor_product(np.eye(2), u) @ ues(2)
     assert abs(np.vdot(target, ket)) ** 2 == pytest.approx(1.0, abs=1e-10)
     assert is_rank_d_ues(ket, 2, 2, 2)
+
+
+def test_uuqc_to_ues_matches_projected_choi_reference():
+    # env_in, env_out > 1 and proper subspaces on both sides
+    rng = np.random.default_rng(5)
+    for d, dim1, dim2, env_in, env_out, probs in [
+        (2, 4, 3, 2, 3, [0.5, 0.25]),
+        (3, 5, 4, 3, 2, [0.2, 0.1, 0.3, 0.15]),
+    ]:
+        ch, u, _, v1, v2 = make_uuqc(rng, d, dim1, dim2, env_in, env_out, probs, with_noise=True)
+        weight, ket = uuqc_to_ues(ch, v1, v2, env_in, env_out)
+        sigma = projected_choi_by_kron(ch.elements, v1.columns, v2.columns, env_in, env_out)
+        assert weight == pytest.approx(np.trace(sigma).real, abs=1e-10)
+        assert weight == pytest.approx(sum(probs), abs=1e-10)
+        np.testing.assert_allclose(weight * np.outer(ket, ket.conj()), sigma, atol=1e-10)
+        target = tensor_product(np.eye(d), u) @ ues(d)
+        assert abs(np.vdot(target, ket)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_uuqc_to_ues_bit_flip():

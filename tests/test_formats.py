@@ -65,6 +65,15 @@ def test_rejects_missing_fields_and_bad_pairs():
         doc_to_ket(matrix_to_doc(np.eye(2)))
 
 
+def test_rejects_json_booleans():
+    with pytest.raises(FormatError, match="rows/cols"):
+        doc_to_matrix({"rows": True, "cols": 1, "data": [[1.0, 0.0]]})
+    with pytest.raises(FormatError, match="rows/cols"):
+        doc_to_matrix({"rows": 1, "cols": False, "data": []})
+    with pytest.raises(FormatError, match=r"data\[1\]"):
+        doc_to_matrix({"rows": 2, "cols": 1, "data": [[1.0, 0.0], [0.0, True]]})
+
+
 def test_rejects_channel_shape_mismatch():
     doc = channel_to_doc(KrausChannel((np.eye(2),)))
     doc["out_dim"] = 3

@@ -163,6 +163,24 @@ def test_factor_random_product_invariant():
         assert np.linalg.norm(tensor_product(pair.sys_factor, pair.env_factor) - m) <= 1e-9
 
 
+def test_factor_stack_matches_one_by_one():
+    rng = np.random.default_rng(14)
+    stack = rand_complex(rng, (2, 3, 3 * 2, 2 * 4))
+    batched = factor_as_tensor(stack, 3, 2, 2, 4)
+    assert batched.sys_factor.shape == (2, 3, 3, 2)
+    assert batched.env_factor.shape == (2, 3, 2, 4)
+    assert batched.residual.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        one = factor_as_tensor(stack[idx], 3, 2, 2, 4)
+        np.testing.assert_allclose(batched.schmidt_values[idx], one.schmidt_values, atol=1e-12)
+        assert batched.residual[idx] == pytest.approx(one.residual, abs=1e-12)
+        np.testing.assert_allclose(
+            tensor_product(batched.sys_factor[idx], batched.env_factor[idx]),
+            tensor_product(one.sys_factor, one.env_factor),
+            atol=1e-12,
+        )
+
+
 def test_random_unitary_properties():
     u = random_unitary(4, 21)
     assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-12

@@ -20,6 +20,7 @@ from uuqc.unambiguous import (
 )
 
 from builders import env_factors, make_uum, make_uuqc, rand_complex
+from oracles import restrict_by_kron
 
 
 def test_certify_plain_unitary():
@@ -192,6 +193,58 @@ def test_uuqc_allows_zero_probability_elements():
     assert cert.total_probability == pytest.approx(0.5, abs=1e-9)
 
 
+def test_uuqc_per_element_equals_certify_uum():
+    rng = np.random.default_rng(21)
+    ch, u, thetas, v1, v2 = make_uuqc(rng, 3, 5, 4, 2, 3, [0.2, 0.3, 0.1], with_noise=True)
+    non_factorable = tensor_product(v2.columns @ rand_complex(rng, (3, 3)) @ v1.columns.conj().T,
+                                    np.eye(3, 2)) + 0.1 * rand_complex(rng, (12, 10))
+    junk = tensor_product(v2.complement().columns @ rand_complex(rng, (1, 5)), np.ones((3, 2)))
+    mixed = KrausChannel(ch.elements + (non_factorable, junk))
+    for channel in (ch, mixed):
+        cert = certify_uuqc(channel, v1, v2, 2, 3)
+        assert len(cert.per_element) == len(channel.elements)
+        for got, e in zip(cert.per_element, channel.elements):
+            want = certify_uum(e, v1, v2, 2, 3)
+            assert got.is_uum == want.is_uum
+            assert got.probability == pytest.approx(want.probability, abs=1e-12)
+            assert got.residual == pytest.approx(want.residual, abs=1e-12)
+            np.testing.assert_allclose(got.unitary, want.unitary, atol=1e-12)
+            np.testing.assert_allclose(got.env_factor, want.env_factor, atol=1e-12)
+    assert certify_uuqc(ch, v1, v2, 2, 3).is_uuqc
+    assert not certify_uuqc(mixed, v1, v2, 2, 3).is_uuqc
+
+
+def test_uuqc_rejects_unitaries_1e6_apart_through_definition_residual():
+    # The pairwise phase-overlap test is quadratic in the distance and lets
+    # these pass; only the sampled defining identity catches them.
+    rng = np.random.default_rng(22)
+    u = random_unitary(3, 23)
+    h = rand_complex(rng, (3, 3))
+    h = (h + h.conj().T) / 2
+    evals, evecs = np.linalg.eigh(h)
+    nudge = evecs @ np.diag(np.exp(1e-6j * evals / np.linalg.norm(h))) @ evecs.conj().T
+    w = u @ nudge
+    assert 1e-7 < np.linalg.norm(u - w) < 1e-5
+    ch = KrausChannel((np.sqrt(0.5) * u, np.sqrt(0.5) * w))
+    cert = certify_uuqc(ch)
+    assert not cert.is_uuqc
+    assert cert.mismatched_pair is None
+    assert all(c.is_uum for c in cert.per_element)
+    assert cert.definition_residual > 1e-9
+
+
+def test_restrict_operator_matches_kron_reference():
+    rng = np.random.default_rng(24)
+    v1 = SubspaceIsometry(np.linalg.qr(rand_complex(rng, (5, 3)))[0])
+    v2 = SubspaceIsometry(np.linalg.qr(rand_complex(rng, (4, 3)))[0])
+    omega = rand_complex(rng, (4 * 3, 5 * 2))
+    np.testing.assert_allclose(
+        restrict_operator(omega, v1, v2, 2, 3),
+        restrict_by_kron(omega, v1.columns, v2.columns, 2, 3),
+        atol=1e-12,
+    )
+
+
 def test_refine_already_rank_one():
     u = random_unitary(2, 11)
     env = np.zeros((2, 2), dtype=complex)
@@ -253,6 +306,25 @@ def test_refine_rank_one_environment_invariant():
     for e in refined.elements:
         pair = factor_as_tensor(e, 3, 3, 3, 2)
         assert pair.schmidt_values[1] <= 1e-9
+
+
+def test_refine_in_chosen_environment_bases():
+    rng = np.random.default_rng(19)
+    ch, u, thetas, v1, v2 = make_uuqc(rng, 2, 3, 4, 2, 3, [0.3, 0.2], with_noise=True)
+    b_in = np.linalg.qr(rand_complex(rng, (2, 2)))[0]
+    b_out = np.linalg.qr(rand_complex(rng, (3, 3)))[0]
+    refined = refine(ch, v1, v2, 2, 3, env_in_basis=b_in, env_out_basis=b_out)
+    assert len(refined.elements) == 6
+    embedded = v2.columns @ u @ v1.columns.conj().T
+    for e, (j, i) in zip(refined.elements, [(j, i) for j in range(3) for i in range(2)]):
+        w2 = sum(abs(b_out[:, j].conj() @ t @ b_in[:, i]) ** 2 for t in thetas)
+        part = np.outer(b_out[:, j], b_in[:, i].conj())
+        target = np.sqrt(w2) * tensor_product(embedded, part)
+        assert abs(abs(np.vdot(target, e)) - np.vdot(target, target).real) <= 1e-9
+        np.testing.assert_allclose(np.linalg.norm(e), np.linalg.norm(target), atol=1e-9)
+    cert = certify_uuqc(refined, v1, v2, 2, 3)
+    assert cert.is_uuqc
+    assert cert.total_probability == pytest.approx(0.5, abs=1e-9)
 
 
 def test_refine_refuses_non_uuqc():
