@@ -292,9 +292,7 @@ def _run_kl_check(args):
 def _run_ec_prob(args):
     code = doc_to_code(load_json(args.code, "code"), "code")
     noise = doc_to_channel(load_json(args.noise, "noise"), "noise")
-    prob, method = qec.unambiguous_correction_probability(
-        code, noise, args.tol, seed=args.seed
-    )
+    prob, method = qec.unambiguous_correction_probability(code, noise, args.tol)
     certain = qec.meets_certainty_condition(code, noise, args.tol)
     report = {
         "command": "ec-prob",

@@ -8,6 +8,10 @@ state: the error is correctable with probability ``p`` exactly when the
 canonical entangled ket can be distilled from that state with probability
 ``p`` by operations on the noisy half alone, and correctable with certainty
 only when the (pure) Choi state already is a uniformly entangled state.
+For a mixed Choi state the distillable probability is bounded from below
+by an instrument on the noisy half that separates the state's eigen-branches
+and distils each at the pure-state optimum; the bound is exact on
+Knill-Laflamme-correctable noise.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .linalg import (
     SubspaceIsometry,
     dagger,
     frobenius,
-    partial_trace,
 )
 from .unambiguous import UuqcCertificate, certify_uuqc
 
@@ -230,52 +233,32 @@ def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = 
     return is_rank_d_ues(evecs[:, -1], d, noise.out_dim, d, tol)
 
 
-def _filter_candidates(sigma_b: np.ndarray, rng, grid_points: int, random_trials: int):
-    """Yield one-sided filter matrices for the distillation lower bound.
-
-    Diagonal filters in the eigenbasis of the noisy-side marginal: a full
-    grid over the three leading eigendirections with the remaining entries
-    pinned to zero or one, then seeded random diagonals and random
-    contractions.
-    """
-    n = sigma_b.shape[0]
-    _, basis = np.linalg.eigh(sigma_b)
-    basis = basis[:, ::-1]
-    k = min(3, n)
-    grid = np.linspace(0.0, 1.0, grid_points)
-    mesh = np.stack(np.meshgrid(*([grid] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    for head in mesh:
-        for fill in (0.0, 1.0):
-            diag = np.full(n, fill)
-            diag[:k] = head
-            yield basis @ np.diag(diag) @ dagger(basis)
-            if n == k:
-                break
-    for _ in range(random_trials // 2):
-        diag = rng.uniform(0.0, 1.0, size=n)
-        yield basis @ np.diag(diag) @ dagger(basis)
-    for _ in range(random_trials - random_trials // 2):
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        yield m / np.linalg.svd(m, compute_uv=False)[0]
-
-
-def unambiguous_correction_probability(
-    code: CodeSpec,
-    noise: KrausChannel,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-    grid_points: int = 21,
-    random_trials: int = 200,
-):
+def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL):
     """Probability that the noise on this code is unambiguously correctable.
 
     Builds the unnormalized Choi state of encode-then-noise.  When that state
     is pure the answer is exact: its weight times the optimal pure-state
-    conversion probability to the canonical entangled ket (method
-    ``"pure-exact"``).  Otherwise a seeded search over one-sided filters on
-    the noisy half reports the best weight whose filtered output is a pure
-    rank-``d`` state, times that output's conversion optimum; an honest
-    lower bound, tagged ``"filter-lower-bound"``.
+    conversion probability to the canonical entangled ket (Vidal, PRL 83,
+    1046 (1999)), method ``"pure-exact"``.
+
+    A mixed state ``sum_m lambda_m |v_m><v_m|`` gets a deterministic lower
+    bound, method ``"filter-lower-bound"``, from an instrument on the noisy
+    half.  ``R_m``, the noisy-side range of branch ``v_m``, has the dimension
+    of its Schmidt rank, at most ``d``.  Branch ``m`` is separated when
+    ``R_m`` is orthogonal to every other branch's range.  The projectors
+    ``Q_m`` onto the ranges of separated branches are mutually orthogonal, so
+    with ``I - sum Q_m`` they form an instrument; outcome ``m`` annihilates
+    every other branch and leaves ``v_m`` itself.  Since the target is the
+    canonical ket, a reference-side unitary moves to the noisy side
+    (Lo-Popescu), so Vidal's optimum for ``v_m`` is reachable on the noisy
+    half alone.  The bound sums ``lambda_m`` times that optimum over the
+    separated branches.  (The part of a non-separated ``R_m`` orthogonal to
+    the others has rank below ``d`` and would score zero.)  On
+    Knill-Laflamme-correctable noise (PRA 55, 900 (1997))
+    ``C^dag F_m^dag F_m' C = lambda_m delta I`` holds for any eigenbasis of
+    ``h``, which the Choi eigenvectors are, so every branch is separated and
+    maximally entangled and the bound equals ``Tr h``, the standard-recovery
+    probability.
     """
     sigma = noise_choi_state(code, noise)
     d = code.logical_dim
@@ -290,21 +273,15 @@ def unambiguous_correction_probability(
         prob = weight * conversion_probability(schmidt(psi, d, n), d)
         return float(prob), "pure-exact"
 
-    rng = np.random.default_rng(seed)
-    sigma_b = partial_trace(sigma, (d, n), keep=(1,))
-    best = 0.0
-    eye_a = np.eye(d)
-    for f in _filter_candidates(sigma_b, rng, grid_points, random_trials):
-        big = np.kron(eye_a, f)
-        filtered = big @ sigma @ dagger(big)
-        w = float(np.trace(filtered).real)
-        if w <= best or w <= tol:
-            continue
-        fe, fv = np.linalg.eigh(filtered)
-        if w - float(fe[-1]) > tol:
-            continue
-        form = schmidt(fv[:, -1], d, n, tol)
-        if form.rank != d:
-            continue
-        best = max(best, w * conversion_probability(form, d))
-    return float(best), "filter-lower-bound"
+    keep = evals > tol
+    kets = evecs[:, keep].T.reshape(-1, d, n)
+    _, svals, vh = np.linalg.svd(kets, full_matrices=False)
+    support = svals > tol
+    ranges, labels = vh[support].T, np.nonzero(support)[0]
+    # overlaps between the orthonormal range vectors of different branches
+    cross = (dagger(ranges) @ ranges) * (labels[:, None] != labels)
+    prob = 0.0
+    for m, (lam, ket) in enumerate(zip(evals[keep], kets)):
+        if np.max(np.abs(cross[labels == m]), initial=0.0) <= tol:
+            prob += lam * conversion_probability(schmidt(ket, d, n, tol), d)
+    return float(prob), "filter-lower-bound"

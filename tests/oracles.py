@@ -109,3 +109,26 @@ def projected_choi_by_kron(elements, v1_cols, v2_cols, env_in: int, env_out: int
     reduced = partial_trace_sum(out, (d, amb_out, env_out), traced=2)
     project = np.kron(np.eye(d), v2_cols)
     return project.conj().T @ reduced @ project
+
+
+def orthogonal_branch_probability(blocks, d: int) -> float:
+    """Distillation probability of the Choi state of code-space actions
+    ``B_k = E_k C`` (``n x d``) whose ranges are mutually orthogonal.
+
+    Branch ``k`` has weight ``||B_k||_F^2 / d`` and normalized Schmidt
+    coefficients ``s_k / ||s_k||`` (``s_k`` the singular values of ``B_k``);
+    a projective measurement onto the ranges separates the branches, and
+    each is scored by the brute-force filter optimum.  A block whose range
+    overlaps another block's range is not separated by that measurement
+    and scores zero.
+    """
+    total = 0.0
+    for k, b in enumerate(blocks):
+        overlaps = [np.linalg.norm(b.conj().T @ other) > 1e-12
+                    for j, other in enumerate(blocks) if j != k]
+        s = np.linalg.svd(b, compute_uv=False)
+        norm = float(np.linalg.norm(s))
+        if any(overlaps) or norm == 0.0:
+            continue
+        total += norm**2 / d * filter_conversion_max(s / norm, d)
+    return total

@@ -118,6 +118,15 @@ def test_kl_check_exit_codes(capsys, tmp_path):
     assert h["rows"] == 4
     diag = [h["data"][i * 4 + i][0] for i in range(4)]
     np.testing.assert_allclose(diag, [0.25] * 4, atol=1e-10)
+    # ec-prob agrees that the flips are correctable; certainty_condition
+    # stays false because it only accepts a pure Choi state, and this one is
+    # mixed
+    code, report, _ = run(capsys, ["ec-prob", code_file, flips_file])
+    assert code == 0
+    assert set(report) == {"command", "probability", "method", "certainty_condition"}
+    assert report["probability"] == pytest.approx(1.0, abs=1e-9)
+    assert report["method"] == "filter-lower-bound"
+    assert report["certainty_condition"] is False
 
     z_noise = KrausChannel(
         (np.eye(8) / np.sqrt(2), single_qubit_on(np.diag([1, -1]).astype(complex), 0) / np.sqrt(2))
@@ -125,6 +134,8 @@ def test_kl_check_exit_codes(capsys, tmp_path):
     z_file = write(tmp_path / "z.json", channel_to_doc(z_noise))
     code, report, _ = run(capsys, ["kl-check", code_file, z_file])
     assert code == 3 and not report["correctable"]
+    code, report, _ = run(capsys, ["ec-prob", code_file, z_file])
+    assert code == 0 and report["probability"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ec_prob(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uuqc.channels import KrausChannel, apply, choi_state, compose
 from uuqc.entanglement import is_rank_d_ues, schmidt
@@ -20,11 +22,12 @@ from builders import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    kron_chain,
     rand_complex,
     repetition_code,
     single_qubit_on,
 )
-from oracles import filter_conversion_max
+from oracles import filter_conversion_max, orthogonal_branch_probability
 
 
 def bit_flip_errors():
@@ -276,3 +279,144 @@ def test_unit_probability_correction_has_uniform_choi():
 def test_kl_dimension_mismatch():
     with pytest.raises(ValueError):
         kl_check(repetition_code(), KrausChannel((np.eye(4, dtype=complex),)))
+
+
+def _flip(wire, n_qubits):
+    return kron_chain(*[PAULI_X if k == wire else np.eye(2) for k in range(n_qubits)])
+
+
+def _syndromes(rng, code, m, n_qubits):
+    """``m`` operators whose code-space actions land on mutually orthogonal
+    ``d``-dimensional spaces, the first on the code itself: the identity and
+    single bit flips on a repetition code, or rotated blocks of a random
+    basis plus a random map on the code complement."""
+    if n_qubits:
+        return [np.eye(2**n_qubits)] + [_flip(k, n_qubits) for k in range(m - 1)]
+    enc = code.encoder
+    n, d = enc.shape
+    basis = random_unitary(n, rng)
+    basis[:, :d] = enc
+    basis, _ = np.linalg.qr(basis)
+    outside = np.eye(n) - code.code_projector()
+    return [basis[:, j * d:(j + 1) * d] @ random_unitary(d, rng) @ enc.conj().T
+            + 0.2 * rand_complex(rng, (n, n)) @ outside for j in range(m)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(3, 8, 2), (5, 32, 2), (0, 8, 2), (0, 12, 3), (0, 16, 2)]),
+    m=st.integers(2, 4),
+    extra=st.integers(0, 2),
+    degenerate=st.booleans(),
+    weight=st.sampled_from([1.0, 0.55]),
+)
+def test_bound_exact_on_correctable_noise(seed, shape, m, extra, degenerate, weight):
+    # syndromes mixed by a random m-column isometry, as the qec benchmark
+    # builds them: Knill-Laflamme correctable, with a mixed Choi state
+    n_qubits, n, d = shape
+    rng = np.random.default_rng(seed)
+    if n_qubits:
+        enc = np.zeros((n, d), dtype=complex)
+        enc[0, 0] = enc[-1, 1] = 1.0
+        code = CodeSpec(enc)
+    else:
+        code = CodeSpec(random_unitary(n, rng)[:, :d])
+    lambdas = np.ones(m) if degenerate else rng.uniform(0.2, 1.0, m)
+    lambdas *= weight / lambdas.sum()
+    ops = _syndromes(rng, code, m, n_qubits)
+    u = random_unitary(m + extra, rng)[:, :m]
+    noise = KrausChannel(tuple(
+        sum(u[r, j] * np.sqrt(lam) * f for j, (lam, f) in enumerate(zip(lambdas, ops)))
+        for r in range(m + extra)
+    ))
+    report = kl_check(code, noise)
+    assert report.correctable
+    recovered = verify_correction_uuqc(code, noise, standard_recovery(code, noise))
+    prob, method = unambiguous_correction_probability(code, noise)
+    assert method == "filter-lower-bound"
+    assert prob == pytest.approx(recovered.identity_probability, abs=1e-9)
+    assert prob == pytest.approx(np.trace(report.h).real, abs=1e-9)
+
+
+def depolarizing_on_qubit():
+    return trivial_code(), KrausChannel((np.eye(2) / 2, PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2))
+
+
+def flagged_block_mixture():
+    enc = np.eye(3, 2, dtype=complex)
+    k0 = np.sqrt(0.7) * np.diag([1.0, 1.0, 0.0]).astype(complex)
+    k1 = np.sqrt(0.3) * np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex)
+    k2 = np.sqrt(0.3) * np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex)
+    return CodeSpec(enc), KrausChannel((k0, k1, k2))
+
+
+def symmetric_bit_flips():
+    # triple-degenerate syndrome weights
+    p = (0.7, 0.1, 0.1, 0.1)
+    ops = [np.eye(8, dtype=complex)] + [single_qubit_on(PAULI_X, k) for k in range(3)]
+    return repetition_code(), KrausChannel(tuple(np.sqrt(a) * o for a, o in zip(p, ops)))
+
+
+def trace_decreasing_bit_flip():
+    return repetition_code(), KrausChannel(
+        (np.sqrt(0.6) * np.eye(8, dtype=complex), np.sqrt(0.2) * single_qubit_on(PAULI_X, 0))
+    )
+
+
+# ``searched`` is what the former seeded search over one-sided filters (a
+# 21-point grid on three eigendirections plus 200 random filters) reported;
+# the branch bound must never fall below it.
+@pytest.mark.parametrize(
+    "case, searched, expected",
+    [
+        (depolarizing_on_qubit, 0.0, 0.0),
+        (flagged_block_mixture, 0.7, 0.7),
+        (symmetric_bit_flips, 0.7, 1.0),
+        (trace_decreasing_bit_flip, 0.6, 0.8),
+    ],
+)
+def test_bound_at_least_filter_search(case, searched, expected):
+    code, noise = case()
+    prob, method = unambiguous_correction_probability(code, noise)
+    assert method == "filter-lower-bound"
+    assert prob >= searched - 1e-12
+    assert prob == pytest.approx(expected, abs=1e-9)
+
+
+def non_isometric_orthogonal_branches():
+    # two branches with orthogonal ranges on a 4-dim physical space, neither
+    # maximally entangled: the sum of the two pure-state optima
+    code = CodeSpec(np.eye(4, 2, dtype=complex))
+    e0 = np.diag([0.8, 0.5, 0.0, 0.0]).astype(complex)
+    e1 = np.zeros((4, 4), dtype=complex)
+    e1[2:, :2] = random_unitary(2, 3) @ np.diag([0.6, 0.4]) @ random_unitary(2, 4)
+    return code, KrausChannel((e0, e1))
+
+
+def weakly_overlapping_branches():
+    # branch 0's weaker Schmidt direction lands in branch 1's range, so
+    # neither branch can be separated
+    code = CodeSpec(np.eye(3, 2, dtype=complex))
+    e0 = np.zeros((3, 3), dtype=complex)
+    e0[0, 0], e0[2, 1] = 0.9, 0.3
+    e1 = np.zeros((3, 3), dtype=complex)
+    e1[2, 0] = 0.4
+    return code, KrausChannel((e0, e1))
+
+
+def repetition_phase_flip():
+    # not correctable: both branches live on the code space itself
+    return repetition_code(), KrausChannel(
+        (np.sqrt(0.7) * np.eye(8, dtype=complex), np.sqrt(0.3) * single_qubit_on(PAULI_Z, 0))
+    )
+
+
+@pytest.mark.parametrize(
+    "case", [non_isometric_orthogonal_branches, weakly_overlapping_branches, repetition_phase_flip]
+)
+def test_bound_matches_orthogonal_branch_oracle(case):
+    code, noise = case()
+    prob, method = unambiguous_correction_probability(code, noise)
+    blocks = [e @ code.encoder for e in noise.elements]
+    assert method == "filter-lower-bound"
+    assert prob == pytest.approx(orthogonal_branch_probability(blocks, code.logical_dim), abs=1e-9)
