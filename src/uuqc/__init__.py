@@ -39,7 +39,6 @@ from .entanglement import (
     search_mixed_nonzero,
     teleport_probability_pure,
     teleportation_parts,
-    ues,
     ues_to_uuqc,
     uuqc_to_ues,
 )

@@ -38,8 +38,8 @@ EXIT_NEGATIVE = 3
 
 def _add_common(sub, trials: bool = False):
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
     if trials:
+        sub.add_argument("--seed", type=int, default=0, help="random seed")
         sub.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials")
     sub.add_argument("--out", default=None, help="report path (default: stdout)")
 
@@ -200,9 +200,7 @@ def _run_check_uum(args):
 def _run_check_uuqc(args):
     ch = doc_to_channel(load_json(args.channel, "channel"), "channel")
     v1, v2 = _load_subspaces(args, ch.in_dim, ch.out_dim)
-    cert = unambiguous.certify_uuqc(
-        ch, v1, v2, args.env_in, args.env_out, args.tol, seed=args.seed
-    )
+    cert = unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
     report = {
         "command": "check-uuqc",
         "is_uuqc": bool(cert.is_uuqc),
@@ -220,9 +218,7 @@ def _run_check_uuqc(args):
 def _run_refine(args):
     ch = doc_to_channel(load_json(args.channel, "channel"), "channel")
     v1, v2 = _load_subspaces(args, ch.in_dim, ch.out_dim)
-    cert = unambiguous.certify_uuqc(
-        ch, v1, v2, args.env_in, args.env_out, args.tol, seed=args.seed
-    )
+    cert = unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
     if not cert.is_uuqc:
         report = {
             "command": "refine",
@@ -246,9 +242,7 @@ def _run_refine(args):
 def _run_to_ues(args):
     ch = doc_to_channel(load_json(args.channel, "channel"), "channel")
     v1, v2 = _load_subspaces(args, ch.in_dim, ch.out_dim)
-    cert = unambiguous.certify_uuqc(
-        ch, v1, v2, args.env_in, args.env_out, args.tol, seed=args.seed
-    )
+    cert = unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
     if not cert.is_uuqc:
         report = {"command": "to-ues", "is_uuqc": False, "success_weight": None, "state": None}
         return report, "refusal: channel did not certify", EXIT_NEGATIVE

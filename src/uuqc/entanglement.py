@@ -26,13 +26,12 @@ from .linalg import (
     shift_clock_unitaries,
     tensor_product,
 )
-from .unambiguous import certify_uuqc, restrict_operator
+from .unambiguous import certify_uuqc
 
 __all__ = [
     "SchmidtForm",
     "TeleportCertificate",
     "schmidt",
-    "ues",
     "is_rank_d_ues",
     "conversion_probability",
     "uuqc_to_ues",
@@ -74,11 +73,6 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
     rank = int(np.sum(values > tol))
     # psi = sum_i values[i] * left[:, i] (x) right_h[i, :]
     return SchmidtForm(values, left, right_h.T, rank)
-
-
-def ues(d: int) -> np.ndarray:
-    """Canonical rank-``d`` uniformly entangled ket on ``d x d``."""
-    return maximally_entangled_ket(d)
 
 
 def is_rank_d_ues(psi: np.ndarray, dim_a: int, dim_b: int, d: int, tol: float = 1e-8) -> bool:
@@ -126,37 +120,25 @@ def uuqc_to_ues(
 
     Half of the canonical entangled ket is sent through the channel (with an
     identity riding on the kept half); the system output is projected onto
-    the certified subspace and the environment is traced away: the Choi
-    state of the restricted elements.  Returns the success weight, which
-    equals the certified probability, and the normalized success ket, which
-    is the kept-side identity tensored with the certified unitary acting on
-    the canonical ket.
+    the certified subspace and the environment is traced away.  The
+    certificate already pins that Choi state down as ``q |U>><<U|`` to within
+    its ``definition_residual``, so this returns the certified probability
+    ``q`` as the success weight and the normalized success ket
+    ``(I (x) U)|phi>`` read off the certified unitary.
     """
-    if v1 is None:
-        v1 = SubspaceIsometry.full(ch.in_dim // env_in)
-    if v2 is None:
-        v2 = SubspaceIsometry.full(ch.out_dim // env_out)
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
     if not cert.is_uuqc:
         raise ValueError("channel did not certify; cannot convert to a shared state")
-    d = v1.sub_dim
-
-    restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
-    # Row (k, e_out, e_in) of w holds <s, e_out| R_k |i, e_in> over (i, s).
-    # The projected Choi state is w^T w^* / d: its trace is |w|^2 / d and its
-    # top eigenvector is the top right singular vector of w, which is far
-    # cheaper than an eigendecomposition of the d^2 x d^2 state.
-    w = restricted.reshape(-1, d, env_out, d, env_in).transpose(0, 2, 4, 3, 1).reshape(-1, d * d)
-    _, values, right_h = np.linalg.svd(w, full_matrices=False)
-    weight = float(np.sum(values**2)) / d
-    ket = right_h[0]
+    d = len(cert.unitary)
+    # (I (x) U)|phi> holds U[s, i] / sqrt(d) at (i, s).
+    ket = cert.unitary.T.reshape(-1) / np.sqrt(d)
     idx = int(np.argmax(np.abs(ket)))
     phase = np.conj(ket[idx]) / abs(ket[idx])
-    return weight, ket * phase
+    return cert.total_probability, ket * phase
 
 
 def _bell_kets(d: int) -> list[np.ndarray]:
-    phi = ues(d)
+    phi = maximally_entangled_ket(d)
     return [tensor_product(w, np.eye(d)) @ phi for w in shift_clock_unitaries(d)]
 
 
@@ -182,7 +164,7 @@ def ues_to_uuqc(d: int) -> KrausChannel:
     """
     if d < 2:
         raise ValueError("teleportation needs d >= 2")
-    phi = ues(d)
+    phi = maximally_entangled_ket(d)
     bras, corrections = teleportation_parts(d)
     # (bra on (input, held-A) (x) I) ( I_input (x) held ket ) contracts to a
     # d x d matrix; entry (o, i) picks the bra component at (i, o) over sqrt(d).

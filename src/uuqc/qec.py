@@ -91,9 +91,9 @@ class CorrectionReport:
     """Certification of a recover-after-noise composite on the code space.
 
     ``identity_probability`` counts only the weight of Kraus elements whose
-    extracted unitary matches the identity up to phase; it is the probability
-    that the composite provably acts as the logical identity.  The full
-    channel certificate is kept alongside for inspection.
+    extracted unitary ``U`` satisfies ``min_phi ||U - e^{i phi} I||_F <= tol``;
+    it is the probability that the composite provably acts as the logical
+    identity.  The full channel certificate is kept alongside for inspection.
     """
 
     certificate: UuqcCertificate
@@ -199,12 +199,13 @@ def verify_correction_uuqc(
     v1 = SubspaceIsometry.full(code.logical_dim)
     v2 = code.subspace()
     cert = certify_uuqc(total, v1, v2, 1, 1, tol)
-    d = code.logical_dim
-    q_id = 0.0
-    for c in cert.per_element:
-        if c.probability > tol and c.is_uum:
-            if d - abs(np.trace(c.unitary)) <= d * tol:
-                q_id += c.probability
+    us = np.array([c.unitary for c in cert.per_element])
+    prob = np.array([c.probability for c in cert.per_element])
+    uum = np.array([c.is_uum for c in cert.per_element])
+    # ||U - e^{i phi} I|| with phi = arg Tr(U), for every element at once
+    phase = np.exp(1j * np.angle(np.trace(us, axis1=1, axis2=2)))
+    dist = np.linalg.norm(us - phase[:, None, None] * np.eye(code.logical_dim), axis=(1, 2))
+    q_id = np.sum(prob[uum & (dist <= tol)])
     return CorrectionReport(certificate=cert, identity_probability=float(q_id))
 
 

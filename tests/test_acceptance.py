@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from uuqc.channels import KrausChannel, choi_state
+from uuqc.channels import KrausChannel, choi_state, maximally_entangled_ket
 from uuqc.cli import dispatch
 from uuqc.densecode import (
     SharedState,
@@ -21,7 +21,6 @@ from uuqc.densecode import (
 from uuqc.entanglement import (
     schmidt,
     teleport_probability_pure,
-    ues,
     ues_to_uuqc,
     uuqc_to_ues,
 )
@@ -148,7 +147,7 @@ def test_criterion_4_extension_and_state_equivalence():
         cert = certify_uuqc(ch, v1, v2, 2, 2)
         weight, ket = uuqc_to_ues(ch, v1, v2, 2, 2)
         assert weight == pytest.approx(cert.total_probability, abs=1e-9)
-        target = tensor_product(np.eye(d), cert.unitary) @ ues(d)
+        target = tensor_product(np.eye(d), cert.unitary) @ maximally_entangled_ket(d)
         assert abs(np.vdot(target, ket)) ** 2 == pytest.approx(1.0, abs=1e-9)
 
     # shared state -> channel via teleportation
@@ -256,7 +255,7 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
 
     # positive path: exit 0
     phi_file = tmp_path / "phi.json"
-    phi_file.write_text(dump_json(ket_to_doc(ues(2))))
+    phi_file.write_text(dump_json(ket_to_doc(maximally_entangled_ket(2))))
     assert dispatch(["schmidt", str(phi_file), "--dims", "2,2",
                      "--out", str(tmp_path / "s.json")]) == 0
 

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from uuqc.channels import KrausChannel
+from uuqc.channels import KrausChannel, maximally_entangled_ket
 from uuqc.cli import dispatch
 from uuqc.densecode import SharedState, optimal_protocol, optimal_receiver
-from uuqc.entanglement import ues
 from uuqc.formats import (
     channel_to_doc,
     code_to_doc,
@@ -27,7 +26,7 @@ def write(path, doc):
 
 @pytest.fixture
 def phi2_file(tmp_path):
-    return write(tmp_path / "phi2.json", ket_to_doc(ues(2)))
+    return write(tmp_path / "phi2.json", ket_to_doc(maximally_entangled_ket(2)))
 
 
 def run(capsys, argv):
@@ -231,6 +230,15 @@ def test_json_booleans_exit_one(capsys, tmp_path):
     ch_doc = {"in_dim": 1, "out_dim": 1, "elements": [docs["data.json"]]}
     code, report, err = run(capsys, ["check-uuqc", write(tmp_path / "ch.json", ch_doc)])
     assert code == 1 and "channel.elements[0].data[0]" in err
+
+
+def test_seed_only_on_dense_code(capsys, tmp_path):
+    # certification is deterministic, so only the Monte Carlo run takes a seed
+    u_file = write(tmp_path / "u.json", channel_to_doc(KrausChannel((random_unitary(2, 3),))))
+    for cmd in ("check-uuqc", "refine", "to-ues"):
+        code, report, err = run(capsys, [cmd, u_file, "--seed", "1"])
+        assert code == 1 and report is None, cmd
+        assert "--seed" in err
 
 
 def test_reports_byte_identical(tmp_path):

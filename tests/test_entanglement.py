@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uuqc.channels import KrausChannel, apply
+from uuqc.channels import KrausChannel, apply, maximally_entangled_ket
 from uuqc.entanglement import (
     SchmidtForm,
     check_mixed_nonzero,
@@ -11,7 +11,6 @@ from uuqc.entanglement import (
     search_mixed_nonzero,
     teleport_probability_pure,
     teleportation_parts,
-    ues,
     ues_to_uuqc,
     uuqc_to_ues,
 )
@@ -36,7 +35,7 @@ def test_schmidt_product_state():
 
 
 def test_schmidt_canonical_entangled():
-    form = schmidt(ues(2), 2, 2)
+    form = schmidt(maximally_entangled_ket(2), 2, 2)
     np.testing.assert_allclose(form.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
     assert form.rank == 2
 
@@ -66,15 +65,15 @@ def test_schmidt_dimension_mismatch():
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_ues_defining_property(d):
-    ket = ues(d)
+    ket = maximally_entangled_ket(d)
     form = schmidt(ket, d, d)
     assert form.rank == d
     np.testing.assert_allclose(form.coefficients, np.full(d, 1 / np.sqrt(d)), atol=1e-10)
 
 
 def test_ues_small_cases():
-    np.testing.assert_allclose(ues(1), [1.0])
-    np.testing.assert_allclose(ues(2), np.array([1, 0, 0, 1]) / np.sqrt(2))
+    np.testing.assert_allclose(maximally_entangled_ket(1), [1.0])
+    np.testing.assert_allclose(maximally_entangled_ket(2), np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
 def test_conversion_probability_uniform_and_rank_deficient():
@@ -116,7 +115,7 @@ def test_conversion_probability_monotone_in_d():
 def test_uuqc_to_ues_identity_channel():
     weight, ket = uuqc_to_ues(KrausChannel((np.eye(2, dtype=complex),)))
     assert weight == pytest.approx(1.0, abs=1e-10)
-    assert abs(np.vdot(ues(2), ket)) ** 2 == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(maximally_entangled_ket(2), ket)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_uuqc_to_ues_weight_and_output():
@@ -124,7 +123,7 @@ def test_uuqc_to_ues_weight_and_output():
     ch, u, thetas, v1, v2 = make_uuqc(rng, 2, 3, 3, 2, 2, [0.3, 0.5], with_noise=True)
     weight, ket = uuqc_to_ues(ch, v1, v2, 2, 2)
     assert weight == pytest.approx(0.8, abs=1e-10)
-    target = tensor_product(np.eye(2), u) @ ues(2)
+    target = tensor_product(np.eye(2), u) @ maximally_entangled_ket(2)
     assert abs(np.vdot(target, ket)) ** 2 == pytest.approx(1.0, abs=1e-10)
     assert is_rank_d_ues(ket, 2, 2, 2)
 
@@ -142,7 +141,7 @@ def test_uuqc_to_ues_matches_projected_choi_reference():
         assert weight == pytest.approx(np.trace(sigma).real, abs=1e-10)
         assert weight == pytest.approx(sum(probs), abs=1e-10)
         np.testing.assert_allclose(weight * np.outer(ket, ket.conj()), sigma, atol=1e-10)
-        target = tensor_product(np.eye(d), u) @ ues(d)
+        target = tensor_product(np.eye(d), u) @ maximally_entangled_ket(d)
         assert abs(np.vdot(target, ket)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -202,7 +201,7 @@ def test_teleportation_measurement_is_rank_one():
             assert np.linalg.matrix_rank(bra) == 1
         # reconstruct the channel elements from the parts
         ch = ues_to_uuqc(d)
-        phi = ues(d)
+        phi = maximally_entangled_ket(d)
         for bra, corr, elem in zip(bras, corrections, ch.elements):
             manual = np.zeros((d, d), dtype=complex)
             for i in range(d):
@@ -215,7 +214,7 @@ def test_teleportation_measurement_is_rank_one():
 
 
 def test_teleport_probability_pure_cases():
-    assert teleport_probability_pure(ues(2), 2, 2, 2).probability == pytest.approx(1.0)
+    assert teleport_probability_pure(maximally_entangled_ket(2), 2, 2, 2).probability == pytest.approx(1.0)
     lam = np.sqrt([0.8, 0.2])
     shared = np.kron([1, 0], [1, 0]) * lam[0] + np.kron([0, 1], [0, 1]) * lam[1]
     cert = teleport_probability_pure(shared, 2, 2, 2)
@@ -228,7 +227,7 @@ def test_teleport_probability_pure_cases():
 
 
 def test_check_mixed_nonzero_pure_entangled():
-    phi = ues(2)
+    phi = maximally_entangled_ket(2)
     rho = np.outer(phi, phi.conj())
     cert = check_mixed_nonzero(
         rho, 2, 2, 2, SubspaceIsometry.full(2), SubspaceIsometry.full(2)
@@ -245,7 +244,7 @@ def test_check_mixed_nonzero_maximally_mixed():
 
 
 def test_check_mixed_nonzero_block_mixture():
-    phi = ues(2)
+    phi = maximally_entangled_ket(2)
     v01 = SubspaceIsometry.from_indices(3, (0, 1))
     emb = np.kron(v01.columns, v01.columns) @ phi
     ket22 = np.zeros(9)

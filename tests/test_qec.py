@@ -155,6 +155,21 @@ def test_identity_noise_identity_recovery():
     assert rep.fully_corrected
 
 
+def test_identity_probability_rejects_unitary_1e6_from_identity():
+    # d - |Tr U| is quadratic in the distance and counted this as identity.
+    rng = np.random.default_rng(31)
+    h = rand_complex(rng, (3, 3))
+    h = h + h.conj().T
+    h -= np.trace(h) / 3 * np.eye(3)
+    evals, evecs = np.linalg.eigh(h / np.linalg.norm(h))
+    nudge = (evecs * np.exp(1e-6j * evals)) @ evecs.conj().T
+    ident = KrausChannel((np.eye(3, dtype=complex),))
+    rep = verify_correction_uuqc(CodeSpec(np.eye(3)), KrausChannel((nudge,)), ident)
+    assert rep.certificate.is_uuqc
+    assert rep.identity_probability == 0.0
+    assert not rep.fully_corrected
+
+
 def test_constructed_recovery_corrects_bit_flips():
     code = repetition_code()
     errors = bit_flip_errors()

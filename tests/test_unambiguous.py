@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from uuqc.channels import KrausChannel, apply
+from uuqc.channels import KrausChannel, apply, maximally_entangled_ket
 from uuqc.linalg import (
     SubspaceIsometry,
     factor_as_tensor,
@@ -19,8 +21,8 @@ from uuqc.unambiguous import (
     restrict_operator,
 )
 
-from builders import env_factors, make_uum, make_uuqc, rand_complex
-from oracles import restrict_by_kron
+from builders import env_factors, make_uum, make_uuqc, rand_complex, random_subspace
+from oracles import partial_trace_sum, projected_choi_by_kron, restrict_by_kron
 
 
 def test_certify_plain_unitary():
@@ -98,6 +100,20 @@ def test_profile_flat_for_constructed_map():
     omega, *_ , v1, v2 = make_uum(rng, 2, 4, 4, 2, 2, 0.42)
     prof = probability_profile(omega, v1, v2, 2, 2, samples=100, seed=1)
     np.testing.assert_allclose(prof, 0.42, atol=1e-10)
+
+
+def test_profile_matches_per_ket_evaluation():
+    # every ket drawn from one generator, in the order of one-by-one draws
+    rng = np.random.default_rng(26)
+    omega = rand_complex(rng, (4 * 3, 3 * 2))
+    v1, v2 = SubspaceIsometry.full(3), random_subspace(rng, 4, 3)
+    prof = probability_profile(omega, v1, v2, 2, 3, samples=20, seed=9)
+    draws = np.random.default_rng(9)
+    restricted = restrict_by_kron(omega, v1.columns, v2.columns, 2, 3)
+    for value in prof:
+        psi = random_ket(3, draws)
+        block = restricted @ tensor_product(psi.reshape(3, 1), np.eye(2))
+        assert value == pytest.approx(np.linalg.norm(block) ** 2, rel=1e-12)
 
 
 def test_profile_exposes_filter_preference():
@@ -214,9 +230,9 @@ def test_uuqc_per_element_equals_certify_uum():
     assert not certify_uuqc(mixed, v1, v2, 2, 3).is_uuqc
 
 
-def test_uuqc_rejects_unitaries_1e6_apart_through_definition_residual():
-    # The pairwise phase-overlap test is quadratic in the distance and lets
-    # these pass; only the sampled defining identity catches them.
+def test_uuqc_names_unitaries_1e6_apart_as_mismatched():
+    # Unitaries 1e-6 apart pass a test on d - |Tr(U_a^dag U_b)|, which is
+    # quadratic in their distance; the phase-minimised distance names them.
     rng = np.random.default_rng(22)
     u = random_unitary(3, 23)
     h = rand_complex(rng, (3, 3))
@@ -228,9 +244,80 @@ def test_uuqc_rejects_unitaries_1e6_apart_through_definition_residual():
     ch = KrausChannel((np.sqrt(0.5) * u, np.sqrt(0.5) * w))
     cert = certify_uuqc(ch)
     assert not cert.is_uuqc
-    assert cert.mismatched_pair is None
+    assert cert.mismatched_pair == (0, 1)
     assert all(c.is_uum for c in cert.per_element)
     assert cert.definition_residual > 1e-9
+
+
+def _non_certifying_channels():
+    rng = np.random.default_rng(25)
+    full2 = SubspaceIsometry.full(2)
+    mismatched = KrausChannel((np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, 1j])))
+    yield mismatched, full2, full2, 1, 1
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    yield KrausChannel((0.6 * np.diag([1.0, 0.5]), 0.6 * flip)), full2, full2, 1, 1
+    # env legs > 1 on proper subspaces: one element gains a second system
+    # operator on an independent environment factor
+    ch, *_, v1, v2 = make_uuqc(rng, 3, 5, 4, 2, 3, [0.2, 0.3, 0.1], with_noise=True)
+    w = v2.columns @ rand_complex(rng, (3, 3)) @ v1.columns.conj().T
+    broken = ch.elements[0] + 0.01 * tensor_product(w, rand_complex(rng, (3, 2)))
+    yield KrausChannel((broken,) + ch.elements[1:]), v1, v2, 2, 3
+    # a certified element next to one built for other subspaces
+    other, *_ = make_uuqc(rng, 2, 4, 3, 2, 2, [0.4])
+    ch, _, _, v1, v2 = make_uuqc(rng, 2, 4, 3, 2, 2, [0.3], with_noise=True)
+    yield KrausChannel(ch.elements + other.elements), v1, v2, 2, 2
+    # every element below tol: q = 0 against the identity
+    faint = v2.columns @ rand_complex(rng, (2, 2)) @ v1.columns.conj().T * 1e-6
+    junk = v2.complement().columns @ rand_complex(rng, (1, 4)) + faint
+    yield KrausChannel((tensor_product(junk, np.ones((2, 2))),)), v1, v2, 2, 2
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_definition_residual_is_the_choi_distance(case):
+    ch, v1, v2, env_in, env_out = list(_non_certifying_channels())[case]
+    cert = certify_uuqc(ch, v1, v2, env_in, env_out)
+    assert not cert.is_uuqc and cert.definition_residual > 1e-12
+    d = v1.sub_dim
+    sigma = projected_choi_by_kron(ch.elements, v1.columns, v2.columns, env_in, env_out)
+    target = tensor_product(np.eye(d), cert.unitary) @ maximally_entangled_ket(d)
+    want = d * np.linalg.norm(sigma - cert.total_probability * np.outer(target, target.conj()))
+    assert cert.definition_residual == pytest.approx(want, rel=1e-10)
+
+
+def test_definition_residual_vanishes_on_large_certified_channel():
+    # ||J||^2 - 2q<u,Ju> + q^2|u|^4 cancels to about 4e-7 here.
+    rng = np.random.default_rng(30)
+    ch, *_, v1, v2 = make_uuqc(rng, 16, 18, 20, 2, 2, list(rng.uniform(0.05, 0.2, 8)),
+                               with_noise=True)
+    cert = certify_uuqc(ch, v1, v2, 2, 2)
+    assert cert.is_uuqc
+    assert cert.definition_residual <= 1e-12
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    extra=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    env=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    k=st.integers(1, 3),
+    eps=st.sampled_from([0.0, 1e-7, 1e-3, 1.0]),
+)
+def test_definition_residual_bounds_every_state(seed, d, extra, env, k, eps):
+    # The exact residual bounds the deviation on every density operator, so
+    # it accepts no channel that a check on sampled states would reject.
+    rng = np.random.default_rng(seed)
+    (env_in, env_out), amb_in, amb_out = env, d + extra[0], d + extra[1]
+    ch, *_, v1, v2 = make_uuqc(rng, d, amb_in, amb_out, env_in, env_out,
+                               list(rng.uniform(0.05, 0.3, k)), with_noise=True)
+    ch = KrausChannel(ch.stack + eps * rand_complex(rng, ch.stack.shape))
+    cert = certify_uuqc(ch, v1, v2, env_in, env_out)
+    g = rand_complex(rng, (d, d))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    embedded = np.kron(v1.columns @ rho @ v1.columns.conj().T, np.eye(env_in))
+    out = sum(e @ embedded @ e.conj().T for e in ch.elements)
+    lhs = v2.columns.conj().T @ partial_trace_sum(out, (amb_out, env_out), 1) @ v2.columns
+    rhs = cert.total_probability * cert.unitary @ rho @ cert.unitary.conj().T
+    assert np.linalg.norm(lhs - rhs) <= cert.definition_residual + 1e-12
 
 
 def test_restrict_operator_matches_kron_reference():
