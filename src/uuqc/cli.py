@@ -185,10 +185,7 @@ def _run_schmidt(args):
 
 def _run_check_uum(args):
     omega = doc_to_matrix(load_json(args.omega, "omega"), "omega")
-    if omega.shape[1] % args.env_in or omega.shape[0] % args.env_out:
-        raise FormatError("--env-in/--env-out: do not divide the operator dimensions")
-    v1 = _load_isometry(args.v1, omega.shape[1] // args.env_in, "--v1")
-    v2 = _load_isometry(args.v2, omega.shape[0] // args.env_out, "--v2")
+    v1, v2 = _load_subspaces(args, omega.shape[1], omega.shape[0])
     cert = unambiguous.certify_uum(omega, v1, v2, args.env_in, args.env_out, args.tol)
     report = {"command": "check-uum", **_uum_doc(cert)}
     summary = (

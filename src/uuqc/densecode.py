@@ -124,6 +124,13 @@ def weyl_operators(D: int) -> tuple:
     return tuple(shift_clock_unitaries(D))
 
 
+def _encoder_kets(encoders) -> np.ndarray:
+    """Encoders stacked column-wise as kets with the retained-side index slow:
+    entry ``(j*D + i)`` of column ``x`` is ``A_x[i, j]``, so column ``x`` is
+    ``(I (x) A_x) sum_i |ii>``."""
+    return np.asarray(encoders).transpose(2, 1, 0).reshape(-1, len(encoders))
+
+
 def capacity(state: SharedState) -> float:
     """Maximal equal success probability: ``D * lambda_D**2``."""
     return float(state.rank * state.lambdas[-1] ** 2)
@@ -140,8 +147,7 @@ def optimal_protocol(state: SharedState) -> DenseCodingProtocol:
     D = state.rank
     encoders = weyl_operators(D)
     filt = np.diag(state.lambdas[-1] / state.lambdas).astype(complex)
-    phi = np.eye(D, dtype=complex).reshape(-1) / np.sqrt(D)
-    basis = np.column_stack([tensor_product(np.eye(D), a) @ phi for a in encoders])
+    basis = _encoder_kets(encoders) / np.sqrt(D)
     return DenseCodingProtocol(encoders=encoders, filter=filt, discrimination_basis=basis)
 
 
@@ -162,22 +168,14 @@ def simulate(
         raise ValueError("trials must be >= 1")
     D = state.rank
     n_msg = len(protocol.encoders)
-    ket = state.ket()
-    eye = np.eye(D)
-
-    success_prob = np.empty(n_msg)
-    outcome_dist = np.empty((n_msg, n_msg))
-    for x, a in enumerate(protocol.encoders):
-        encoded = tensor_product(eye, a) @ ket
-        filtered = tensor_product(protocol.filter, eye) @ encoded
-        p_succ = float(np.vdot(filtered, filtered).real)
-        success_prob[x] = p_succ
-        if p_succ > 0:
-            amps = dagger(protocol.discrimination_basis) @ (filtered / np.sqrt(p_succ))
-            dist = np.abs(amps) ** 2
-            outcome_dist[x] = dist / np.sum(dist)
-        else:
-            outcome_dist[x] = np.full(n_msg, 1.0 / n_msg)
+    kets = _encoder_kets(protocol.encoders)
+    # Column x is message x encoded on the shared ket, then filtered.
+    filtered = tensor_product(protocol.filter @ np.diag(state.lambdas), np.eye(D)) @ kets
+    success_prob = np.sum(np.abs(filtered) ** 2, axis=0)
+    dist = np.abs(dagger(protocol.discrimination_basis) @ filtered) ** 2
+    live = success_prob > 0
+    outcome_dist = np.full((n_msg, n_msg), 1.0 / n_msg)
+    outcome_dist[live] = (dist[:, live] / np.sum(dist[:, live], axis=0)).T
 
     rng = np.random.default_rng(seed)
     messages = rng.integers(0, n_msg, size=trials)
@@ -229,9 +227,7 @@ def verify_protocol_bound(
     if top > 1.0 + tol:
         raise ValueError("receiver operator must satisfy B^dag B <= I")
 
-    # Column x holds the encoder ket with the retained-side index slow,
-    # i.e. entry (j*D + i) is A_x[i, j].
-    stacked = np.column_stack([a.T.reshape(-1) for a in encoders])
+    stacked = _encoder_kets(encoders)
     lifted = tensor_product(np.diag(state.lambdas), np.eye(D)) @ stacked
     product = bob @ lifted
 

@@ -18,9 +18,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import KrausChannel, maximally_entangled_ket
+from .channels import KrausChannel
 from .linalg import (
     DEFAULT_TOL,
+    VALIDATION_TOL,
     SubspaceIsometry,
     dagger,
     shift_clock_unitaries,
@@ -75,7 +76,7 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
     return SchmidtForm(values, left, right_h.T, rank)
 
 
-def is_rank_d_ues(psi: np.ndarray, dim_a: int, dim_b: int, d: int, tol: float = 1e-8) -> bool:
+def is_rank_d_ues(psi: np.ndarray, dim_a: int, dim_b: int, d: int, tol: float = DEFAULT_TOL) -> bool:
     """True when the ket has exactly ``d`` Schmidt coefficients ~ 1/sqrt(d)."""
     form = schmidt(psi, dim_a, dim_b, tol)
     target = 1.0 / np.sqrt(d)
@@ -137,11 +138,6 @@ def uuqc_to_ues(
     return cert.total_probability, ket * phase
 
 
-def _bell_kets(d: int) -> list[np.ndarray]:
-    phi = maximally_entangled_ket(d)
-    return [tensor_product(w, np.eye(d)) @ phi for w in shift_clock_unitaries(d)]
-
-
 def teleportation_parts(d: int):
     """Measurement bras and corrections of the standard teleportation scheme.
 
@@ -149,8 +145,9 @@ def teleportation_parts(d: int):
     operators on (input, held half) as ``1 x d**2`` matrices, and the
     matching correction unitaries on the receiving side.
     """
-    bras = [np.conj(b).reshape(1, -1) for b in _bell_kets(d)]
     corrections = shift_clock_unitaries(d)
+    # Bra x conjugates the Bell ket (W_x (x) I)|phi> = vec(W_x) / sqrt(d).
+    bras = list(np.conj(corrections).reshape(d * d, 1, -1) / np.sqrt(d))
     return bras, corrections
 
 
@@ -164,22 +161,19 @@ def ues_to_uuqc(d: int) -> KrausChannel:
     """
     if d < 2:
         raise ValueError("teleportation needs d >= 2")
-    phi = maximally_entangled_ket(d)
     bras, corrections = teleportation_parts(d)
     # (bra on (input, held-A) (x) I) ( I_input (x) held ket ) contracts to a
     # d x d matrix; entry (o, i) picks the bra component at (i, o) over sqrt(d).
-    elems = []
-    for bra, corr in zip(bras, corrections):
-        base = bra.reshape(d, d).T / np.sqrt(d)
-        elems.append(corr @ base)
-    return KrausChannel(tuple(elems))
+    # Every element works out to W W^dag / d = I / d.
+    base = np.array(bras).reshape(-1, d, d).swapaxes(1, 2) / np.sqrt(d)
+    return KrausChannel(np.array(corrections) @ base)
 
 
 def teleport_probability_pure(shared: np.ndarray, dim_a: int, dim_b: int, d: int) -> TeleportCertificate:
     """Optimal unambiguous teleportation probability through a shared pure state."""
     shared = np.asarray(shared, dtype=complex).reshape(-1)
     norm = np.linalg.norm(shared)
-    if abs(norm - 1.0) > 1e-8:
+    if abs(norm - 1.0) > VALIDATION_TOL:
         raise ValueError("shared ket must be normalized")
     prob = conversion_probability(schmidt(shared, dim_a, dim_b), d)
     return TeleportCertificate(probability=prob, rank_d=d)

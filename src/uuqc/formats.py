@@ -35,6 +35,11 @@ class FormatError(ValueError):
     """Malformed document; the message names the offending field."""
 
 
+def _is_dim(n) -> bool:
+    # bool subclasses int, so JSON true/false would pass a plain int check.
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
 def matrix_to_doc(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim == 1:
@@ -52,8 +57,7 @@ def doc_to_matrix(doc, field: str = "matrix") -> np.ndarray:
         if key not in doc:
             raise FormatError(f"{field}.{key}: missing")
     rows, cols = doc["rows"], doc["cols"]
-    # bool subclasses int, so JSON true/false would pass a plain int check.
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (rows, cols)):
+    if not (_is_dim(rows) and _is_dim(cols)):
         raise FormatError(f"{field}.rows/cols: need positive integers")
     data = doc["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -98,6 +102,8 @@ def doc_to_channel(doc, field: str = "channel") -> KrausChannel:
     for key in ("in_dim", "out_dim", "elements"):
         if key not in doc:
             raise FormatError(f"{field}.{key}: missing")
+    if not (_is_dim(doc["in_dim"]) and _is_dim(doc["out_dim"])):
+        raise FormatError(f"{field}.in_dim/out_dim: need positive integers")
     elements = doc["elements"]
     if not isinstance(elements, list) or not elements:
         raise FormatError(f"{field}.elements: need a nonempty list")
@@ -121,6 +127,8 @@ def doc_to_code(doc, field: str = "code") -> CodeSpec:
     for key in ("logical_dim", "encoder"):
         if key not in doc:
             raise FormatError(f"{field}.{key}: missing")
+    if not _is_dim(doc["logical_dim"]):
+        raise FormatError(f"{field}.logical_dim: need a positive integer")
     enc = doc_to_matrix(doc["encoder"], f"{field}.encoder")
     if enc.shape[1] != doc["logical_dim"]:
         raise FormatError(

@@ -7,7 +7,8 @@ index ``s * env_dim + e``, which is exactly what ``numpy.kron(system, env)``
 produces.  Kets are 1-D arrays; operators are 2-D complex arrays.
 
 All tolerances are absolute on Frobenius norms and default to
-``DEFAULT_TOL``.
+``DEFAULT_TOL``; checks on caller-supplied inputs (orthonormal columns,
+normalized kets) use the looser ``VALIDATION_TOL``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+VALIDATION_TOL = 1e-8
 
 __all__ = [
     "DEFAULT_TOL",
@@ -68,7 +70,7 @@ class SubspaceIsometry:
         if cols.shape[1] < 1 or cols.shape[1] > cols.shape[0]:
             raise ValueError(f"invalid subspace shape {cols.shape}")
         gram = dagger(cols) @ cols
-        if frobenius(gram - np.eye(cols.shape[1])) > 1e-8:
+        if frobenius(gram - np.eye(cols.shape[1])) > VALIDATION_TOL:
             raise ValueError("columns are not orthonormal")
         cols = cols.copy()
         cols.setflags(write=False)
@@ -230,13 +232,8 @@ def shift_clock_unitaries(dim: int) -> list[np.ndarray]:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    shift = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        shift[(j + 1) % dim, j] = 1.0
-    omega = np.exp(2j * np.pi / dim)
-    clock = np.diag(omega ** np.arange(dim))
-    ops = []
-    for a in range(dim):
-        for b in range(dim):
-            ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return ops
+    k = np.arange(dim)
+    # (X^a Z^b)[i, j] = [i == j + a mod dim] * omega^(b j), indexed [a, b, i, j]
+    shifts = k[:, None, None] == (k[:, None] - k) % dim
+    phases = np.exp(2j * np.pi * (np.outer(k, k) % dim) / dim)
+    return list((shifts[:, None] * phases[None, :, None, :]).reshape(-1, dim, dim))

@@ -16,7 +16,7 @@ Knill-Laflamme-correctable noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,16 +50,14 @@ class CodeSpec:
     """A code given by its encoding isometry ``encoder`` (n_phys x d)."""
 
     encoder: np.ndarray
+    _subspace: SubspaceIsometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        enc = np.asarray(self.encoder, dtype=complex)
-        if enc.ndim != 2 or enc.shape[0] < enc.shape[1]:
-            raise ValueError("encoder must be a tall matrix")
-        if frobenius(dagger(enc) @ enc - np.eye(enc.shape[1])) > 1e-8:
-            raise ValueError("encoder columns are not orthonormal")
-        enc = enc.copy()
-        enc.setflags(write=False)
-        object.__setattr__(self, "encoder", enc)
+        # The isometry checks the shape and orthonormality once and keeps a
+        # read-only copy, which ``subspace()`` hands out without re-checking.
+        subspace = SubspaceIsometry(self.encoder)
+        object.__setattr__(self, "_subspace", subspace)
+        object.__setattr__(self, "encoder", subspace.columns)
 
     @property
     def logical_dim(self) -> int:
@@ -73,7 +71,7 @@ class CodeSpec:
         return self.encoder @ dagger(self.encoder)
 
     def subspace(self) -> SubspaceIsometry:
-        return SubspaceIsometry(self.encoder)
+        return self._subspace
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ class CorrectionReport:
 
     @property
     def fully_corrected(self) -> bool:
-        return self.certificate.is_uuqc and abs(self.identity_probability - 1.0) <= 1e-9
+        return self.certificate.is_uuqc and abs(self.identity_probability - 1.0) <= DEFAULT_TOL
 
 
 def encoding_channel(code: CodeSpec) -> KrausChannel:
@@ -166,7 +164,7 @@ def standard_recovery(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT
     if not report.correctable:
         raise ValueError("error set is not correctable on this code")
     rotated = diagonalize_errors(report, errors)
-    diag_report = kl_check(code, rotated, max(tol, 1e-8))
+    diag_report = kl_check(code, rotated, tol)
     lambdas = np.diagonal(diag_report.h).real
     enc = code.encoder
     elems = []
@@ -216,7 +214,7 @@ def noise_choi_state(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     return choi_state(compose(encoding_channel(code), noise))
 
 
-def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = 1e-8) -> bool:
+def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     """Necessary condition for correction with certainty: the normalized
     Choi state of encode-then-noise is a rank-``d`` uniformly entangled ket.
 

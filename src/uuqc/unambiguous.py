@@ -91,6 +91,20 @@ def _check_env_dims(env_in: int, env_out: int):
         raise ValueError("environment dimensions must be >= 1")
 
 
+def _resolve_subspaces(v1, v2, shape, env_in: int, env_out: int) -> tuple:
+    """Default omitted subspaces to the full system spaces of operators of
+    shape ``(out, in)``; return ``(v1, v2, d)`` with ``d`` the shared
+    subspace dimension."""
+    _check_env_dims(env_in, env_out)
+    if v1 is None:
+        v1 = SubspaceIsometry.full(shape[-1] // env_in)
+    if v2 is None:
+        v2 = SubspaceIsometry.full(shape[-2] // env_out)
+    if v1.sub_dim != v2.sub_dim:
+        raise ValueError(f"subspace dimensions differ: {v1.sub_dim} vs {v2.sub_dim}")
+    return v1, v2, v1.sub_dim
+
+
 def restrict_operator(
     omega: np.ndarray,
     v1: SubspaceIsometry,
@@ -172,14 +186,7 @@ def certify_uum(
     the declared environment legs).
     """
     omega = np.asarray(omega, dtype=complex)
-    _check_env_dims(env_in, env_out)
-    if v1 is None:
-        v1 = SubspaceIsometry.full(omega.shape[1] // env_in)
-    if v2 is None:
-        v2 = SubspaceIsometry.full(omega.shape[0] // env_out)
-    d = v1.sub_dim
-    if d != v2.sub_dim:
-        raise ValueError(f"subspace dimensions differ: {d} vs {v2.sub_dim}")
+    v1, v2, d = _resolve_subspaces(v1, v2, omega.shape, env_in, env_out)
     restricted = restrict_operator(omega, v1, v2, env_in, env_out)
     return _certify_restricted(restricted[None], d, env_in, env_out, tol)[0]
 
@@ -206,14 +213,7 @@ def probability_profile(
     identity the certification bookkeeping uses.
     """
     omega = np.asarray(omega, dtype=complex)
-    _check_env_dims(env_in, env_out)
-    if v1 is None:
-        v1 = SubspaceIsometry.full(omega.shape[1] // env_in)
-    if v2 is None:
-        v2 = SubspaceIsometry.full(omega.shape[0] // env_out)
-    d = v1.sub_dim
-    if d != v2.sub_dim:
-        raise ValueError(f"subspace dimensions differ: {d} vs {v2.sub_dim}")
+    v1, v2, d = _resolve_subspaces(v1, v2, omega.shape, env_in, env_out)
     restricted = restrict_operator(omega, v1, v2, env_in, env_out)
 
     if env_state is None:
@@ -280,14 +280,7 @@ def certify_uuqc(
     ``tol`` of ``q |U>><<U|``, which bounds the deviation from
     ``q U rho U^dag`` on every subspace state.  The check is deterministic.
     """
-    _check_env_dims(env_in, env_out)
-    if v1 is None:
-        v1 = SubspaceIsometry.full(ch.in_dim // env_in)
-    if v2 is None:
-        v2 = SubspaceIsometry.full(ch.out_dim // env_out)
-    d = v1.sub_dim
-    if d != v2.sub_dim:
-        raise ValueError(f"subspace dimensions differ: {d} vs {v2.sub_dim}")
+    v1, v2, d = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
 
     restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
     certs = _certify_restricted(restricted, d, env_in, env_out, tol)
@@ -345,11 +338,7 @@ def refine(
     same unitary with the same total probability, and is supported on the
     certified subspaces.
     """
-    _check_env_dims(env_in, env_out)
-    if v1 is None:
-        v1 = SubspaceIsometry.full(ch.in_dim // env_in)
-    if v2 is None:
-        v2 = SubspaceIsometry.full(ch.out_dim // env_out)
+    v1, v2, _ = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
     if not cert.is_uuqc:
         raise ValueError("refinement requires a certified channel")

@@ -55,6 +55,17 @@ def filter_conversion_max(lambdas: np.ndarray, d: int, t_points: int = 4001) -> 
     return best
 
 
+def shift_clock_by_powers(dim: int) -> list:
+    """The generalized Paulis ``X^a Z^b`` (shift power slowest) as explicit
+    matrix powers of the shift and clock matrices."""
+    shift = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        shift[(j + 1) % dim, j] = 1.0
+    clock = np.diag(np.exp(2j * np.pi / dim) ** np.arange(dim))
+    return [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            for a in range(dim) for b in range(dim)]
+
+
 def majorized_by_uniform(lambdas_squared: np.ndarray, d: int) -> bool:
     """Deterministic-conversion criterion: squared spectrum majorized by flat."""
     lam2 = np.sort(np.asarray(lambdas_squared, dtype=float))[::-1]

@@ -208,6 +208,16 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_zero_environment_legs_exit_one(capsys, tmp_path):
+    u_file = write(tmp_path / "u.json", matrix_to_doc(random_unitary(2, 4)))
+    ch_file = write(tmp_path / "ch.json", channel_to_doc(KrausChannel((random_unitary(2, 4),))))
+    for argv in (["check-uum", u_file, "--env-in", "0"], ["check-uum", u_file, "--env-out", "0"],
+                 ["check-uuqc", ch_file, "--env-in", "0"]):
+        code, report, err = run(capsys, argv)
+        assert code == 1 and report is None, argv
+        assert "--env-in/--env-out: must be >= 1" in err
+
+
 def test_numerical_failure_exits_two(capsys, tmp_path):
     # JSON NaN parses as a float; the SVD then fails to converge
     nan_file = write(tmp_path / "nan.json", matrix_to_doc(np.array([[np.nan, 0.0], [0.0, 1.0]])))

@@ -66,12 +66,17 @@ def test_optimal_protocol_filter_values():
     np.testing.assert_allclose(np.diag(prot.filter).real, [0.5, 1.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("lam2", [[0.8, 0.2], [0.5, 0.3, 0.2]])
+@pytest.mark.parametrize("lam2", [[0.8, 0.2], [0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1]])
 def test_optimal_protocol_basis_orthonormal(lam2):
     prot = optimal_protocol(SharedState.from_squares(lam2))
     basis = prot.discrimination_basis
     n = basis.shape[1]
     np.testing.assert_allclose(dagger(basis) @ basis, np.eye(n), atol=1e-10)
+    # column x is the encoded canonical ket (I (x) A_x)|phi>
+    D = len(lam2)
+    phi = np.eye(D).reshape(-1) / np.sqrt(D)
+    for col, a in zip(basis.T, prot.encoders):
+        np.testing.assert_allclose(col, np.kron(np.eye(D), a) @ phi, atol=1e-12)
 
 
 def test_simulate_maximally_entangled_always_succeeds():

@@ -14,7 +14,7 @@ from uuqc.entanglement import (
     ues_to_uuqc,
     uuqc_to_ues,
 )
-from uuqc.linalg import SubspaceIsometry, random_ket, tensor_product
+from uuqc.linalg import SubspaceIsometry, random_ket, shift_clock_unitaries, tensor_product
 from uuqc.unambiguous import certify_uuqc
 
 from builders import make_uuqc, rand_complex
@@ -180,6 +180,24 @@ def test_teleportation_channel_is_unit_probability_identity(d):
         psi = random_ket(d, k)
         rho = np.outer(psi, psi.conj())
         np.testing.assert_allclose(apply(ch, rho), rho, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_teleportation_elements_are_scaled_identities(d):
+    ch = ues_to_uuqc(d)
+    assert len(ch.elements) == d * d
+    for elem in ch.elements:
+        np.testing.assert_allclose(elem, np.eye(d) / d, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_teleportation_bras_are_bell_kets(d):
+    # bra x is the conjugate of (W_x (x) I)|phi>, built here by Kronecker products
+    bras, _ = teleportation_parts(d)
+    phi = maximally_entangled_ket(d)
+    for bra, w in zip(bras, shift_clock_unitaries(d)):
+        assert bra.shape == (1, d * d)
+        np.testing.assert_allclose(bra, np.conj(np.kron(w, np.eye(d)) @ phi)[None], atol=1e-12)
 
 
 def test_teleportation_outcomes_uniform():

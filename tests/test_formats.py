@@ -73,6 +73,18 @@ def test_rejects_json_booleans():
     with pytest.raises(FormatError, match=r"data\[1\]"):
         doc_to_matrix({"rows": 2, "cols": 1, "data": [[1.0, 0.0], [0.0, True]]})
 
+    ch_doc = channel_to_doc(KrausChannel((np.eye(2),)))
+    for key, value in [("in_dim", 2.0), ("out_dim", True), ("in_dim", "2"), ("out_dim", 0)]:
+        with pytest.raises(FormatError, match="in_dim/out_dim"):
+            doc_to_channel({**ch_doc, key: value})
+    enc = np.zeros((4, 2), dtype=complex)
+    enc[0, 0] = enc[3, 1] = 1.0
+    code_doc = code_to_doc(CodeSpec(enc))
+    one = code_to_doc(CodeSpec(enc[:, :1]))
+    for doc in ({**code_doc, "logical_dim": 2.0}, {**one, "logical_dim": True}):
+        with pytest.raises(FormatError, match="logical_dim"):
+            doc_to_code(doc)
+
 
 def test_rejects_channel_shape_mismatch():
     doc = channel_to_doc(KrausChannel((np.eye(2),)))

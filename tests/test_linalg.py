@@ -13,7 +13,7 @@ from uuqc.linalg import (
 )
 
 from builders import rand_complex
-from oracles import kron_entry, partial_trace_sum
+from oracles import kron_entry, partial_trace_sum, shift_clock_by_powers
 
 
 def test_tensor_product_identities():
@@ -201,6 +201,15 @@ def test_shift_clock_unitaries_basic():
     ops = shift_clock_unitaries(2)
     np.testing.assert_allclose(ops[0], np.eye(2), atol=1e-12)
     np.testing.assert_allclose(ops[2], [[0, 1], [1, 0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_shift_clock_unitaries_match_matrix_powers(dim):
+    ops = shift_clock_unitaries(dim)
+    ref = shift_clock_by_powers(dim)
+    assert len(ops) == dim * dim
+    for op, want in zip(ops, ref):
+        np.testing.assert_allclose(op, want, atol=1e-12)
 
 
 def test_subspace_isometry_validation_and_complement():

@@ -51,6 +51,17 @@ def trivial_code(d=2):
     return CodeSpec(np.eye(d, dtype=complex))
 
 
+def test_code_spec_validates_once_and_keeps_its_subspace():
+    with pytest.raises(ValueError, match="orthonormal"):
+        CodeSpec(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="shape"):
+        CodeSpec(np.eye(2, 3))
+    code = repetition_code()
+    assert code.subspace() is code.subspace()
+    assert code.subspace().columns is code.encoder
+    assert not code.encoder.flags.writeable
+
+
 def test_kl_full_space_identity():
     report = kl_check(trivial_code(), KrausChannel((np.eye(2, dtype=complex),)))
     assert report.correctable
