@@ -124,10 +124,10 @@ def choi_state(ch: KrausChannel) -> np.ndarray:
 
     Closed form ``V^T V^* / in_dim``: row ``k`` of ``V`` is ``vec(E_k)``
     with the input index slowest (Choi 1975; Watrous, *Theory of Quantum
-    Information*, section 2.2).
+    Information*, section 2.2).  The scale goes on the small factor.
     """
     v = ch.stack.transpose(0, 2, 1).reshape(len(ch.stack), -1)
-    return v.T @ v.conj() / ch.in_dim
+    return v.T @ (v.conj() / ch.in_dim)
 
 
 def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
@@ -136,8 +136,9 @@ def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
         raise ValueError(
             f"cannot compose: first.out_dim={first.out_dim} != second.in_dim={second.in_dim}"
         )
-    elems = [b @ a for a in first.elements for b in second.elements]
-    return KrausChannel(tuple(elems))
+    # Element (a, b) is E_b E_a, with first's index slow.
+    stack = second.stack[None] @ first.stack[:, None]
+    return KrausChannel(stack.reshape(-1, second.out_dim, first.in_dim))
 
 
 def povm_of(ch: KrausChannel) -> tuple:

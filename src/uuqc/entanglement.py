@@ -179,6 +179,17 @@ def teleport_probability_pure(shared: np.ndarray, dim_a: int, dim_b: int, d: int
     return TeleportCertificate(probability=prob, rank_d=d)
 
 
+def _witness_test(blocks: np.ndarray, d: int, tol: float) -> tuple:
+    """Weights, top eigenvectors and verdicts of a stack of projected states
+    on ``d x d``: a block witnesses when its weight exceeds ``tol``, it is
+    pure within ``tol``, and its top eigenvector has Schmidt rank ``d``."""
+    weight = np.trace(blocks, axis1=1, axis2=2).real
+    evals, evecs = np.linalg.eigh(blocks)
+    top = evecs[:, :, -1]
+    schmidt_values = np.linalg.svd(top.reshape(-1, d, d), compute_uv=False)
+    return weight, top, (weight > tol) & (weight - evals[:, -1] <= tol) & (schmidt_values[:, -1] > tol)
+
+
 def check_mixed_nonzero(
     rho: np.ndarray,
     dim_a: int,
@@ -206,19 +217,10 @@ def check_mixed_nonzero(
         raise ValueError("witness subspaces do not live on the state factors")
 
     restrict = tensor_product(va.columns, vb.columns)
-    block = dagger(restrict) @ rho @ restrict
-    weight = float(np.trace(block).real)
-    if weight <= tol:
+    weight, top, passed = _witness_test((dagger(restrict) @ rho @ restrict)[None], d, tol)
+    if not passed[0]:
         return TeleportCertificate(0.0, d)
-    evals, evecs = np.linalg.eigh(block)
-    top = float(evals[-1])
-    if weight - top > tol:
-        return TeleportCertificate(0.0, d)
-    psi = evecs[:, -1]
-    form = schmidt(psi, d, d, tol)
-    if form.rank != d:
-        return TeleportCertificate(0.0, d)
-    prob = weight * conversion_probability(form, d)
+    prob = float(weight[0]) * conversion_probability(schmidt(top[0], d, d, tol), d)
     return TeleportCertificate(prob, d, witness_subspaces=(va, vb))
 
 
@@ -234,16 +236,28 @@ def search_mixed_nonzero(
 
     Tries every pair of ``d``-element basis-index subsets in lexicographic
     order and returns the first nonzero certificate, or the zero certificate
-    when no pair works.  Guarded to small factor dimensions; larger searches
-    need problem-specific subspaces fed to ``check_mixed_nonzero``.
+    when no pair works.  Restriction onto basis subspaces is a selection, so
+    all pair blocks are gathered from ``rho`` at once and take the test of
+    ``check_mixed_nonzero`` in one batched ``eigh`` and Schmidt SVD; that
+    function then certifies the first passing pair.  Guarded to small factor
+    dimensions; larger searches need problem-specific subspaces fed to
+    ``check_mixed_nonzero``.
     """
     if dim_a > max_dim or dim_b > max_dim:
         raise ValueError(f"exhaustive sweep limited to factor dims <= {max_dim}")
-    for idx_a in combinations(range(dim_a), d):
-        va = SubspaceIsometry.from_indices(dim_a, idx_a)
-        for idx_b in combinations(range(dim_b), d):
-            vb = SubspaceIsometry.from_indices(dim_b, idx_b)
-            cert = check_mixed_nonzero(rho, dim_a, dim_b, d, va, vb, tol)
-            if cert.probability > 0.0:
-                return cert
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim_a * dim_b, dim_a * dim_b):
+        raise ValueError("state shape does not match the factor dimensions")
+    subsets_a, subsets_b = (np.array(list(combinations(range(n), d)), dtype=int).reshape(-1, d)
+                            for n in (dim_a, dim_b))
+    # Row (i, j) holds the composite indices of subsets_a[i] (x) subsets_b[j].
+    idx = (subsets_a[:, None, :, None] * dim_b + subsets_b[None, :, None, :]).reshape(-1, d * d)
+    _, _, passed = _witness_test(rho[idx[:, :, None], idx[:, None, :]], d, tol)
+    for p in np.flatnonzero(passed):
+        i, j = divmod(p, len(subsets_b))
+        va = SubspaceIsometry.from_indices(dim_a, subsets_a[i])
+        vb = SubspaceIsometry.from_indices(dim_b, subsets_b[j])
+        cert = check_mixed_nonzero(rho, dim_a, dim_b, d, va, vb, tol)
+        if cert.probability > 0.0:
+            return cert
     return TeleportCertificate(0.0, d)

@@ -142,13 +142,8 @@ def diagonalize_errors(report: KlReport, errors: KrausChannel) -> KrausChannel:
     if not report.correctable:
         raise ValueError("cannot diagonalize a non-correctable error set")
     _, vecs = np.linalg.eigh(report.h)
-    new_elems = []
-    for m in range(len(errors.elements)):
-        f = np.zeros_like(errors.elements[0])
-        for i, e in enumerate(errors.elements):
-            f = f + vecs[i, m] * e
-        new_elems.append(f)
-    return KrausChannel(tuple(new_elems))
+    # F_m = sum_i vecs[i, m] E_i
+    return KrausChannel(np.tensordot(vecs, errors.stack, axes=(0, 0)))
 
 
 def standard_recovery(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> KrausChannel:
@@ -163,19 +158,15 @@ def standard_recovery(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT
     report = kl_check(code, errors, tol)
     if not report.correctable:
         raise ValueError("error set is not correctable on this code")
-    rotated = diagonalize_errors(report, errors)
-    diag_report = kl_check(code, rotated, tol)
-    lambdas = np.diagonal(diag_report.h).real
-    enc = code.encoder
-    elems = []
-    for lam, f in zip(lambdas, rotated.elements):
-        if lam <= tol:
-            continue
-        corrupted = f @ enc / np.sqrt(lam)
-        elems.append(enc @ dagger(corrupted))
-    if not elems:
+    blocks = diagonalize_errors(report, errors).stack @ code.encoder
+    # lambda_m = ||F_m C||^2 / d, the diagonal of the remixed overlap matrix
+    lambdas = np.sum(np.abs(blocks) ** 2, axis=(1, 2)) / code.logical_dim
+    keep = lambdas > tol
+    if not np.any(keep):
         raise ValueError("no correctable syndromes with positive weight")
-    return KrausChannel(tuple(elems))
+    # R_m = C (F_m C / sqrt(lambda_m))^dag for every kept syndrome at once
+    corrupted = blocks[keep] / np.sqrt(lambdas[keep])[:, None, None]
+    return KrausChannel(code.encoder @ corrupted.conj().swapaxes(1, 2))
 
 
 def verify_correction_uuqc(

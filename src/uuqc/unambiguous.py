@@ -154,17 +154,12 @@ def _certify_restricted(
     phase = np.exp(-1j * np.angle(peak))[:, None, None]
     unitary = sys_factor / root * phase
     env_factor = pair.env_factor * root * np.conj(phase)
+    is_uum = (pair.residual <= tol) & (unitarity_dev <= tol) & (probability > tol)
     return tuple(
-        UumCertificate(
-            is_uum=bool(pair.residual[k] <= tol and unitarity_dev[k] <= tol and probability[k] > tol),
-            probability=float(probability[k]),
-            unitary=unitary[k],
-            env_factor=env_factor[k],
-            residual=float(pair.residual[k]),
-            schmidt_values=pair.schmidt_values[k],
-            unitarity_deviation=float(unitarity_dev[k]),
-        )
-        for k in range(len(restricted))
+        UumCertificate(is_uum=ok, probability=p, unitary=u, env_factor=t, residual=r,
+                       schmidt_values=s, unitarity_deviation=dev)
+        for ok, p, u, t, r, s, dev in zip(is_uum.tolist(), probability.tolist(), unitary, env_factor,
+                                          pair.residual.tolist(), pair.schmidt_values, unitarity_dev.tolist())
     )
 
 
@@ -297,20 +292,12 @@ def certify_uuqc(
             ok = False
             mismatched = (contributing[0], contributing[far[0]])
 
+    # With no contributing element, q = 0 is measured against the identity.
     q = float(sum(certs[k].probability for k in contributing))
-    if contributing:
-        unitary = certs[contributing[0]].unitary
-    else:
-        unitary = np.eye(d, dtype=complex)
-        q = 0.0
-        ok = False
-
+    unitary = certs[contributing[0]].unitary if contributing else np.eye(d, dtype=complex)
     residual = _definition_residual(restricted, d, env_in, env_out, q, unitary)
-    if residual > tol:
-        ok = False
-
     return UuqcCertificate(
-        is_uuqc=ok and q > tol,
+        is_uuqc=ok and q > tol and residual <= tol,
         total_probability=q,
         per_element=certs,
         unitary=unitary,

@@ -143,3 +143,43 @@ def orthogonal_branch_probability(blocks, d: int) -> float:
             continue
         total += norm**2 / d * filter_conversion_max(s / norm, d)
     return total
+
+
+def search_mixed_nonzero_by_pairs(rho, dim_a: int, dim_b: int, d: int, tol: float = 1e-9):
+    """The computational-basis sweep one pair at a time: build both
+    isometries and run ``check_mixed_nonzero`` on every pair of ``d``-element
+    index subsets in lexicographic order, returning the first nonzero
+    certificate."""
+    from uuqc.entanglement import TeleportCertificate, check_mixed_nonzero
+    from uuqc.linalg import SubspaceIsometry
+
+    for idx_a in combinations(range(dim_a), d):
+        va = SubspaceIsometry.from_indices(dim_a, idx_a)
+        for idx_b in combinations(range(dim_b), d):
+            vb = SubspaceIsometry.from_indices(dim_b, idx_b)
+            cert = check_mixed_nonzero(rho, dim_a, dim_b, d, va, vb, tol)
+            if cert.probability > 0.0:
+                return cert
+    return TeleportCertificate(0.0, d)
+
+
+def standard_recovery_two_pass(encoder, elements, h, tol: float = 1e-9) -> list:
+    """Measure-and-rotate recovery by explicit loops: remix the elements by
+    the eigenvectors of the overlap matrix ``h`` into ``F_m``, recompute the
+    overlap matrix of the remixed set, and return ``C (F_m C /
+    sqrt(lambda_m))^dag`` for every diagonal entry ``lambda_m`` above
+    ``tol``, in order."""
+    d = encoder.shape[1]
+    _, vecs = np.linalg.eigh(h)
+    rotated = []
+    for m in range(len(elements)):
+        f = np.zeros_like(elements[0])
+        for i, e in enumerate(elements):
+            f = f + vecs[i, m] * e
+        rotated.append(f)
+    out = []
+    for f in rotated:
+        lam = np.trace(encoder.conj().T @ f.conj().T @ f @ encoder).real / d
+        if lam > tol:
+            out.append(encoder @ (f @ encoder / np.sqrt(lam)).conj().T)
+    return out

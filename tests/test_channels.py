@@ -138,6 +138,15 @@ def test_choi_matches_kron_reference():
         np.testing.assert_allclose(choi_state(ch), choi_by_kron(ch.elements), atol=1e-12)
 
 
+def test_choi_matches_kron_reference_at_large_dims():
+    # in_dim * out_dim >= 600, the sizes of certify's heaviest Choi states
+    rng = np.random.default_rng(7)
+    for in_dim, out_dim, k in [(20, 32, 6), (25, 24, 3)]:
+        ch = KrausChannel(tuple(rand_complex(rng, (k, out_dim, in_dim)) / np.sqrt(k * out_dim)))
+        want = choi_by_kron(ch.elements)
+        np.testing.assert_allclose(choi_state(ch), want, atol=1e-12 * np.abs(want).max())
+
+
 def test_compose_with_identity():
     rng = np.random.default_rng(4)
     ch = KrausChannel(tuple(0.7 * rand_complex(rng, (2, 2)) for _ in range(2)))
@@ -160,6 +169,9 @@ def test_compose_matches_sequential_application():
     second = KrausChannel(tuple(0.6 * rand_complex(rng, (2, 3)) for _ in range(2)))
     comp = compose(first, second)
     assert len(comp.elements) == 4
+    # second's index runs fastest
+    want = [b @ a for a in first.elements for b in second.elements]
+    np.testing.assert_allclose(comp.stack, want, atol=1e-15)
     for _ in range(20):
         rho = random_density(rng, 2)
         np.testing.assert_allclose(

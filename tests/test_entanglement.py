@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from uuqc import entanglement
 from uuqc.channels import KrausChannel, apply, maximally_entangled_ket
 from uuqc.entanglement import (
     SchmidtForm,
@@ -14,11 +19,22 @@ from uuqc.entanglement import (
     ues_to_uuqc,
     uuqc_to_ues,
 )
-from uuqc.linalg import SubspaceIsometry, random_ket, shift_clock_unitaries, tensor_product
+from uuqc.linalg import (
+    SubspaceIsometry,
+    random_ket,
+    random_unitary,
+    shift_clock_unitaries,
+    tensor_product,
+)
 from uuqc.unambiguous import certify_uuqc
 
 from builders import make_uuqc, rand_complex
-from oracles import filter_conversion_max, majorized_by_uniform, projected_choi_by_kron
+from oracles import (
+    filter_conversion_max,
+    majorized_by_uniform,
+    projected_choi_by_kron,
+    search_mixed_nonzero_by_pairs,
+)
 
 
 def spectrum(*lam2):
@@ -280,3 +296,101 @@ def test_check_mixed_nonzero_rejects_wrong_ranks():
             np.eye(4) / 4, 2, 2, 2,
             SubspaceIsometry.from_indices(2, (0,)), SubspaceIsometry.full(2),
         )
+
+
+def _shared_state(rng, dim_a, dim_b, d, kind):
+    """``"block"``: a rank-``d`` entangled ket on a random ``d x d`` block of
+    basis states plus diagonal noise on basis states outside the block (one
+    witness pair).  ``"pure"``: a random pure state (generically every pair
+    witnesses, so the sweep order decides).  ``"product"``: a product of
+    mixed states (no basis-subspace block is pure and entangled)."""
+    if kind == "product":
+        ga, gb = rand_complex(rng, (dim_a, dim_a)), rand_complex(rng, (dim_b, dim_b))
+        rho = np.kron(ga @ ga.conj().T, gb @ gb.conj().T)
+        return rho / np.trace(rho).real
+    if kind == "pure":
+        psi = random_ket(dim_a * dim_b, rng)
+        return np.outer(psi, psi.conj())
+    ia = rng.choice(dim_a, d, replace=False)
+    ib = rng.choice(dim_b, d, replace=False)
+    coeff = np.zeros((dim_a, dim_b), dtype=complex)
+    coeff[np.ix_(ia, ib)] = random_unitary(d, rng) * rng.uniform(0.3, 1.0, d)
+    psi = coeff.reshape(-1) / np.linalg.norm(coeff)
+    noise = rng.uniform(size=(dim_a, dim_b))
+    noise[np.ix_(ia, ib)] = 0.0
+    rho = np.outer(psi, psi.conj())
+    if noise.any():
+        w = rng.uniform(0.3, 0.9)
+        rho = w * rho + (1 - w) * np.diag(noise.reshape(-1) / noise.sum())
+    return rho
+
+
+def _basis_indices(v: SubspaceIsometry) -> list:
+    return list(np.nonzero(v.columns.T)[1])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim_a=st.integers(2, 4),
+    dim_b=st.integers(2, 4),
+    d=st.integers(2, 3),
+    kind=st.sampled_from(["block", "pure", "product"]),
+)
+def test_batched_sweep_matches_pairwise_oracle(seed, dim_a, dim_b, d, kind):
+    rng = np.random.default_rng(seed)
+    fits = d <= min(dim_a, dim_b)
+    rho = _shared_state(rng, dim_a, dim_b, d, kind if fits else "product")
+    got = search_mixed_nonzero(rho, dim_a, dim_b, d)
+    want = search_mixed_nonzero_by_pairs(rho, dim_a, dim_b, d)
+    assert (got.probability > 0.0) == (fits and kind != "product")
+    assert got.probability == want.probability
+    if want.witness_subspaces is None:
+        assert got.witness_subspaces is None
+    else:
+        assert [_basis_indices(v) for v in got.witness_subspaces] == [
+            _basis_indices(v) for v in want.witness_subspaces
+        ]
+
+
+def test_sweep_checks_the_state_shape():
+    with pytest.raises(ValueError, match="state shape"):
+        search_mixed_nonzero(np.eye(6) / 6, 2, 2, 2)
+
+
+def _pure_product(rng):
+    psi = np.kron(random_ket(4, rng), random_ket(4, rng))
+    return np.outer(psi, psi.conj())
+
+
+def _isotropic(rng):
+    # every block is mixed, with an entangled top eigenvector
+    psi = random_ket(16, rng)
+    return 0.5 * np.outer(psi, psi.conj()) + 0.5 * np.eye(16) / 16
+
+
+def _faint_witness(rng):
+    # the only pure, entangled block has weight 1e-10, below tol
+    phi = np.zeros((4, 4), dtype=complex)
+    phi[:2, :2] = random_unitary(2, rng) / np.sqrt(2)
+    corner = np.zeros(16)
+    corner[15] = 1.0
+    phi = phi.reshape(-1)
+    return 1e-10 * np.outer(phi, phi.conj()) + (1 - 1e-10) * np.diag(corner)
+
+
+@pytest.mark.parametrize("make, calls", [
+    (lambda rng: _shared_state(rng, 4, 4, 2, "product"), 0),
+    (_pure_product, 0),
+    (_isotropic, 0),
+    (_faint_witness, 0),
+    (lambda rng: _shared_state(rng, 4, 4, 2, "block"), 1),
+    (lambda rng: _shared_state(rng, 4, 4, 2, "pure"), 1),
+])
+def test_sweep_certifies_only_the_first_passing_pair(make, calls):
+    # only the first passing pair reaches check_mixed_nonzero
+    rho = make(np.random.default_rng(8))
+    with mock.patch.object(entanglement, "check_mixed_nonzero",
+                           wraps=entanglement.check_mixed_nonzero) as check:
+        cert = search_mixed_nonzero(rho, 4, 4, 2)
+    assert check.call_count == calls
+    assert (cert.probability > 0.0) == (calls == 1)

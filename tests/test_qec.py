@@ -27,7 +27,11 @@ from builders import (
     repetition_code,
     single_qubit_on,
 )
-from oracles import filter_conversion_max, orthogonal_branch_probability
+from oracles import (
+    filter_conversion_max,
+    orthogonal_branch_probability,
+    standard_recovery_two_pass,
+)
 
 
 def bit_flip_errors():
@@ -328,7 +332,7 @@ def _syndromes(rng, code, m, n_qubits):
             + 0.2 * rand_complex(rng, (n, n)) @ outside for j in range(m)]
 
 
-@given(
+correctable_draws = given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.sampled_from([(3, 8, 2), (5, 32, 2), (0, 8, 2), (0, 12, 3), (0, 16, 2)]),
     m=st.integers(2, 4),
@@ -336,9 +340,11 @@ def _syndromes(rng, code, m, n_qubits):
     degenerate=st.booleans(),
     weight=st.sampled_from([1.0, 0.55]),
 )
-def test_bound_exact_on_correctable_noise(seed, shape, m, extra, degenerate, weight):
-    # syndromes mixed by a random m-column isometry, as the qec benchmark
-    # builds them: Knill-Laflamme correctable, with a mixed Choi state
+
+
+def _correctable_noise(seed, shape, m, extra, degenerate, weight):
+    """Syndromes mixed by a random m-column isometry, as the qec benchmark
+    builds them: Knill-Laflamme correctable, with a mixed Choi state."""
     n_qubits, n, d = shape
     rng = np.random.default_rng(seed)
     if n_qubits:
@@ -355,6 +361,12 @@ def test_bound_exact_on_correctable_noise(seed, shape, m, extra, degenerate, wei
         sum(u[r, j] * np.sqrt(lam) * f for j, (lam, f) in enumerate(zip(lambdas, ops)))
         for r in range(m + extra)
     ))
+    return code, noise
+
+
+@correctable_draws
+def test_bound_exact_on_correctable_noise(seed, shape, m, extra, degenerate, weight):
+    code, noise = _correctable_noise(seed, shape, m, extra, degenerate, weight)
     report = kl_check(code, noise)
     assert report.correctable
     recovered = verify_correction_uuqc(code, noise, standard_recovery(code, noise))
@@ -362,6 +374,17 @@ def test_bound_exact_on_correctable_noise(seed, shape, m, extra, degenerate, wei
     assert method == "filter-lower-bound"
     assert prob == pytest.approx(recovered.identity_probability, abs=1e-9)
     assert prob == pytest.approx(np.trace(report.h).real, abs=1e-9)
+
+
+@correctable_draws
+def test_recovery_matches_two_pass_oracle(seed, shape, m, extra, degenerate, weight):
+    # same elements, same order, as remixing, re-running the overlap check
+    # and keeping each syndrome with weight above tol
+    code, noise = _correctable_noise(seed, shape, m, extra, degenerate, weight)
+    want = standard_recovery_two_pass(code.encoder, noise.elements, kl_check(code, noise).h)
+    got = standard_recovery(code, noise)
+    assert len(got.elements) == len(want)
+    np.testing.assert_allclose(got.stack, want, atol=1e-12)
 
 
 def depolarizing_on_qubit():

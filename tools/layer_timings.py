@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Layer timings of selected kernels on two source trees, side by side.
+
+Usage, from the repository root, with a checkout of the commit to compare
+against (``git clone`` or ``git archive``) in ``PARENT``:
+
+    python3 tools/layer_timings.py --before PARENT/src --after src --out BENCH_6.json
+
+Each side runs in a fresh interpreter that imports ``uuqc`` from the given
+``src`` directory, with one BLAS thread.  The sides alternate for
+``ROUNDS`` rounds, the first side switching each round; a round times every
+case ``REPEATS`` times with ``time.perf_counter`` after one warm-up call.
+Inputs come from fixed seeds, so both sides time the same work.  The
+output lists, for each case, its name, layer and dims and, for each side,
+the median and interquartile range in milliseconds over all rounds, plus a
+machine note.
+
+The cases:
+
+- ``certify_uuqc`` on certifying channels of every ``CERTIFIED`` shape of
+  the benchmark's ``certify`` workload;
+- ``search_mixed_nonzero`` with ``d = 2`` on 3 x 4 and 4 x 4 product states,
+  which sweep every subset pair;
+- ``choi_state`` at ``in_dim * out_dim`` = 288, 640 and 1536;
+- ``standard_recovery`` on the 3-, 5- and 7-qubit repetition codes under
+  ``0.7 I`` plus single bit flips that share the remaining 0.3.
+
+This is a measuring tool: it is neither a test nor part of the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+BLAS_THREADS = 1
+ROUNDS = 10
+REPEATS = 15
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# (in_dim, out_dim, K) of the timed Choi states.
+CHOI_SHAPES = [(18, 16, 5), (20, 32, 6), (32, 48, 8)]
+REPETITION_QUBITS = [3, 5, 7]
+SWEEP_DIMS = [(3, 4), (4, 4)]
+
+
+def _cases():
+    """``(name, layer, dims, call)`` for every timed case."""
+    import numpy as np
+
+    import uuqc
+
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from wl_certify import CERTIFIED
+
+    rng = np.random.default_rng(6)
+
+    def rand_complex(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def frame(ambient, d):
+        q = np.linalg.qr(rand_complex((ambient, ambient)))[0]
+        return q[:, :d], q[:, d:]
+
+    cases = []
+    for d, a_in, a_out, e_in, e_out, k in CERTIFIED:
+        # V2 U V1^dag (x) theta_k plus maps from and into the complements
+        (v1, c1), (v2, c2) = frame(a_in, d), frame(a_out, d)
+        core = v2 @ np.linalg.qr(rand_complex((d, d)))[0] @ v1.conj().T
+        elems = []
+        for _ in range(k):
+            theta = rand_complex((e_out, e_in))
+            e = np.kron(core, theta * np.sqrt(0.8 / k) / np.linalg.norm(theta))
+            e = e + 0.3 * np.kron(c2 @ rand_complex((a_out - d, d)) @ v1.conj().T, rand_complex((e_out, e_in)))
+            e = e + 0.3 * np.kron(rand_complex((a_out, a_in - d)) @ c1.conj().T, rand_complex((e_out, e_in)))
+            elems.append(e)
+        ch = uuqc.KrausChannel(tuple(elems))
+        sub1, sub2 = uuqc.SubspaceIsometry(v1), uuqc.SubspaceIsometry(v2)
+        dims = {"d": d, "ambient_in": a_in, "ambient_out": a_out, "env_in": e_in, "env_out": e_out, "K": k}
+        cases.append(("certify_uuqc", "unambiguous", dims,
+                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.certify_uuqc(ch, s1, s2, *e)))
+
+    for dim_a, dim_b in SWEEP_DIMS:
+        ga, gb = rand_complex((dim_a, dim_a)), rand_complex((dim_b, dim_b))
+        rho = np.kron(ga @ ga.conj().T, gb @ gb.conj().T)
+        rho /= np.trace(rho).real
+        cases.append(("search_mixed_nonzero", "entanglement", {"dim_a": dim_a, "dim_b": dim_b, "d": 2},
+                      lambda rho=rho, a=dim_a, b=dim_b: uuqc.search_mixed_nonzero(rho, a, b, 2)))
+
+    for in_dim, out_dim, k in CHOI_SHAPES:
+        ch = uuqc.KrausChannel(tuple(rand_complex((k, out_dim, in_dim))))
+        cases.append(("choi_state", "channels", {"in_dim": in_dim, "out_dim": out_dim, "K": k,
+                                                 "N": in_dim * out_dim},
+                      lambda ch=ch: uuqc.choi_state(ch)))
+
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for n in REPETITION_QUBITS:
+        enc = np.zeros((2**n, 2), dtype=complex)
+        enc[0, 0] = enc[-1, 1] = 1.0
+        flips = [np.kron(np.kron(np.eye(2**j), flip), np.eye(2 ** (n - j - 1))) for j in range(n)]
+        noise = uuqc.KrausChannel(tuple([np.sqrt(0.7) * np.eye(2**n)] + [np.sqrt(0.3 / n) * f for f in flips]))
+        code = uuqc.CodeSpec(enc)
+        cases.append(("standard_recovery", "qec", {"qubits": n, "n_phys": 2**n, "K": n + 1},
+                      lambda code=code, noise=noise: uuqc.standard_recovery(code, noise)))
+    return cases
+
+
+def child(src: str) -> None:
+    """Time every case with the ``uuqc`` found in ``src``; print JSON."""
+    sys.path.insert(0, os.path.abspath(src))
+    out = []
+    for name, layer, dims, call in _cases():
+        call()
+        times = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            call()
+            times.append((time.perf_counter() - start) * 1e3)
+        out.append({"name": name, "layer": layer, "dims": dims, "ms": times})
+    print(json.dumps(out))
+
+
+def _summary(times: list) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_ms": round(median, 4), "iqr_ms": round(q3 - q1, 4),
+            "quartiles_ms": [round(q1, 4), round(q3, 4)], "samples": len(times)}
+
+
+def machine_note() -> str:
+    import numpy as np
+
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return (f"nproc={os.cpu_count()} blas_threads={BLAS_THREADS} python={sys.version.split()[0]} "
+            f"numpy={np.__version__} blas={blas.get('name', '?')} {blas.get('version', '?')}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", help="src directory of the commit compared against")
+    parser.add_argument("--after", help="src directory of the change")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.child)
+        return 0
+    if not (args.before and args.after and args.out):
+        parser.error("--before, --after and --out are required")
+
+    sides = {"before": args.before, "after": args.after}
+    runs = {side: [] for side in sides}
+    for r in range(ROUNDS):
+        for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
+            cmd = [sys.executable, os.path.abspath(__file__), "--child", sides[side]]
+            runs[side].append(json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout))
+
+    cases = []
+    for i, first in enumerate(runs["before"][0]):
+        entry = {"name": first["name"], "layer": first["layer"], "dims": first["dims"]}
+        for side in sides:
+            entry[side] = _summary([t for run in runs[side] for t in run[i]["ms"]])
+        entry["after_over_before"] = round(entry["after"]["median_ms"] / entry["before"]["median_ms"], 3)
+        cases.append(entry)
+    doc = {
+        "tool": "tools/layer_timings.py",
+        "method": (f"{ROUNDS} alternating rounds per side, each a fresh interpreter timing every case "
+                   f"{REPEATS} times with time.perf_counter after one warm-up call; medians and "
+                   "interquartile ranges over all rounds, in ms"),
+        "machine": machine_note(),
+        "cases": cases,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    for c in cases:
+        print(f"{c['name']:22s} {json.dumps(c['dims']):70s} {c['before']['median_ms']:9.3f} -> "
+              f"{c['after']['median_ms']:9.3f} ms  x{c['after_over_before']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
