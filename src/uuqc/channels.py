@@ -33,9 +33,10 @@ class KrausChannel:
 
     Every element is an ``out_dim x in_dim`` complex matrix.  Construction
     checks shapes only; physicality is a separate query so that deliberately
-    unphysical element sets can still be inspected.  The elements are held
-    once, as the read-only ``(K, out_dim, in_dim)`` array ``stack``;
-    ``elements`` is the tuple of its per-element views.
+    unphysical element sets can still be inspected.  ``elements`` may be a
+    sequence of matrices or a ``(K, out_dim, in_dim)`` array; either way it
+    is copied once into the read-only array ``stack``, and ``elements``
+    becomes the tuple of its per-element views.
     """
 
     elements: tuple
@@ -44,15 +45,19 @@ class KrausChannel:
     def __post_init__(self):
         if len(self.elements) == 0:
             raise ValueError("a channel needs at least one Kraus element")
-        mats = [np.asarray(e, dtype=complex) for e in self.elements]
-        for k, arr in enumerate(mats):
-            if arr.ndim != 2:
-                raise ValueError(f"Kraus element {k} is not a matrix")
-            if arr.shape != mats[0].shape:
-                raise ValueError(
-                    f"Kraus element {k} has shape {arr.shape}, expected {mats[0].shape}"
-                )
-        stack = np.array(mats)
+        try:
+            stack = np.array(self.elements, dtype=complex)
+        except ValueError:
+            stack = None
+        if stack is None or stack.ndim != 3:
+            # Walk the elements only to name the offending one.
+            first = np.shape(self.elements[0])
+            for k, e in enumerate(self.elements):
+                if np.ndim(e) != 2:
+                    raise ValueError(f"Kraus element {k} is not a matrix")
+                if np.shape(e) != first:
+                    raise ValueError(f"Kraus element {k} has shape {np.shape(e)}, expected {first}")
+            raise ValueError("Kraus elements must be matrices of one shape")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "elements", tuple(stack))

@@ -28,7 +28,7 @@ import numpy as np
 # ``apply`` is unused here but stays importable as ``uuqc.unambiguous.apply``:
 # perfbench/smoke.py checks that the tracer patches this binding.
 from .channels import KrausChannel, apply  # noqa: F401
-from .linalg import DEFAULT_TOL, SubspaceIsometry, dagger, factor_as_tensor
+from .linalg import DEFAULT_TOL, VALIDATION_TOL, SubspaceIsometry, dagger, factor_as_tensor, frobenius
 
 __all__ = [
     "UumCertificate",
@@ -127,10 +127,11 @@ def restrict_operator(
             f"({amb2}*{env_out}, {amb1}*{env_in})"
         )
     batch = omega.shape[:-2]
-    # Contract the input system leg with V1, then the output one with V2^dag;
-    # two matrix products beat one three-operand einsum by far.
-    right = omega.reshape(batch + (amb2, env_out, amb1, env_in)).swapaxes(-1, -2) @ v1.columns
-    both = dagger(v2.columns) @ right.reshape(batch + (amb2, -1))
+    # Move the input system leg last and contract it with V1 in one 2-D
+    # product, then contract the output leg with V2^dag.
+    legs = omega.reshape(batch + (amb2, env_out, amb1, env_in)).swapaxes(-1, -2)
+    right = (legs.reshape(-1, amb1) @ v1.columns).reshape(batch + (amb2, -1))
+    both = dagger(v2.columns) @ right
     out = both.reshape(batch + (d2, env_out, env_in, d1)).swapaxes(-1, -2)
     return out.reshape(batch + (d2 * env_out, d1 * env_in))
 
@@ -138,7 +139,9 @@ def restrict_operator(
 def _certify_restricted(
     restricted: np.ndarray, d: int, env_in: int, env_out: int, tol: float
 ) -> tuple:
-    """Per-operator certificates for a stack of restricted operators."""
+    """Stacked certificate data for a stack of restricted operators: one
+    array per ``UumCertificate`` field, in field order, with the stack's
+    leading axis."""
     pair = factor_as_tensor(restricted, d, env_out, d, env_in)
     sys_factor = pair.sys_factor
     gram = sys_factor.conj().swapaxes(1, 2) @ sys_factor
@@ -155,12 +158,15 @@ def _certify_restricted(
     unitary = sys_factor / root * phase
     env_factor = pair.env_factor * root * np.conj(phase)
     is_uum = (pair.residual <= tol) & (unitarity_dev <= tol) & (probability > tol)
-    return tuple(
-        UumCertificate(is_uum=ok, probability=p, unitary=u, env_factor=t, residual=r,
-                       schmidt_values=s, unitarity_deviation=dev)
-        for ok, p, u, t, r, s, dev in zip(is_uum.tolist(), probability.tolist(), unitary, env_factor,
-                                          pair.residual.tolist(), pair.schmidt_values, unitarity_dev.tolist())
-    )
+    return (is_uum, probability, unitary, env_factor, pair.residual, pair.schmidt_values,
+            unitarity_dev)
+
+
+def _uum_certificates(fields: tuple) -> tuple:
+    """One ``UumCertificate`` per operator from ``_certify_restricted``'s
+    stacked fields; scalar fields become Python scalars."""
+    columns = [f.tolist() if f.ndim == 1 else f for f in fields]
+    return tuple(UumCertificate(*row) for row in zip(*columns))
 
 
 def certify_uum(
@@ -183,7 +189,7 @@ def certify_uum(
     omega = np.asarray(omega, dtype=complex)
     v1, v2, d = _resolve_subspaces(v1, v2, omega.shape, env_in, env_out)
     restricted = restrict_operator(omega, v1, v2, env_in, env_out)
-    return _certify_restricted(restricted[None], d, env_in, env_out, tol)[0]
+    return _uum_certificates(_certify_restricted(restricted[None], d, env_in, env_out, tol))[0]
 
 
 def probability_profile(
@@ -203,9 +209,10 @@ def probability_profile(
     recorded.  A certified map yields a flat profile; anything else betrays
     its input preference here.
 
-    ``env_state`` optionally fixes a physical environment preparation (a
-    density matrix on the input environment) in place of the unnormalized
-    identity the certification bookkeeping uses.
+    ``env_state`` optionally fixes a physical environment preparation in
+    place of the unnormalized identity the certification bookkeeping uses;
+    it must be a density matrix on the input environment (Hermitian,
+    positive semidefinite, unit trace) within ``VALIDATION_TOL``.
     """
     omega = np.asarray(omega, dtype=complex)
     v1, v2, d = _resolve_subspaces(v1, v2, omega.shape, env_in, env_out)
@@ -215,9 +222,11 @@ def probability_profile(
         env_block = np.eye(env_in)
     else:
         env_state = np.asarray(env_state, dtype=complex)
-        if env_state.shape != (env_in, env_in):
+        if env_state.shape != (env_in, env_in) or frobenius(env_state - dagger(env_state)) > VALIDATION_TOL:
             raise ValueError("env_state must be a density matrix on the input environment")
         evals, evecs = np.linalg.eigh(env_state)
+        if evals[0] < -VALIDATION_TOL or abs(np.sum(evals) - 1.0) > VALIDATION_TOL:
+            raise ValueError("env_state must be a density matrix on the input environment")
         env_block = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ dagger(evecs)
 
     # One draw of every (real, imaginary) pair keeps the stream of drawing
@@ -278,32 +287,48 @@ def certify_uuqc(
     v1, v2, d = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
 
     restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
-    certs = _certify_restricted(restricted, d, env_in, env_out, tol)
-    contributing = [k for k, c in enumerate(certs) if c.probability > tol]
+    fields = _certify_restricted(restricted, d, env_in, env_out, tol)
+    is_uum, probability, unitaries = fields[:3]
+    contributing = (probability > tol).nonzero()[0]
 
-    ok = all(certs[k].is_uum for k in contributing)
+    ok = bool(is_uum[contributing].all())
     mismatched = None
-    if ok and contributing:
-        us = np.array([certs[k].unitary for k in contributing])
-        # ||U_k - e^{i phi} U_0|| with phi = arg Tr(U_0^dag U_k), for all k at once
+    if ok and len(contributing):
+        us = unitaries[contributing]
+        # ||U_k - e^{i phi} U_0|| with phi = arg Tr(U_0^dag U_k), for all k at
+        # once; a zero overlap keeps phi = 0, so trace-orthogonal unitaries
+        # stay far apart.
         phase = np.exp(1j * np.angle(np.einsum("ij,kij->k", us[0].conj(), us)))
         far = np.nonzero(np.linalg.norm(us - phase[:, None, None] * us[0], axis=(1, 2)) > tol)[0]
         if len(far):
             ok = False
-            mismatched = (contributing[0], contributing[far[0]])
+            mismatched = (int(contributing[0]), int(contributing[far[0]]))
 
     # With no contributing element, q = 0 is measured against the identity.
-    q = float(sum(certs[k].probability for k in contributing))
-    unitary = certs[contributing[0]].unitary if contributing else np.eye(d, dtype=complex)
+    q = float(probability[contributing].sum())
+    unitary = unitaries[contributing[0]] if len(contributing) else np.eye(d, dtype=complex)
     residual = _definition_residual(restricted, d, env_in, env_out, q, unitary)
     return UuqcCertificate(
         is_uuqc=ok and q > tol and residual <= tol,
         total_probability=q,
-        per_element=certs,
+        per_element=_uum_certificates(fields),
         unitary=unitary,
         definition_residual=residual,
         mismatched_pair=mismatched,
     )
+
+
+def _env_basis(basis, dim: int) -> np.ndarray:
+    """The computational basis when ``basis`` is omitted; otherwise ``basis``,
+    checked to be a ``dim x dim`` unitary within ``VALIDATION_TOL``."""
+    if basis is None:
+        return np.eye(dim, dtype=complex)
+    basis = np.asarray(basis, dtype=complex)
+    if basis.shape != (dim, dim):
+        raise ValueError("environment bases must be square in their leg dimensions")
+    if frobenius(dagger(basis) @ basis - np.eye(dim)) > VALIDATION_TOL:
+        raise ValueError("environment bases must be unitary")
+    return basis
 
 
 def refine(
@@ -323,17 +348,15 @@ def refine(
     for ``(i, j)`` is ``w * U (x) |out_j><in_i|`` with
     ``w = sqrt(sum_k |<out_j| T_k |in_i>|^2)``.  The result represents the
     same unitary with the same total probability, and is supported on the
-    certified subspaces.
+    certified subspaces.  The environment bases (columns ``in_i`` and
+    ``out_j``) default to the computational ones and must be unitary within
+    ``VALIDATION_TOL``.
     """
     v1, v2, _ = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
+    b_in, b_out = _env_basis(env_in_basis, env_in), _env_basis(env_out_basis, env_out)
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
     if not cert.is_uuqc:
         raise ValueError("refinement requires a certified channel")
-
-    b_in = np.eye(env_in, dtype=complex) if env_in_basis is None else np.asarray(env_in_basis, dtype=complex)
-    b_out = np.eye(env_out, dtype=complex) if env_out_basis is None else np.asarray(env_out_basis, dtype=complex)
-    if b_in.shape != (env_in, env_in) or b_out.shape != (env_out, env_out):
-        raise ValueError("environment bases must be square in their leg dimensions")
 
     # Expansion coefficients of every contributing environment factor:
     # row j, column i holds <out_j| T_k |in_i>.
@@ -342,10 +365,12 @@ def refine(
     j, i = np.nonzero(weights > tol)
     if len(j) == 0:
         raise ValueError("refinement produced no elements")
-    # One element per kept (j, i), in row-major order: w_ji U (x) |out_j><in_i|.
+    # One element per kept (j, i), in row-major order: w_ji U (x) |out_j><in_i|,
+    # with the axes (element, sys_out, env_out, sys_in, env_in).
     env_parts = weights[j, i][:, None, None] * b_out.T[j][:, :, None] * b_in.T.conj()[i][:, None, :]
     embedded_u = v2.columns @ cert.unitary @ dagger(v1.columns)
-    return KrausChannel(np.kron(embedded_u, env_parts))
+    elements = embedded_u[None, :, None, :, None] * env_parts[:, None, :, None, :]
+    return KrausChannel(elements.reshape(len(j), v2.ambient_dim * env_out, v1.ambient_dim * env_in))
 
 
 def extend_by_identity(ch: KrausChannel, ancilla_dim: int) -> KrausChannel:

@@ -183,3 +183,18 @@ def standard_recovery_two_pass(encoder, elements, h, tol: float = 1e-9) -> list:
         if lam > tol:
             out.append(encoder @ (f @ encoder / np.sqrt(lam)).conj().T)
     return out
+
+
+def refine_by_kron(unitary, thetas, v1_cols, v2_cols, b_in, b_out, tol: float = 1e-9) -> list:
+    """Rank-one refinement by explicit Kronecker products: for every basis
+    pair ``(j, i)`` in row-major order, ``w_ji V2 U V1^dag (x)
+    |out_j><in_i|`` with ``w_ji^2 = sum_k |<out_j| theta_k |in_i>|^2``,
+    keeping the pairs whose weight exceeds ``tol``."""
+    embedded = v2_cols @ unitary @ v1_cols.conj().T
+    out = []
+    for j in range(b_out.shape[1]):
+        for i in range(b_in.shape[1]):
+            w = np.sqrt(sum(abs(b_out[:, j].conj() @ t @ b_in[:, i]) ** 2 for t in thetas))
+            if w > tol:
+                out.append(np.kron(embedded, w * np.outer(b_out[:, j], b_in[:, i].conj())))
+    return out

@@ -218,3 +218,27 @@ def test_stack_is_read_only_and_elements_stay_a_tuple():
     longer = ch.elements + (extra,)
     assert isinstance(longer, tuple) and len(longer) == 3
     np.testing.assert_array_equal(KrausChannel(longer).stack[2], extra)
+
+
+def test_stack_from_array_is_a_read_only_copy():
+    arr = rand_complex(np.random.default_rng(43), (3, 2, 4))
+    ch = KrausChannel(arr)
+    assert ch.stack.shape == (3, 2, 4) and not ch.stack.flags.writeable
+    assert not np.shares_memory(ch.stack, arr)
+    keep = arr.copy()
+    arr[0, 0, 0] = 99.0
+    np.testing.assert_array_equal(ch.stack, keep)
+    assert len(ch.elements) == 3 and all(e.base is ch.stack for e in ch.elements)
+
+
+@pytest.mark.parametrize("elements, message", [
+    ((np.eye(2), np.ones((2, 3))), r"element 1 has shape \(2, 3\)"),
+    ((np.eye(2), np.eye(2), [[1.0, 0.0]]), r"element 2 has shape \(1, 2\)"),
+    ((np.eye(2), np.ones(2)), "element 1 is not a matrix"),
+    ((np.ones(2),), "element 0 is not a matrix"),
+    ((np.eye(2), np.ones((1, 2, 2))), "element 1 is not a matrix"),
+    (np.ones((2, 2)), "element 0 is not a matrix"),
+])
+def test_malformed_elements_are_named(elements, message):
+    with pytest.raises(ValueError, match=message):
+        KrausChannel(elements)

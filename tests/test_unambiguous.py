@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,8 +23,8 @@ from uuqc.unambiguous import (
     restrict_operator,
 )
 
-from builders import env_factors, make_uum, make_uuqc, rand_complex, random_subspace
-from oracles import partial_trace_sum, projected_choi_by_kron, restrict_by_kron
+from builders import PAULI_X, PAULI_Z, env_factors, make_uum, make_uuqc, rand_complex, random_subspace
+from oracles import partial_trace_sum, projected_choi_by_kron, refine_by_kron, restrict_by_kron
 
 
 def test_certify_plain_unitary():
@@ -330,6 +332,99 @@ def test_restrict_operator_matches_kron_reference():
         restrict_by_kron(omega, v1.columns, v2.columns, 2, 3),
         atol=1e-12,
     )
+
+
+# (d, ambient_in, ambient_out, env_in, env_out, K) of the channels the
+# benchmark's certify workload certifies.
+CERTIFIED_SHAPES = [
+    (2, 2, 2, 1, 1, 1),
+    (2, 3, 5, 1, 2, 2),
+    (2, 4, 6, 2, 2, 3),
+    (2, 6, 4, 3, 4, 5),
+    (2, 16, 16, 4, 4, 8),
+    (4, 4, 4, 1, 1, 2),
+    (4, 6, 8, 2, 3, 4),
+    (4, 8, 12, 4, 4, 6),
+    (4, 16, 16, 4, 2, 8),
+    (8, 8, 8, 1, 1, 3),
+    (8, 10, 16, 2, 2, 6),
+    (8, 16, 16, 2, 2, 8),
+    (16, 16, 16, 1, 1, 1),
+    (16, 16, 16, 1, 1, 4),
+]
+
+
+@pytest.mark.parametrize("shape", CERTIFIED_SHAPES)
+def test_restrict_operator_matches_kron_reference_on_stacks(shape):
+    d, amb_in, amb_out, env_in, env_out, k = shape
+    rng = np.random.default_rng(sum(shape))
+    v1, v2 = random_subspace(rng, amb_in, d), random_subspace(rng, amb_out, d)
+    # a leading batch axis ahead of the element axis
+    omega = rand_complex(rng, (2, k, amb_out * env_out, amb_in * env_in))
+    got = restrict_operator(omega, v1, v2, env_in, env_out)
+    assert got.shape == (2, k, d * env_out, d * env_in)
+    for b in range(2):
+        for e in range(k):
+            want = restrict_by_kron(omega[b, e], v1.columns, v2.columns, env_in, env_out)
+            np.testing.assert_allclose(got[b, e], want, atol=1e-12)
+    np.testing.assert_allclose(restrict_operator(omega[1, 0], v1, v2, env_in, env_out), got[1, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 2, 3, 2), (3, 5, 4, 3, 2, 3), (2, 2, 2, 4, 4, 4), (4, 6, 8, 2, 3, 4)])
+def test_refine_matches_kron_oracle_in_random_bases(shape):
+    d, amb_in, amb_out, env_in, env_out, k = shape
+    rng = np.random.default_rng(sum(shape) + 40)
+    ch, u, thetas, v1, v2 = make_uuqc(rng, d, amb_in, amb_out, env_in, env_out,
+                                      list(rng.uniform(0.05, 0.2, k)), with_noise=True)
+    b_in = np.linalg.qr(rand_complex(rng, (env_in, env_in)))[0]
+    b_out = np.linalg.qr(rand_complex(rng, (env_out, env_out)))[0]
+    refined = refine(ch, v1, v2, env_in, env_out, env_in_basis=b_in, env_out_basis=b_out)
+    unitary = certify_uuqc(ch, v1, v2, env_in, env_out).unitary
+    # the certified unitary differs from the constructed one by a global
+    # phase, which each certified environment factor carries conjugated
+    assert abs(abs(np.trace(unitary.conj().T @ u)) - d) <= 1e-9
+    want = refine_by_kron(unitary, thetas, v1.columns, v2.columns, b_in, b_out)
+    assert len(refined.elements) == len(want) == env_in * env_out
+    np.testing.assert_allclose(refined.stack, np.array(want), atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["in", "out"])
+def test_refine_rejects_non_unitary_environment_basis(which):
+    # A skewed basis rescales the weights: this q = 0.38 channel would come
+    # out "refined" and certified at q = 1.04 (input basis) or 1.00 (output basis).
+    rng = np.random.default_rng(41)
+    ch, _, _, v1, v2 = make_uuqc(rng, 2, 3, 3, 2, 2, [0.2, 0.18])
+    skewed = np.array([[1.0, 0.9], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="unitary"):
+        refine(ch, v1, v2, 2, 2, **{f"env_{which}_basis": skewed})
+    nearly = np.linalg.qr(rand_complex(rng, (2, 2)))[0] * (1 + 1e-12)
+    assert certify_uuqc(refine(ch, v1, v2, 2, 2, **{f"env_{which}_basis": nearly}), v1, v2, 2, 2).is_uuqc
+
+
+@pytest.mark.parametrize("env_state", [
+    [[0.75, 0.2], [0.0, 0.25]],  # not Hermitian: eigh would read one triangle
+    [[1.5, 0.0], [0.0, -0.5]],  # unit trace, not positive semidefinite
+    [[0.5, 0.0], [0.0, 0.25]],  # positive, trace 0.75
+])
+def test_profile_rejects_invalid_environment_state(env_state):
+    u = random_unitary(2, 42)
+    omega = tensor_product(u, np.eye(2) / 2)
+    with pytest.raises(ValueError, match="density matrix"):
+        probability_profile(omega, env_in=2, env_out=2, samples=5, env_state=np.array(env_state))
+
+
+@pytest.mark.parametrize("zeros", [0, 2])
+def test_uuqc_names_trace_orthogonal_unitaries_as_mismatched(zeros):
+    # Tr(X^dag Z) = 0: the phase of a zero overlap is taken as 1, never NaN,
+    # so the pair stays a distance 2 apart instead of slipping past the check.
+    # Leading zero-weight elements shift the indices the pair is named by.
+    ch = KrausChannel((np.zeros((2, 2)),) * zeros + (np.sqrt(0.5) * PAULI_X, np.sqrt(0.5) * PAULI_Z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify_uuqc(ch)
+    assert all(c.is_uum for c in cert.per_element[zeros:])
+    assert not cert.is_uuqc
+    assert cert.mismatched_pair == (zeros, zeros + 1)
 
 
 def test_refine_already_rank_one():

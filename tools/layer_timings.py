@@ -17,8 +17,11 @@ machine note.
 
 The cases:
 
-- ``certify_uuqc`` on certifying channels of every ``CERTIFIED`` shape of
-  the benchmark's ``certify`` workload;
+- ``certify_uuqc``, ``restrict_operator`` and ``refine`` on certifying
+  channels of every ``CERTIFIED`` shape of the benchmark's ``certify``
+  workload;
+- ``KrausChannel`` built from a ``(K, out, in)`` array of each
+  ``STACK_SHAPES`` shape;
 - ``search_mixed_nonzero`` with ``d = 2`` on 3 x 4 and 4 x 4 product states,
   which sweep every subset pair;
 - ``choi_state`` at ``in_dim * out_dim`` = 288, 640 and 1536;
@@ -48,6 +51,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (in_dim, out_dim, K) of the timed Choi states.
 CHOI_SHAPES = [(18, 16, 5), (20, 32, 6), (32, 48, 8)]
 REPETITION_QUBITS = [3, 5, 7]
+# (K, out_dim, in_dim) of the arrays timed through the KrausChannel constructor.
+STACK_SHAPES = [(64, 8, 8), (16, 64, 64)]
 SWEEP_DIMS = [(3, 4), (4, 4)]
 
 
@@ -86,6 +91,15 @@ def _cases():
         dims = {"d": d, "ambient_in": a_in, "ambient_out": a_out, "env_in": e_in, "env_out": e_out, "K": k}
         cases.append(("certify_uuqc", "unambiguous", dims,
                       lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.certify_uuqc(ch, s1, s2, *e)))
+        cases.append(("restrict_operator", "unambiguous", dims,
+                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.restrict_operator(ch.stack, s1, s2, *e)))
+        cases.append(("refine", "unambiguous", dims,
+                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.refine(ch, s1, s2, *e)))
+
+    for shape in STACK_SHAPES:
+        stack = rand_complex(shape)
+        cases.append(("KrausChannel", "channels", dict(zip(("K", "out_dim", "in_dim"), shape)),
+                      lambda stack=stack: uuqc.KrausChannel(stack)))
 
     for dim_a, dim_b in SWEEP_DIMS:
         ga, gb = rand_complex((dim_a, dim_a)), rand_complex((dim_b, dim_b))
