@@ -36,8 +36,19 @@ EXIT_NUMERICAL = 2
 EXIT_NEGATIVE = 3
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number >= 0; NaN fails both comparisons."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub, trials: bool = False):
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="certification tolerance")
     if trials:
         sub.add_argument("--seed", type=int, default=0, help="random seed")
         sub.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials")
@@ -203,8 +214,8 @@ def _run_check_uuqc(args):
         "is_uuqc": bool(cert.is_uuqc),
         "total_probability": float(cert.total_probability),
         "definition_residual": float(cert.definition_residual),
-        "per_element_probability": [float(c.probability) for c in cert.per_element],
-        "per_element_residual": [float(c.residual) for c in cert.per_element],
+        "per_element_probability": cert.per_element.probability.tolist(),
+        "per_element_residual": cert.per_element.residual.tolist(),
         "mismatched_pair": list(cert.mismatched_pair) if cert.mismatched_pair else None,
         "unitary": matrix_to_doc(cert.unitary),
     }

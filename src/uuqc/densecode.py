@@ -48,11 +48,12 @@ class SharedState:
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("lambdas must be a nonempty 1-D array")
-        if np.any(np.diff(lam) > 0):
+        # Every test is phrased so that NaN fails it.
+        if not np.all(lam > 0):
+            raise ValueError("all Schmidt coefficients must be positive numbers")
+        if not np.all(np.diff(lam) <= 0):
             raise ValueError("lambdas must be sorted descending")
-        if lam[-1] <= 0:
-            raise ValueError("all Schmidt coefficients must be positive")
-        if abs(np.sum(lam**2) - 1.0) > 1e-12:
+        if not abs(np.sum(lam**2) - 1.0) <= 1e-12:
             raise ValueError("squared Schmidt coefficients must sum to one")
         lam = lam.copy()
         lam.setflags(write=False)

@@ -12,6 +12,11 @@ For a mixed Choi state the distillable probability is bounded from below
 by an instrument on the noisy half that separates the state's eigen-branches
 and distils each at the pure-state optimum; the bound is exact on
 Knill-Laflamme-correctable noise.
+
+Both verdicts depend only on the noise's action on the code, the stacked
+blocks ``E_k C``: the Choi eigen-branches come from one SVD of the ``K x d n``
+matrix of their ``vec``, never from the ``(d n) x (d n)`` Choi matrix, which
+``noise_choi_state`` builds for inspection only.
 """
 
 from __future__ import annotations
@@ -188,21 +193,32 @@ def verify_correction_uuqc(
     v1 = SubspaceIsometry.full(code.logical_dim)
     v2 = code.subspace()
     cert = certify_uuqc(total, v1, v2, 1, 1, tol)
-    us = np.array([c.unitary for c in cert.per_element])
-    prob = np.array([c.probability for c in cert.per_element])
-    uum = np.array([c.is_uum for c in cert.per_element])
+    per = cert.per_element
     # ||U - e^{i phi} I|| with phi = arg Tr(U), for every element at once
-    phase = np.exp(1j * np.angle(np.trace(us, axis1=1, axis2=2)))
-    dist = np.linalg.norm(us - phase[:, None, None] * np.eye(code.logical_dim), axis=(1, 2))
-    q_id = np.sum(prob[uum & (dist <= tol)])
+    phase = np.exp(1j * np.angle(np.trace(per.unitary, axis1=1, axis2=2)))
+    dist = np.linalg.norm(per.unitary - phase[:, None, None] * np.eye(code.logical_dim), axis=(1, 2))
+    q_id = np.sum(per.probability[per.is_uum & (dist <= tol)])
     return CorrectionReport(certificate=cert, identity_probability=float(q_id))
 
 
 def noise_choi_state(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
-    """Unnormalized Choi state of encode-then-noise with a logical reference."""
+    """Unnormalized Choi state of encode-then-noise with a logical reference,
+    for inspection: the verdicts below never build it."""
     if noise.in_dim != code.physical_dim:
         raise ValueError("noise must act on the physical space")
     return choi_state(compose(encoding_channel(code), noise))
+
+
+def _choi_branches(code: CodeSpec, noise: KrausChannel) -> tuple:
+    """Weight, descending eigenvalues and eigenkets (rows) of the Choi state
+    ``V^T V^* / d`` of encode-then-noise, from one SVD of ``V``, whose row
+    ``k`` is ``vec(E_k C)`` with the logical index slow."""
+    if noise.in_dim != code.physical_dim:
+        raise ValueError("noise must act on the physical space")
+    root = (noise.stack @ code.encoder).transpose(0, 2, 1).reshape(len(noise.stack), -1)
+    _, svals, vh = np.linalg.svd(root, full_matrices=False)
+    evals = svals**2 / code.logical_dim
+    return float(evals.sum()), evals, vh
 
 
 def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
@@ -212,24 +228,21 @@ def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = 
     Meaningful as stated for pure Choi states (isometric or filtered noise);
     a mixed Choi state fails the check outright.
     """
-    sigma = noise_choi_state(code, noise)
-    weight = float(np.trace(sigma).real)
-    if weight <= tol:
-        return False
-    evals, evecs = np.linalg.eigh(sigma)
-    if weight - float(evals[-1]) > tol:
+    weight, evals, kets = _choi_branches(code, noise)
+    if weight <= tol or weight - float(evals[0]) > tol:
         return False
     d = code.logical_dim
-    return is_rank_d_ues(evecs[:, -1], d, noise.out_dim, d, tol)
+    return is_rank_d_ues(kets[0], d, noise.out_dim, d, tol)
 
 
 def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL):
     """Probability that the noise on this code is unambiguously correctable.
 
-    Builds the unnormalized Choi state of encode-then-noise.  When that state
-    is pure the answer is exact: its weight times the optimal pure-state
-    conversion probability to the canonical entangled ket (Vidal, PRL 83,
-    1046 (1999)), method ``"pure-exact"``.
+    Reads the unnormalized Choi state of encode-then-noise as its
+    eigen-branches (``_choi_branches``).  When that state is pure the answer
+    is exact: its weight times the optimal pure-state conversion probability
+    to the canonical entangled ket (Vidal, PRL 83, 1046 (1999)), method
+    ``"pure-exact"``.
 
     A mixed state ``sum_m lambda_m |v_m><v_m|`` gets a deterministic lower
     bound, method ``"filter-lower-bound"``, from an instrument on the noisy
@@ -250,21 +263,17 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
     maximally entangled and the bound equals ``Tr h``, the standard-recovery
     probability.
     """
-    sigma = noise_choi_state(code, noise)
+    weight, evals, kets = _choi_branches(code, noise)
     d = code.logical_dim
     n = noise.out_dim
-    weight = float(np.trace(sigma).real)
     if weight <= tol:
         return 0.0, "pure-exact"
-    evals, evecs = np.linalg.eigh(sigma)
-
-    if weight - float(evals[-1]) <= tol:
-        psi = evecs[:, -1]
-        prob = weight * conversion_probability(schmidt(psi, d, n), d)
+    if weight - float(evals[0]) <= tol:
+        prob = weight * conversion_probability(schmidt(kets[0], d, n), d)
         return float(prob), "pure-exact"
 
     keep = evals > tol
-    kets = evecs[:, keep].T.reshape(-1, d, n)
+    kets = kets[keep].reshape(-1, d, n)
     _, svals, vh = np.linalg.svd(kets, full_matrices=False)
     support = svals > tol
     ranges, labels = vh[support].T, np.nonzero(support)[0]

@@ -44,7 +44,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UumCertificate:
-    """Verdict and extracted data for a single operator.
+    """Verdict and extracted data for a single operator, with Python scalars
+    from ``certify_uum``; in ``UuqcCertificate.per_element`` every field is
+    an array with a leading Kraus-element axis instead.
 
     ``unitary`` is ``d x d`` on the subspace bases and has its largest-modulus
     entry fixed real positive so certificates are comparable across Kraus
@@ -66,10 +68,11 @@ class UumCertificate:
 
 @dataclass(frozen=True)
 class UuqcCertificate:
-    """Verdict for a channel: per-element certificates plus the shared unitary.
+    """Verdict for a channel: per-element data plus the shared unitary.
 
-    ``total_probability`` is the sum of contributing per-element
-    probabilities.  ``definition_residual`` is the exact Frobenius distance
+    ``per_element`` is one ``UumCertificate`` whose fields are indexed by
+    Kraus element first.  ``total_probability`` is the sum of contributing
+    per-element probabilities.  ``definition_residual`` is the exact Frobenius distance
     ``||J - q |U>><<U|||`` between the unnormalized Choi matrix ``J`` of the
     projected, environment-traced channel and that of ``q U . U^dag``; it
     bounds ``||Phi(rho) - q U rho U^dag||_F`` for every density operator
@@ -80,7 +83,7 @@ class UuqcCertificate:
 
     is_uuqc: bool
     total_probability: float
-    per_element: tuple
+    per_element: UumCertificate
     unitary: np.ndarray
     definition_residual: float
     mismatched_pair: tuple | None
@@ -138,10 +141,9 @@ def restrict_operator(
 
 def _certify_restricted(
     restricted: np.ndarray, d: int, env_in: int, env_out: int, tol: float
-) -> tuple:
-    """Stacked certificate data for a stack of restricted operators: one
-    array per ``UumCertificate`` field, in field order, with the stack's
-    leading axis."""
+) -> UumCertificate:
+    """One certificate for a stack of restricted operators, every field
+    carrying the stack's leading axis."""
     pair = factor_as_tensor(restricted, d, env_out, d, env_in)
     sys_factor = pair.sys_factor
     gram = sys_factor.conj().swapaxes(1, 2) @ sys_factor
@@ -158,15 +160,8 @@ def _certify_restricted(
     unitary = sys_factor / root * phase
     env_factor = pair.env_factor * root * np.conj(phase)
     is_uum = (pair.residual <= tol) & (unitarity_dev <= tol) & (probability > tol)
-    return (is_uum, probability, unitary, env_factor, pair.residual, pair.schmidt_values,
-            unitarity_dev)
-
-
-def _uum_certificates(fields: tuple) -> tuple:
-    """One ``UumCertificate`` per operator from ``_certify_restricted``'s
-    stacked fields; scalar fields become Python scalars."""
-    columns = [f.tolist() if f.ndim == 1 else f for f in fields]
-    return tuple(UumCertificate(*row) for row in zip(*columns))
+    return UumCertificate(is_uum, probability, unitary, env_factor, pair.residual,
+                          pair.schmidt_values, unitarity_dev)
 
 
 def certify_uum(
@@ -189,7 +184,8 @@ def certify_uum(
     omega = np.asarray(omega, dtype=complex)
     v1, v2, d = _resolve_subspaces(v1, v2, omega.shape, env_in, env_out)
     restricted = restrict_operator(omega, v1, v2, env_in, env_out)
-    return _uum_certificates(_certify_restricted(restricted[None], d, env_in, env_out, tol))[0]
+    stacked = _certify_restricted(restricted[None], d, env_in, env_out, tol)
+    return UumCertificate(*(v[0].item() if v.ndim == 1 else v[0] for v in vars(stacked).values()))
 
 
 def probability_profile(
@@ -287,14 +283,13 @@ def certify_uuqc(
     v1, v2, d = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
 
     restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
-    fields = _certify_restricted(restricted, d, env_in, env_out, tol)
-    is_uum, probability, unitaries = fields[:3]
-    contributing = (probability > tol).nonzero()[0]
+    per = _certify_restricted(restricted, d, env_in, env_out, tol)
+    contributing = (per.probability > tol).nonzero()[0]
 
-    ok = bool(is_uum[contributing].all())
+    ok = bool(per.is_uum[contributing].all())
     mismatched = None
     if ok and len(contributing):
-        us = unitaries[contributing]
+        us = per.unitary[contributing]
         # ||U_k - e^{i phi} U_0|| with phi = arg Tr(U_0^dag U_k), for all k at
         # once; a zero overlap keeps phi = 0, so trace-orthogonal unitaries
         # stay far apart.
@@ -305,13 +300,13 @@ def certify_uuqc(
             mismatched = (int(contributing[0]), int(contributing[far[0]]))
 
     # With no contributing element, q = 0 is measured against the identity.
-    q = float(probability[contributing].sum())
-    unitary = unitaries[contributing[0]] if len(contributing) else np.eye(d, dtype=complex)
+    q = float(per.probability[contributing].sum())
+    unitary = per.unitary[contributing[0]] if len(contributing) else np.eye(d, dtype=complex)
     residual = _definition_residual(restricted, d, env_in, env_out, q, unitary)
     return UuqcCertificate(
         is_uuqc=ok and q > tol and residual <= tol,
         total_probability=q,
-        per_element=_uum_certificates(fields),
+        per_element=per,
         unitary=unitary,
         definition_residual=residual,
         mismatched_pair=mismatched,
@@ -360,7 +355,7 @@ def refine(
 
     # Expansion coefficients of every contributing environment factor:
     # row j, column i holds <out_j| T_k |in_i>.
-    factors = np.array([c.env_factor for c in cert.per_element if c.probability > tol])
+    factors = cert.per_element.env_factor[cert.per_element.probability > tol]
     weights = np.sqrt(np.sum(np.abs(dagger(b_out) @ factors @ b_in) ** 2, axis=0))
     j, i = np.nonzero(weights > tol)
     if len(j) == 0:

@@ -198,3 +198,35 @@ def refine_by_kron(unitary, thetas, v1_cols, v2_cols, b_in, b_out, tol: float = 
             if w > tol:
                 out.append(np.kron(embedded, w * np.outer(b_out[:, j], b_in[:, i].conj())))
     return out
+
+
+def correction_by_choi_eigh(code, noise, tol: float = 1e-9) -> tuple:
+    """The Choi-matrix route to the unambiguous correction probability and
+    the certainty condition: build the ``(d n) x (d n)`` Choi state of
+    encode-then-noise with ``noise_choi_state``, ``eigh`` it, and score its
+    eigen-branches.  Returns ``(probability, method, certainty_condition)``."""
+    from uuqc.entanglement import conversion_probability, is_rank_d_ues, schmidt
+    from uuqc.qec import noise_choi_state
+
+    sigma = noise_choi_state(code, noise)
+    d, n = code.logical_dim, noise.out_dim
+    weight = float(np.trace(sigma).real)
+    if weight <= tol:
+        return 0.0, "pure-exact", False
+    evals, evecs = np.linalg.eigh(sigma)
+    if weight - float(evals[-1]) <= tol:
+        psi = evecs[:, -1]
+        prob = weight * conversion_probability(schmidt(psi, d, n), d)
+        return float(prob), "pure-exact", is_rank_d_ues(psi, d, n, d, tol)
+
+    keep = evals > tol
+    kets = evecs[:, keep].T.reshape(-1, d, n)
+    _, svals, vh = np.linalg.svd(kets, full_matrices=False)
+    support = svals > tol
+    ranges, labels = vh[support].T, np.nonzero(support)[0]
+    cross = (ranges.conj().T @ ranges) * (labels[:, None] != labels)
+    prob = 0.0
+    for m, (lam, ket) in enumerate(zip(evals[keep], kets)):
+        if np.max(np.abs(cross[labels == m]), initial=0.0) <= tol:
+            prob += lam * conversion_probability(schmidt(ket, d, n, tol), d)
+    return float(prob), "filter-lower-bound", False

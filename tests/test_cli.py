@@ -192,6 +192,46 @@ def test_verify_dc(capsys, tmp_path):
     assert code == 3
 
 
+def test_nan_schmidt_coefficients_exit_one(capsys, tmp_path):
+    prot = optimal_protocol(SharedState.from_squares([0.8, 0.2]))
+    enc_file = write(tmp_path / "enc.json", channel_to_doc(KrausChannel(prot.encoders)))
+    bob_file = write(tmp_path / "bob.json", matrix_to_doc(optimal_receiver(prot)))
+    for argv in (["dense-code", "--D", "2", "--lambdas2", "nan,nan", "--trials", "10"],
+                 ["verify-dc", enc_file, bob_file, "--lambdas2", "nan,nan"]):
+        code, report, err = run(capsys, argv)
+        assert code == 1 and report is None, argv
+        assert "--lambdas2" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_tol_must_be_finite_and_nonnegative(capsys, tmp_path, tol):
+    # a phase flip the repetition code cannot correct: tol = inf called it
+    # correctable, NaN and negative values turned the input into a verdict
+    code_file = write(tmp_path / "code.json", code_to_doc(repetition_code()))
+    flip = KrausChannel((np.sqrt(0.7) * np.eye(8), np.sqrt(0.3) * single_qubit_on(np.diag([1.0, -1.0]), 0)))
+    flip_file = write(tmp_path / "flip.json", channel_to_doc(flip))
+    ch_file = write(tmp_path / "ch.json", channel_to_doc(KrausChannel((random_unitary(2, 3),))))
+    assert run(capsys, ["kl-check", code_file, flip_file])[0] == 3
+    assert run(capsys, ["check-uuqc", ch_file])[0] == 0
+    for argv in (["kl-check", code_file, flip_file], ["check-uuqc", ch_file]):
+        code, report, err = run(capsys, argv + ["--tol", tol])
+        assert code == 1 and report is None, argv
+        assert "--tol" in err
+
+
+def test_check_uuqc_lists_per_element_floats(capsys, tmp_path):
+    # a certified element, a zero-weight one and a non-factorable one
+    u = random_unitary(2, 9)
+    elems = (np.sqrt(0.5) * u, np.zeros((2, 2)), np.diag([0.5, 0.1]))
+    ch_file = write(tmp_path / "ch.json", channel_to_doc(KrausChannel(elems)))
+    code, report, _ = run(capsys, ["check-uuqc", ch_file])
+    assert code == 3
+    for key in ("per_element_probability", "per_element_residual"):
+        assert len(report[key]) == 3
+        assert all(type(v) is float for v in report[key]), key
+    np.testing.assert_allclose(report["per_element_probability"], [0.5, 0.0, 0.13], atol=1e-12)
+
+
 def test_invalid_inputs_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, ["schmidt", str(tmp_path / "missing.json"), "--dims", "2,2"])
     assert code == 1 and "missing.json" in err

@@ -47,6 +47,15 @@ def test_shared_state_validation():
     np.testing.assert_allclose(state.ket(), [np.sqrt(0.8), 0, 0, np.sqrt(0.2)])
 
 
+@pytest.mark.parametrize("lambdas", [[np.nan, np.nan], [np.nan], [1.0, np.nan], [np.nan, 0.5]])
+def test_shared_state_rejects_nan(lambdas):
+    # NaN fails every comparison, so no check may pass it by not failing.
+    with pytest.raises(ValueError, match="positive numbers"):
+        SharedState(np.array(lambdas))
+    with pytest.raises(ValueError):
+        SharedState.from_squares(np.square(lambdas))
+
+
 def test_capacity_values():
     assert capacity(SharedState.from_squares([0.25] * 4)) == pytest.approx(1.0)
     assert capacity(SharedState.from_squares([0.8, 0.2])) == pytest.approx(0.4)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import uuqc.qec
 from uuqc.channels import KrausChannel, apply, choi_state, compose
 from uuqc.entanglement import is_rank_d_ues, schmidt
 from uuqc.linalg import random_unitary
@@ -28,6 +29,7 @@ from builders import (
     single_qubit_on,
 )
 from oracles import (
+    correction_by_choi_eigh,
     filter_conversion_max,
     orthogonal_branch_probability,
     standard_recovery_two_pass,
@@ -469,3 +471,76 @@ def test_bound_matches_orthogonal_branch_oracle(case):
     blocks = [e @ code.encoder for e in noise.elements]
     assert method == "filter-lower-bound"
     assert prob == pytest.approx(orthogonal_branch_probability(blocks, code.logical_dim), abs=1e-9)
+
+
+def _noise_with_branches(seed, dims, branches, extra, separated, trace_preserving):
+    """A random code and noise whose code-space actions ``E_r C`` are random
+    mixtures, by an isometry, of ``branches`` blocks ``B_j``: with ranges in
+    mutually orthogonal ``d``-column blocks of a random basis, or generic.
+    The composite is trace-preserving (``sum B_j^dag B_j = I``) or has
+    weight 0.6; the elements also act at random on the code complement."""
+    n, d = dims
+    rng = np.random.default_rng(seed)
+    enc = random_unitary(n, rng)[:, :d]
+    if separated:
+        basis = random_unitary(n, rng)
+        blocks = [basis[:, j * d:(j + 1) * d] @ rand_complex(rng, (d, d)) for j in range(min(branches, n // d))]
+    else:
+        blocks = [rand_complex(rng, (n, d)) for _ in range(branches)]
+    if trace_preserving:
+        evals, evecs = np.linalg.eigh(sum(b.conj().T @ b for b in blocks))
+        inv_root = (evecs / np.sqrt(evals)) @ evecs.conj().T
+        blocks = [b @ inv_root for b in blocks]
+    else:
+        scale = np.sqrt(0.6 * d / sum(np.linalg.norm(b) ** 2 for b in blocks))
+        blocks = [scale * b for b in blocks]
+    u = random_unitary(len(blocks) + extra, rng)[:, :len(blocks)]
+    outside = np.eye(n) - enc @ enc.conj().T
+    noise = KrausChannel(tuple(
+        sum(u[r, j] * b for j, b in enumerate(blocks)) @ enc.conj().T + 0.3 * rand_complex(rng, (n, n)) @ outside
+        for r in range(len(u))
+    ))
+    return CodeSpec(enc), noise
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(3, 2), (4, 2), (6, 2), (6, 3), (8, 2)]),
+    branches=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    separated=st.booleans(),
+    trace_preserving=st.booleans(),
+)
+def test_choi_free_verdicts_match_choi_eigh_oracle(seed, dims, branches, extra, separated, trace_preserving):
+    code, noise = _noise_with_branches(seed, dims, branches, extra, separated, trace_preserving)
+    # Inside a degenerate eigenspace the branch basis is an arbitrary choice;
+    # the Knill-Laflamme exactness property covers degenerate spectra.
+    evals = np.linalg.eigvalsh(noise_choi_state(code, noise))[::-1]
+    nonzero = evals[evals > 1e-9]
+    assume(nonzero[-1] > 1e-6 and np.all(-np.diff(nonzero) > 1e-4))
+    want_prob, want_method, want_certain = correction_by_choi_eigh(code, noise)
+    prob, method = unambiguous_correction_probability(code, noise)
+    assert method == want_method
+    assert prob == pytest.approx(want_prob, abs=1e-9)
+    assert meets_certainty_condition(code, noise) == want_certain
+
+
+def test_correction_verdicts_build_no_choi_matrix(monkeypatch):
+    cases = [flagged_block_mixture(), repetition_phase_flip(), trace_decreasing_bit_flip(),
+             (trivial_code(), KrausChannel((random_unitary(2, 8),))),
+             (trivial_code(), KrausChannel((np.diag([1.0, 0.8]).astype(complex),)))]
+    want = [correction_by_choi_eigh(code, noise) for code, noise in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Choi matrix was built or diagonalised")
+
+    monkeypatch.setattr(uuqc.qec, "choi_state", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for (code, noise), (want_prob, want_method, want_certain) in zip(cases, want):
+        prob, method = unambiguous_correction_probability(code, noise)
+        assert method == want_method
+        assert prob == pytest.approx(want_prob, abs=1e-12)
+        assert meets_certainty_condition(code, noise) == want_certain
+    assert [c for _, _, c in want] == [False, False, False, True, False]
+    with pytest.raises(AssertionError, match="Choi matrix"):
+        noise_choi_state(*cases[0])

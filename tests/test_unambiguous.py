@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from uuqc.linalg import (
     tensor_product,
 )
 from uuqc.unambiguous import (
+    UumCertificate,
     certify_uum,
     certify_uuqc,
     extend_by_identity,
@@ -211,25 +213,53 @@ def test_uuqc_allows_zero_probability_elements():
     assert cert.total_probability == pytest.approx(0.5, abs=1e-9)
 
 
-def test_uuqc_per_element_equals_certify_uum():
+def _with_non_factorable_and_zero_weight():
+    """A certifying channel with env legs (2 in, 3 out), the same channel
+    plus a non-factorable and a zero-weight element, and the subspaces."""
     rng = np.random.default_rng(21)
     ch, u, thetas, v1, v2 = make_uuqc(rng, 3, 5, 4, 2, 3, [0.2, 0.3, 0.1], with_noise=True)
     non_factorable = tensor_product(v2.columns @ rand_complex(rng, (3, 3)) @ v1.columns.conj().T,
                                     np.eye(3, 2)) + 0.1 * rand_complex(rng, (12, 10))
     junk = tensor_product(v2.complement().columns @ rand_complex(rng, (1, 5)), np.ones((3, 2)))
-    mixed = KrausChannel(ch.elements + (non_factorable, junk))
+    return ch, KrausChannel(ch.elements + (non_factorable, junk)), v1, v2
+
+
+def test_uuqc_per_element_equals_certify_uum():
+    ch, mixed, v1, v2 = _with_non_factorable_and_zero_weight()
     for channel in (ch, mixed):
         cert = certify_uuqc(channel, v1, v2, 2, 3)
-        assert len(cert.per_element) == len(channel.elements)
-        for got, e in zip(cert.per_element, channel.elements):
+        per = cert.per_element
+        assert len(per.probability) == len(channel.elements)
+        for k, e in enumerate(channel.elements):
             want = certify_uum(e, v1, v2, 2, 3)
-            assert got.is_uum == want.is_uum
-            assert got.probability == pytest.approx(want.probability, abs=1e-12)
-            assert got.residual == pytest.approx(want.residual, abs=1e-12)
-            np.testing.assert_allclose(got.unitary, want.unitary, atol=1e-12)
-            np.testing.assert_allclose(got.env_factor, want.env_factor, atol=1e-12)
+            assert per.is_uum[k] == want.is_uum
+            assert per.probability[k] == pytest.approx(want.probability, abs=1e-12)
+            assert per.residual[k] == pytest.approx(want.residual, abs=1e-12)
+            np.testing.assert_allclose(per.unitary[k], want.unitary, atol=1e-12)
+            np.testing.assert_allclose(per.env_factor[k], want.env_factor, atol=1e-12)
     assert certify_uuqc(ch, v1, v2, 2, 3).is_uuqc
     assert not certify_uuqc(mixed, v1, v2, 2, 3).is_uuqc
+
+
+def test_uuqc_per_element_is_one_stacked_certificate():
+    _, mixed, v1, v2 = _with_non_factorable_and_zero_weight()
+    per = certify_uuqc(mixed, v1, v2, 2, 3).per_element
+    assert isinstance(per, UumCertificate)
+    shapes = {f.name: np.shape(getattr(per, f.name)) for f in dataclasses.fields(UumCertificate)}
+    assert all(shape[:1] == (5,) for shape in shapes.values()), shapes
+    assert shapes["unitary"] == (5, 3, 3) and shapes["env_factor"] == (5, 3, 2)
+    assert per.is_uum.tolist() == [True, True, True, False, False]
+    assert per.probability[4] <= 1e-12
+
+
+def test_certify_uum_returns_python_scalars():
+    _, mixed, v1, v2 = _with_non_factorable_and_zero_weight()
+    for element in mixed.elements:
+        cert = certify_uum(element, v1, v2, 2, 3)
+        assert type(cert.is_uum) is bool
+        for name in ("probability", "residual", "unitarity_deviation"):
+            assert type(getattr(cert, name)) is float, name
+        assert cert.unitary.shape == (3, 3) and cert.env_factor.shape == (3, 2)
 
 
 def test_uuqc_names_unitaries_1e6_apart_as_mismatched():
@@ -247,7 +277,7 @@ def test_uuqc_names_unitaries_1e6_apart_as_mismatched():
     cert = certify_uuqc(ch)
     assert not cert.is_uuqc
     assert cert.mismatched_pair == (0, 1)
-    assert all(c.is_uum for c in cert.per_element)
+    assert cert.per_element.is_uum.all()
     assert cert.definition_residual > 1e-9
 
 
@@ -422,7 +452,7 @@ def test_uuqc_names_trace_orthogonal_unitaries_as_mismatched(zeros):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cert = certify_uuqc(ch)
-    assert all(c.is_uum for c in cert.per_element[zeros:])
+    assert cert.per_element.is_uum[zeros:].all()
     assert not cert.is_uuqc
     assert cert.mismatched_pair == (zeros, zeros + 1)
 

@@ -9,7 +9,8 @@ against (``git clone`` or ``git archive``) in ``PARENT``:
 Each side runs in a fresh interpreter that imports ``uuqc`` from the given
 ``src`` directory, with one BLAS thread.  The sides alternate for
 ``ROUNDS`` rounds, the first side switching each round; a round times every
-case ``REPEATS`` times with ``time.perf_counter`` after one warm-up call.
+case ``REPEATS`` times (``LARGE_REPEATS`` at 9 qubits) with
+``time.perf_counter`` after one warm-up call.
 Inputs come from fixed seeds, so both sides time the same work.  The
 output lists, for each case, its name, layer and dims and, for each side,
 the median and interquartile range in milliseconds over all rounds, plus a
@@ -25,8 +26,11 @@ The cases:
 - ``search_mixed_nonzero`` with ``d = 2`` on 3 x 4 and 4 x 4 product states,
   which sweep every subset pair;
 - ``choi_state`` at ``in_dim * out_dim`` = 288, 640 and 1536;
-- ``standard_recovery`` on the 3-, 5- and 7-qubit repetition codes under
-  ``0.7 I`` plus single bit flips that share the remaining 0.3.
+- ``standard_recovery`` and ``verify_correction_uuqc`` (with that
+  recovery) on the 3-, 5- and 7-qubit repetition codes under ``0.7 I`` plus
+  single bit flips that share the remaining 0.3;
+- ``unambiguous_correction_probability`` and ``meets_certainty_condition``
+  on the same codes and noise at 3, 5, 7 and 9 qubits.
 
 This is a measuring tool: it is neither a test nor part of the benchmark.
 """
@@ -44,6 +48,9 @@ import time
 BLAS_THREADS = 1
 ROUNDS = 10
 REPEATS = 15
+# Repeats per round of the 9-qubit cases, which took about 0.5 s per call
+# when they built the 1024 x 1024 Choi matrix.
+LARGE_REPEATS = 3
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
@@ -51,13 +58,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (in_dim, out_dim, K) of the timed Choi states.
 CHOI_SHAPES = [(18, 16, 5), (20, 32, 6), (32, 48, 8)]
 REPETITION_QUBITS = [3, 5, 7]
+EC_PROB_QUBITS = [3, 5, 7, 9]
 # (K, out_dim, in_dim) of the arrays timed through the KrausChannel constructor.
 STACK_SHAPES = [(64, 8, 8), (16, 64, 64)]
 SWEEP_DIMS = [(3, 4), (4, 4)]
 
 
 def _cases():
-    """``(name, layer, dims, call)`` for every timed case."""
+    """``(name, layer, dims, call, repeats)`` for every timed case."""
     import numpy as np
 
     import uuqc
@@ -90,39 +98,52 @@ def _cases():
         sub1, sub2 = uuqc.SubspaceIsometry(v1), uuqc.SubspaceIsometry(v2)
         dims = {"d": d, "ambient_in": a_in, "ambient_out": a_out, "env_in": e_in, "env_out": e_out, "K": k}
         cases.append(("certify_uuqc", "unambiguous", dims,
-                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.certify_uuqc(ch, s1, s2, *e)))
+                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.certify_uuqc(ch, s1, s2, *e),
+                      REPEATS))
         cases.append(("restrict_operator", "unambiguous", dims,
-                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.restrict_operator(ch.stack, s1, s2, *e)))
+                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.restrict_operator(ch.stack, s1, s2, *e),
+                      REPEATS))
         cases.append(("refine", "unambiguous", dims,
-                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.refine(ch, s1, s2, *e)))
+                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.refine(ch, s1, s2, *e), REPEATS))
 
     for shape in STACK_SHAPES:
         stack = rand_complex(shape)
         cases.append(("KrausChannel", "channels", dict(zip(("K", "out_dim", "in_dim"), shape)),
-                      lambda stack=stack: uuqc.KrausChannel(stack)))
+                      lambda stack=stack: uuqc.KrausChannel(stack), REPEATS))
 
     for dim_a, dim_b in SWEEP_DIMS:
         ga, gb = rand_complex((dim_a, dim_a)), rand_complex((dim_b, dim_b))
         rho = np.kron(ga @ ga.conj().T, gb @ gb.conj().T)
         rho /= np.trace(rho).real
         cases.append(("search_mixed_nonzero", "entanglement", {"dim_a": dim_a, "dim_b": dim_b, "d": 2},
-                      lambda rho=rho, a=dim_a, b=dim_b: uuqc.search_mixed_nonzero(rho, a, b, 2)))
+                      lambda rho=rho, a=dim_a, b=dim_b: uuqc.search_mixed_nonzero(rho, a, b, 2), REPEATS))
 
     for in_dim, out_dim, k in CHOI_SHAPES:
         ch = uuqc.KrausChannel(tuple(rand_complex((k, out_dim, in_dim))))
         cases.append(("choi_state", "channels", {"in_dim": in_dim, "out_dim": out_dim, "K": k,
                                                  "N": in_dim * out_dim},
-                      lambda ch=ch: uuqc.choi_state(ch)))
+                      lambda ch=ch: uuqc.choi_state(ch), REPEATS))
 
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for n in REPETITION_QUBITS:
+    for n in EC_PROB_QUBITS:
         enc = np.zeros((2**n, 2), dtype=complex)
         enc[0, 0] = enc[-1, 1] = 1.0
         flips = [np.kron(np.kron(np.eye(2**j), flip), np.eye(2 ** (n - j - 1))) for j in range(n)]
         noise = uuqc.KrausChannel(tuple([np.sqrt(0.7) * np.eye(2**n)] + [np.sqrt(0.3 / n) * f for f in flips]))
         code = uuqc.CodeSpec(enc)
-        cases.append(("standard_recovery", "qec", {"qubits": n, "n_phys": 2**n, "K": n + 1},
-                      lambda code=code, noise=noise: uuqc.standard_recovery(code, noise)))
+        dims = {"qubits": n, "n_phys": 2**n, "K": n + 1}
+        if n in REPETITION_QUBITS:
+            recovery = uuqc.standard_recovery(code, noise)
+            cases.append(("standard_recovery", "qec", dims,
+                          lambda code=code, noise=noise: uuqc.standard_recovery(code, noise), REPEATS))
+            cases.append(("verify_correction_uuqc", "qec", dims,
+                          lambda code=code, noise=noise, r=recovery: uuqc.verify_correction_uuqc(code, noise, r),
+                          REPEATS))
+        repeats = REPEATS if n in REPETITION_QUBITS else LARGE_REPEATS
+        cases.append(("unambiguous_correction_probability", "qec", dims,
+                      lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), repeats))
+        cases.append(("meets_certainty_condition", "qec", dims,
+                      lambda code=code, noise=noise: uuqc.meets_certainty_condition(code, noise), repeats))
     return cases
 
 
@@ -130,10 +151,10 @@ def child(src: str) -> None:
     """Time every case with the ``uuqc`` found in ``src``; print JSON."""
     sys.path.insert(0, os.path.abspath(src))
     out = []
-    for name, layer, dims, call in _cases():
+    for name, layer, dims, call, repeats in _cases():
         call()
         times = []
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             start = time.perf_counter()
             call()
             times.append((time.perf_counter() - start) * 1e3)
@@ -185,8 +206,8 @@ def main(argv=None) -> int:
     doc = {
         "tool": "tools/layer_timings.py",
         "method": (f"{ROUNDS} alternating rounds per side, each a fresh interpreter timing every case "
-                   f"{REPEATS} times with time.perf_counter after one warm-up call; medians and "
-                   "interquartile ranges over all rounds, in ms"),
+                   f"{REPEATS} times ({LARGE_REPEATS} at 9 qubits) with time.perf_counter after one "
+                   "warm-up call; medians and interquartile ranges over all rounds, in ms"),
         "machine": machine_note(),
         "cases": cases,
     }
@@ -194,7 +215,7 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for c in cases:
-        print(f"{c['name']:22s} {json.dumps(c['dims']):70s} {c['before']['median_ms']:9.3f} -> "
+        print(f"{c['name']:34s} {json.dumps(c['dims']):70s} {c['before']['median_ms']:9.3f} -> "
               f"{c['after']['median_ms']:9.3f} ms  x{c['after_over_before']}")
     return 0
 
