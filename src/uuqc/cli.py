@@ -306,6 +306,8 @@ def _run_ec_prob(args):
 
 
 def _run_dense_code(args):
+    if args.D < 2:
+        raise FormatError("dense coding needs D >= 2")
     state = _parse_lambdas2(args.lambdas2, args.D)
     if args.trials < 1:
         raise FormatError("--trials: must be >= 1")

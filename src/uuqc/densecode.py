@@ -72,7 +72,11 @@ class SharedState:
 
     @classmethod
     def from_squares(cls, lambdas_squared) -> "SharedState":
-        return cls(np.sqrt(np.asarray(lambdas_squared, dtype=float)))
+        squares = np.asarray(lambdas_squared, dtype=float)
+        # Checked before the root, which warns on negative squares.
+        if not np.all(np.isfinite(squares) & (squares > 0)):
+            raise ValueError("all Schmidt coefficients must be positive numbers")
+        return cls(np.sqrt(squares))
 
 
 @dataclass(frozen=True)

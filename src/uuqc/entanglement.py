@@ -130,12 +130,10 @@ def uuqc_to_ues(
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
     if not cert.is_uuqc:
         raise ValueError("channel did not certify; cannot convert to a shared state")
-    d = len(cert.unitary)
     # (I (x) U)|phi> holds U[s, i] / sqrt(d) at (i, s).
-    ket = cert.unitary.T.reshape(-1) / np.sqrt(d)
-    idx = int(np.argmax(np.abs(ket)))
-    phase = np.conj(ket[idx]) / abs(ket[idx])
-    return cert.total_probability, ket * phase
+    ket = cert.unitary.T.reshape(-1) / len(cert.unitary) ** 0.5
+    peak = ket[abs(ket).argmax()]
+    return cert.total_probability, ket * (abs(peak) / peak)
 
 
 def teleportation_parts(d: int):

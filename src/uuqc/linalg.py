@@ -199,8 +199,8 @@ def factor_as_tensor(
     left, values, right_h = np.linalg.svd(shuffled, full_matrices=False)
     sys_factor = left[..., 0].reshape(batch + (sys_out, sys_in))
     env_factor = (values[..., :1] * right_h[..., 0, :]).reshape(batch + (env_out, env_in))
-    residual = np.sqrt(np.sum(values[..., 1:] ** 2, axis=-1))
-    return FactoredPair(sys_factor, env_factor, residual, values)
+    tail = values[..., 1:]
+    return FactoredPair(sys_factor, env_factor, np.sqrt(np.einsum("...i,...i->...", tail, tail)), values)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

@@ -145,22 +145,20 @@ def _certify_restricted(
     """One certificate for a stack of restricted operators, every field
     carrying the stack's leading axis."""
     pair = factor_as_tensor(restricted, d, env_out, d, env_in)
-    sys_factor = pair.sys_factor
-    gram = sys_factor.conj().swapaxes(1, 2) @ sys_factor
-    scale = np.trace(gram, axis1=1, axis2=2).real / d
-    unitarity_dev = np.linalg.norm(gram - scale[:, None, None] * np.eye(d), axis=(1, 2))
+    flat = pair.sys_factor.reshape(len(restricted), -1)
+    peak = flat.take(np.arange(0, flat.size, d * d) + abs(flat).argmax(1))
+    # sys_factor has unit norm, so its scale is 1/d: one factor sqrt(d) conj(peak) /
+    # |peak| per element makes a passing one unitary, with its peak real positive.
+    rot = (d**0.5 / abs(peak) * peak.conj())[:, None, None]
+    unitary = pair.sys_factor * rot
+    # ||S^dag S - I/d|| = ||U^dag U - I|| / d, its square a real dot product.
+    gram = unitary.conj().swapaxes(1, 2) @ unitary
+    gram.reshape(len(gram), -1)[:, :: d + 1] -= 1
+    dev = gram.reshape(len(gram), -1).view(float)
+    unitarity_dev = np.sqrt(np.einsum("ki,ki->k", dev, dev)) / d
     probability = pair.schmidt_values[:, 0] ** 2 / d
-
-    # sys_factor has unit norm, so scale is 1/d and never zero.
-    root = np.sqrt(scale)[:, None, None]
-    # Each largest-modulus entry real positive, as UumCertificate documents.
-    flat = sys_factor.reshape(len(sys_factor), -1)
-    peak = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
-    phase = np.exp(-1j * np.angle(peak))[:, None, None]
-    unitary = sys_factor / root * phase
-    env_factor = pair.env_factor * root * np.conj(phase)
     is_uum = (pair.residual <= tol) & (unitarity_dev <= tol) & (probability > tol)
-    return UumCertificate(is_uum, probability, unitary, env_factor, pair.residual,
+    return UumCertificate(is_uum, probability, unitary, pair.env_factor / rot, pair.residual,
                           pair.schmidt_values, unitarity_dev)
 
 
@@ -183,8 +181,8 @@ def certify_uum(
     """
     omega = np.asarray(omega, dtype=complex)
     v1, v2, d = _resolve_subspaces(v1, v2, omega.shape, env_in, env_out)
-    restricted = restrict_operator(omega, v1, v2, env_in, env_out)
-    stacked = _certify_restricted(restricted[None], d, env_in, env_out, tol)
+    restricted = restrict_operator(omega[None], v1, v2, env_in, env_out)
+    stacked = _certify_restricted(restricted, d, env_in, env_out, tol)
     return UumCertificate(*(v[0].item() if v.ndim == 1 else v[0] for v in vars(stacked).values()))
 
 
@@ -240,24 +238,22 @@ def _definition_residual(restricted: np.ndarray, d: int, env_in: int, env_out: i
                          q: float, unitary: np.ndarray) -> float:
     """Exact ``||J - q |U>><<U|||_F`` for the projected channel.
 
-    ``J = W^T W^*`` where row ``(k, e_out, e_in)`` of ``W`` is the ``vec``
-    (reference index slow) of the ``d x d`` block ``<e_out| R_k |e_in>``.
-    Each row splits along ``u = vec(U) / sqrt(d)`` as ``alpha_r u + b_r``, so
-    the squared distance is ``(sum |alpha_r|^2 - q d)^2 + 2 ||sum conj(alpha_r)
-    b_r||^2 + ||B B^dag||_F^2``.  Unlike ``||J||^2 - 2q<u,Ju> + ...`` this
+    Both sides are ordered output index slow, which keeps their distance:
+    ``|U>> = vec(U)`` and ``J = W W^dag``, column ``(k, e_out, e_in)`` of ``W``
+    being the ``vec`` of the ``d x d`` block ``<e_out| R_k |e_in>``.  Each
+    column splits along ``u = |U>> / sqrt(d)`` as ``alpha_r u + b_r``, so the
+    squared distance is ``(sum |alpha_r|^2 - q d)^2 + 2 ||sum conj(alpha_r)
+    b_r||^2 + ||B^dag B||_F^2``.  Unlike ``||J||^2 - 2q<u,Ju> + ...`` this
     does not cancel to rounding noise on channels that do certify.
     """
-    w = restricted.reshape(-1, d, env_out, d, env_in).transpose(0, 2, 4, 3, 1).reshape(-1, d * d)
-    u = unitary.T.reshape(-1) / np.sqrt(d)
-    alpha = w @ u.conj()
-    b = w - alpha[:, None] * u
-    gram = b @ dagger(b) if len(b) < d * d else dagger(b) @ b
-    squared = (
-        (np.sum(np.abs(alpha) ** 2) - q * d) ** 2
-        + 2 * np.linalg.norm(alpha.conj() @ b) ** 2
-        + np.linalg.norm(gram) ** 2
-    )
-    return float(np.sqrt(squared))
+    w = restricted.reshape(-1, d, env_out, d, env_in).transpose(1, 3, 0, 2, 4).reshape(d * d, -1)
+    u = unitary.reshape(-1) / d**0.5
+    alpha = u.conj() @ w
+    b = w - u[:, None] * alpha
+    gram = b.conj().T @ b if b.shape[1] < d * d else b @ b.conj().T
+    beta = b @ alpha.conj()
+    squared = (np.vdot(alpha, alpha).real - q * d) ** 2 + 2 * np.vdot(beta, beta).real
+    return float((squared + np.vdot(gram, gram).real) ** 0.5)
 
 
 def certify_uuqc(
@@ -281,20 +277,21 @@ def certify_uuqc(
     ``q U rho U^dag`` on every subspace state.  The check is deterministic.
     """
     v1, v2, d = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
-
     restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
     per = _certify_restricted(restricted, d, env_in, env_out, tol)
     contributing = (per.probability > tol).nonzero()[0]
 
-    ok = bool(per.is_uum[contributing].all())
+    # Only contributing elements can pass, so counting them settles whether all do.
+    ok = np.count_nonzero(per.is_uum) == len(contributing)
     mismatched = None
-    if ok and len(contributing):
-        us = per.unitary[contributing]
+    if ok and len(contributing) > 1:
+        us = per.unitary[contributing].reshape(len(contributing), -1)
         # ||U_k - e^{i phi} U_0|| with phi = arg Tr(U_0^dag U_k), for all k at
         # once; a zero overlap keeps phi = 0, so trace-orthogonal unitaries
         # stay far apart.
-        phase = np.exp(1j * np.angle(np.einsum("ij,kij->k", us[0].conj(), us)))
-        far = np.nonzero(np.linalg.norm(us - phase[:, None, None] * us[0], axis=(1, 2)) > tol)[0]
+        phase = np.exp(1j * np.angle(us @ us[0].conj()))
+        diff = (us - phase[:, None] * us[0]).view(float)
+        far = (np.sqrt(np.einsum("ki,ki->k", diff, diff)) > tol).nonzero()[0]
         if len(far):
             ok = False
             mismatched = (int(contributing[0]), int(contributing[far[0]]))
@@ -356,16 +353,15 @@ def refine(
     # Expansion coefficients of every contributing environment factor:
     # row j, column i holds <out_j| T_k |in_i>.
     factors = cert.per_element.env_factor[cert.per_element.probability > tol]
-    weights = np.sqrt(np.sum(np.abs(dagger(b_out) @ factors @ b_in) ** 2, axis=0))
-    j, i = np.nonzero(weights > tol)
-    if len(j) == 0:
-        raise ValueError("refinement produced no elements")
+    weights = np.sqrt((abs(b_out.conj().T @ factors @ b_in) ** 2).sum(0))
     # One element per kept (j, i), in row-major order: w_ji U (x) |out_j><in_i|,
     # with the axes (element, sys_out, env_out, sys_in, env_in).
-    env_parts = weights[j, i][:, None, None] * b_out.T[j][:, :, None] * b_in.T.conj()[i][:, None, :]
-    embedded_u = v2.columns @ cert.unitary @ dagger(v1.columns)
+    env_parts = np.einsum("ji,cj,ei->jice", weights, b_out, b_in.conj())[weights > tol]
+    if len(env_parts) == 0:
+        raise ValueError("refinement produced no elements")
+    embedded_u = v2.columns @ cert.unitary @ v1.columns.conj().T
     elements = embedded_u[None, :, None, :, None] * env_parts[:, None, :, None, :]
-    return KrausChannel(elements.reshape(len(j), v2.ambient_dim * env_out, v1.ambient_dim * env_in))
+    return KrausChannel(elements.reshape(len(env_parts), v2.ambient_dim * env_out, v1.ambient_dim * env_in))
 
 
 def extend_by_identity(ch: KrausChannel, ancilla_dim: int) -> KrausChannel:

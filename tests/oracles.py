@@ -230,3 +230,41 @@ def correction_by_choi_eigh(code, noise, tol: float = 1e-9) -> tuple:
         if np.max(np.abs(cross[labels == m]), initial=0.0) <= tol:
             prob += lam * conversion_probability(schmidt(ket, d, n, tol), d)
     return float(prob), "filter-lower-bound", False
+
+
+def uum_by_index_loops(restricted, d: int, env_in: int, env_out: int) -> dict:
+    """Per-element certificate data of one restricted ``(d env_out) x (d
+    env_in)`` operator, by explicit index loops.
+
+    Entry ``(a env_out + e, b env_in + f)`` goes to row ``a d + b`` and
+    column ``e env_in + f`` of the operator-Schmidt matrix, whose dominant
+    singular triple gives the unit-norm system factor ``S`` and the
+    environment factor.  The scale is measured as ``Tr(S^dag S) / d``; the
+    unitary is ``S`` over its root and the unitarity deviation is
+    ``||S^dag S - scale I||_F``.
+    """
+    m = np.zeros((d * d, env_out * env_in), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            for e in range(env_out):
+                for f in range(env_in):
+                    m[a * d + b, e * env_in + f] = restricted[a * env_out + e, b * env_in + f]
+    left, values, right_h = np.linalg.svd(m)
+    sys_factor = np.zeros((d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            sys_factor[a, b] = left[a * d + b, 0]
+    env_factor = np.zeros((env_out, env_in), dtype=complex)
+    for e in range(env_out):
+        for f in range(env_in):
+            env_factor[e, f] = values[0] * right_h[0, e * env_in + f]
+    gram = sys_factor.conj().T @ sys_factor
+    scale = np.trace(gram).real / d
+    return {
+        "probability": values[0] ** 2 / d,
+        "residual": float(np.sqrt(np.sum(values[1:] ** 2))),
+        "unitarity_deviation": float(np.linalg.norm(gram - scale * np.eye(d))),
+        "unitary": sys_factor / np.sqrt(scale),
+        "env_factor": env_factor * np.sqrt(scale),
+        "schmidt_values": values,
+    }

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,25 @@ def test_nan_schmidt_coefficients_exit_one(capsys, tmp_path):
         code, report, err = run(capsys, argv)
         assert code == 1 and report is None, argv
         assert "--lambdas2" in err
+
+
+@pytest.mark.parametrize("squares", ["1.5,-0.5", "0.5,-inf", "inf,0.5"])
+def test_bad_squares_exit_one_with_one_line(capsys, squares):
+    # the root of a negative square warned, which printed the warning and its
+    # source line ahead of the one-line error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report, err = run(capsys, ["dense-code", "--D", "2", "--lambdas2", squares])
+    assert code == 1 and report is None
+    assert not caught
+    assert err.splitlines() == ["error: --lambdas2: all Schmidt coefficients must be positive numbers"]
+
+
+@pytest.mark.parametrize("d", ["0", "-1", "1"])
+def test_dense_code_checks_d_before_counting_values(capsys, d):
+    code, report, err = run(capsys, ["dense-code", "--D", d, "--lambdas2", "1"])
+    assert code == 1 and report is None
+    assert err.splitlines() == ["error: dense coding needs D >= 2"]
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

@@ -26,7 +26,13 @@ from uuqc.unambiguous import (
 )
 
 from builders import PAULI_X, PAULI_Z, env_factors, make_uum, make_uuqc, rand_complex, random_subspace
-from oracles import partial_trace_sum, projected_choi_by_kron, refine_by_kron, restrict_by_kron
+from oracles import (
+    partial_trace_sum,
+    projected_choi_by_kron,
+    refine_by_kron,
+    restrict_by_kron,
+    uum_by_index_loops,
+)
 
 
 def test_certify_plain_unitary():
@@ -586,3 +592,83 @@ def test_dimension_errors():
         certify_uum(np.eye(4), SubspaceIsometry.full(4), SubspaceIsometry.full(3))
     with pytest.raises(ValueError):
         restrict_operator(np.eye(4), SubspaceIsometry.full(2), SubspaceIsometry.full(2), 3, 2)
+
+
+def _unit(m, *against):
+    """``m`` with its components along the unit-norm ``against`` removed,
+    scaled to unit Frobenius norm."""
+    for a in against:
+        m = m - np.vdot(a, m) * a
+    return m / np.linalg.norm(m)
+
+
+def _restricted_at_gate(rng, d, env_in, env_out, gate, value):
+    """A restricted operator whose ``gate`` reads ``value`` and whose other
+    gates pass by a wide margin, or a generic one (``gate`` "none")."""
+    a0 = random_unitary(d, rng) / np.sqrt(d)
+    b0 = _unit(rand_complex(rng, (env_out, env_in)))
+    scale = np.sqrt(d * rng.uniform(0.2, 1.0))
+    if gate == "none":
+        return rand_complex(rng, (d * env_out, d * env_in)) * rng.choice([1e-6, 1e-2, 1.0])
+    if gate == "residual":
+        # Schmidt values (scale, value): both factors orthogonal to the first pair
+        a1 = _unit(rand_complex(rng, (d, d)), a0)
+        b1 = _unit(rand_complex(rng, (env_out, env_in)), b0)
+        return scale * np.kron(a0, b0) + value * np.kron(a1, b1)
+    if gate == "unitarity":
+        # singular values squared 1/d + delta with sum(delta) = 0, ||delta|| = value
+        delta = np.zeros(d)
+        delta[:2] = value / np.sqrt(2) * np.array([1.0, -1.0])
+        s = random_unitary(d, rng) @ np.diag(np.sqrt(1.0 / d + delta)) @ random_unitary(d, rng)
+        return scale * np.kron(s, b0)
+    return np.sqrt(d * value) * np.kron(a0, b0)  # probability = value
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 3),
+    env=st.tuples(st.integers(1, 3), st.integers(2, 3)),
+    extra=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    gate=st.sampled_from(["none", "residual", "unitarity", "probability"]),
+    factor=st.sampled_from([0.5, 2.0]),
+    tol=st.sampled_from([1e-9, 1e-6]),
+)
+def test_per_element_fields_match_index_loop_oracle(seed, d, env, extra, gate, factor, tol):
+    # Each gate is driven to tol/2 and 2 tol, so the analytic scale 1/d and
+    # the fused norms keep every threshold where the measured scale put it.
+    rng = np.random.default_rng(seed)
+    (env_in, env_out), amb_in, amb_out = env, d + extra[0], d + extra[1]
+    v1, v2 = random_subspace(rng, amb_in, d), random_subspace(rng, amb_out, d)
+    lift = np.kron(v2.columns, np.eye(env_out))
+    elements = []
+    for k in range(2):
+        core = _restricted_at_gate(rng, d, env_in, env_out, gate if k == 0 else "none", factor * tol)
+        out_side = np.kron(v2.columns @ v2.columns.conj().T, np.eye(env_out))
+        noise = rand_complex(rng, (amb_out * env_out, amb_in * env_in))
+        # parts outside the subspaces, invisible to the certification
+        noise = noise - out_side @ noise @ np.kron(v1.columns @ v1.columns.conj().T, np.eye(env_in))
+        elements.append(lift @ core @ np.kron(v1.columns, np.eye(env_in)).conj().T + noise)
+    per = certify_uuqc(KrausChannel(tuple(elements)), v1, v2, env_in, env_out, tol).per_element
+
+    for k, element in enumerate(elements):
+        restricted = restrict_by_kron(element, v1.columns, v2.columns, env_in, env_out)
+        want = uum_by_index_loops(restricted, d, env_in, env_out)
+        for field in ("probability", "residual", "unitarity_deviation"):
+            assert getattr(per, field)[k] == pytest.approx(want[field], rel=1e-9, abs=1e-12), field
+        np.testing.assert_allclose(per.schmidt_values[k], want["schmidt_values"], rtol=1e-9, atol=1e-12)
+        # U (x) T is the rank-one part, so it misses the operator by the residual
+        miss = np.linalg.norm(np.kron(per.unitary[k], per.env_factor[k]) - restricted)
+        assert miss == pytest.approx(want["residual"], rel=1e-6, abs=1e-12)
+        values = want["schmidt_values"]
+        if values[0] - values[1] > 1e-3 * values[0]:
+            overlap = np.vdot(want["unitary"], per.unitary[k])
+            phase = overlap / abs(overlap)
+            np.testing.assert_allclose(per.unitary[k], phase * want["unitary"], atol=1e-8)
+        flat = per.unitary[k].reshape(-1)
+        peak = flat[np.argmax(np.abs(flat))]
+        assert abs(peak.imag) <= 1e-12 and peak.real > 0
+        gates = (want["residual"] <= tol, want["unitarity_deviation"] <= tol, want["probability"] > tol)
+        assert per.is_uum[k] == all(gates)
+    if gate != "none":
+        # the driven gate alone decides element 0
+        assert per.is_uum[0] == ((factor < 1) != (gate == "probability"))

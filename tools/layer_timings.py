@@ -18,9 +18,11 @@ machine note.
 
 The cases:
 
-- ``certify_uuqc``, ``restrict_operator`` and ``refine`` on certifying
-  channels of every ``CERTIFIED`` shape of the benchmark's ``certify``
-  workload;
+- ``certify_uuqc``, ``restrict_operator``, ``refine``, ``uuqc_to_ues`` and
+  ``is_physical`` on certifying channels of every ``CERTIFIED`` shape of the
+  benchmark's ``certify`` workload;
+- ``certify_uuqc(ues_to_uuqc(d))``, the teleportation path, at every
+  ``TELEPORT_DIMS`` dimension;
 - ``KrausChannel`` built from a ``(K, out, in)`` array of each
   ``STACK_SHAPES`` shape;
 - ``search_mixed_nonzero`` with ``d = 2`` on 3 x 4 and 4 x 4 product states,
@@ -62,6 +64,7 @@ EC_PROB_QUBITS = [3, 5, 7, 9]
 # (K, out_dim, in_dim) of the arrays timed through the KrausChannel constructor.
 STACK_SHAPES = [(64, 8, 8), (16, 64, 64)]
 SWEEP_DIMS = [(3, 4), (4, 4)]
+TELEPORT_DIMS = [2, 4, 8]
 
 
 def _cases():
@@ -105,6 +108,13 @@ def _cases():
                       REPEATS))
         cases.append(("refine", "unambiguous", dims,
                       lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.refine(ch, s1, s2, *e), REPEATS))
+        cases.append(("uuqc_to_ues", "entanglement", dims,
+                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.uuqc_to_ues(ch, s1, s2, *e), REPEATS))
+        cases.append(("is_physical", "channels", dims, lambda ch=ch: uuqc.is_physical(ch), REPEATS))
+
+    for d in TELEPORT_DIMS:
+        cases.append(("certify_uuqc(ues_to_uuqc)", "unambiguous", {"d": d, "K": d * d},
+                      lambda d=d: uuqc.certify_uuqc(uuqc.ues_to_uuqc(d)), REPEATS))
 
     for shape in STACK_SHAPES:
         stack = rand_complex(shape)
