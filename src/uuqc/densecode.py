@@ -36,6 +36,9 @@ __all__ = [
     "verify_protocol_bound",
 ]
 
+# Trials per block of the win count in ``simulate``.
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SharedState:
@@ -184,17 +187,23 @@ def simulate(
 
     rng = np.random.default_rng(seed)
     messages = rng.integers(0, n_msg, size=trials)
-    coins = rng.uniform(size=trials)
-    sent = np.bincount(messages, minlength=n_msg)
-    succeeded = np.zeros(n_msg, dtype=np.int64)
+    # One count per (message, won) pair, taken over fixed blocks of trials
+    # so neither the coins nor the per-trial thresholds take a trials-long
+    # array.  Each uniform is one draw of the bit generator, so drawing the
+    # coins block by block gives the same numbers as one call.
+    counts = np.zeros(2 * n_msg, dtype=np.int64)
+    for start in range(0, trials, _BLOCK):
+        block = messages[start : start + _BLOCK]
+        won = rng.uniform(size=block.size) < success_prob[block]
+        counts += np.bincount(block + n_msg * won, minlength=2 * n_msg)
+    succeeded = counts[n_msg:]
+    sent = counts[:n_msg] + succeeded
+    # One decoding draw per message that won, in message order: the RNG
+    # stream, and so every count, of one pass per message.
     decode_errors = 0
-    for x in range(n_msg):
-        mask = messages == x
-        wins = int(np.sum(coins[mask] < success_prob[x]))
-        succeeded[x] = wins
-        if wins:
-            decoded = rng.choice(n_msg, size=wins, p=outcome_dist[x])
-            decode_errors += int(np.sum(decoded != x))
+    for x in np.flatnonzero(succeeded):
+        decoded = rng.choice(n_msg, size=succeeded[x], p=outcome_dist[x])
+        decode_errors += int(np.count_nonzero(decoded != x))
     return SimulationResult(sent=sent, succeeded=succeeded, decode_errors=decode_errors)
 
 

@@ -4,12 +4,15 @@ A matrix document carries ``rows``, ``cols``, and ``data`` as a flat
 row-major list of ``[re, im]`` pairs.  Channel documents wrap an ordered
 list of matrix documents plus declared ``in_dim``/``out_dim``; code
 documents wrap an encoder matrix plus ``logical_dim``.  Parsers reject
-length and dimension mismatches with the offending field named.
+length and dimension mismatches and entries that are not finite numbers
+with the offending field named.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -40,14 +43,47 @@ def _is_dim(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 1
 
 
+def _pairs(m: np.ndarray) -> list:
+    """``[re, im]`` pairs of ``m`` in row-major order, one list per leading
+    index when ``m`` has more than two axes."""
+    return np.stack([m.real, m.imag], -1).reshape(*m.shape[:-2], -1, 2).tolist()
+
+
 def matrix_to_doc(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise FormatError(f"matrix must be 1-D or 2-D, got ndim={m.ndim}")
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs(m)}
+
+
+def _is_finite_pair(pair) -> bool:
+    try:
+        return (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in pair)
+        )
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _finite_values(data: list):
+    """``data`` flattened into one float array, or ``None`` when some entry
+    is not an ``[re, im]`` pair of finite numbers."""
+    if not all(issubclass(t, (list, tuple)) for t in set(map(type, data))):
+        return None
+    if set(map(len, data)) != {2}:
+        return None
+    flat = list(chain.from_iterable(data))
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, flat))):
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def doc_to_matrix(doc, field: str = "matrix") -> np.ndarray:
@@ -65,16 +101,12 @@ def doc_to_matrix(doc, field: str = "matrix") -> np.ndarray:
             f"{field}.data: expected {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    out = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(data):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise FormatError(f"{field}.data[{i}]: expected an [re, im] pair")
-        out[i] = complex(pair[0], pair[1])
-    return out.reshape(rows, cols)
+    values = _finite_values(data)
+    if values is None:
+        # name the first bad entry
+        i = next(i for i, pair in enumerate(data) if not _is_finite_pair(pair))
+        raise FormatError(f"{field}.data[{i}]: expected an [re, im] pair of finite numbers")
+    return values.view(complex).reshape(rows, cols)
 
 
 def ket_to_doc(psi: np.ndarray) -> dict:
@@ -92,7 +124,9 @@ def channel_to_doc(ch: KrausChannel) -> dict:
     return {
         "in_dim": ch.in_dim,
         "out_dim": ch.out_dim,
-        "elements": [matrix_to_doc(e) for e in ch.elements],
+        "elements": [
+            {"rows": ch.out_dim, "cols": ch.in_dim, "data": data} for data in _pairs(ch.stack)
+        ],
     }
 
 
@@ -151,6 +185,39 @@ def load_json(path: str, field: str = "input"):
         raise FormatError(f"{field}: invalid JSON in {path}: {exc}") from exc
 
 
+def _is_float_rows(rows) -> bool:
+    return (
+        set(map(type, rows)) == {list}
+        and all(rows)
+        and set(map(type, chain.from_iterable(rows))) == {float}
+    )
+
+
+def _encode(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with every line after
+    the first prefixed by ``indent``.
+
+    That call runs the pure-Python encoder; here lists of float rows, such
+    as matrix ``data``, go through the C encoder in one call and get their
+    line breaks from ``str.replace``, which is safe because a float's JSON
+    text never holds a bracket or ``", "``.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = sorted(obj.items())
+        body = (",\n" + inner).join(f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in items)
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if _is_float_rows(obj):
+            innermost = "\n" + inner + "  "
+            body = json.dumps(obj)[2:-2].replace("], [", "\n" + inner + "],\n" + inner + "[" + innermost)
+            body = body.replace(", ", "," + innermost)
+            return "[\n" + inner + "[" + innermost + body + "\n" + inner + "]\n" + indent + "]"
+        return "[\n" + inner + (",\n" + inner).join(_encode(v, inner) for v in obj) + "\n" + indent + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def dump_json(doc) -> str:
-    """Canonical serialization: sorted keys, two-space indent, newline end."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, newline end;
+    the text of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline."""
+    return _encode(doc, "") + "\n"

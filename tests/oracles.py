@@ -268,3 +268,37 @@ def uum_by_index_loops(restricted, d: int, env_in: int, env_out: int) -> dict:
         "env_factor": env_factor * np.sqrt(scale),
         "schmidt_values": values,
     }
+
+
+def simulate_per_message(state, protocol, trials: int, seed) -> tuple:
+    """Dense-coding Monte Carlo with one pass over the trials per message:
+    ``(sent, succeeded, decode_errors)`` from the same RNG draws, in the
+    same order, as ``densecode.simulate``."""
+    d = state.lambdas.size
+    encoders = np.asarray(protocol.encoders)
+    n_msg = len(encoders)
+    # column x holds A_x[i, j] at entry j*d + i
+    kets = encoders.transpose(2, 1, 0).reshape(-1, n_msg)
+    filtered = np.kron(protocol.filter @ np.diag(state.lambdas), np.eye(d)) @ kets
+    success_prob = np.sum(np.abs(filtered) ** 2, axis=0)
+    dist = np.abs(protocol.discrimination_basis.conj().T @ filtered) ** 2
+    outcome_dist = np.full((n_msg, n_msg), 1.0 / n_msg)
+    for x in range(n_msg):
+        if success_prob[x] > 0:
+            outcome_dist[x] = dist[:, x] / np.sum(dist[:, x])
+
+    rng = np.random.default_rng(seed)
+    messages = rng.integers(0, n_msg, size=trials)
+    coins = rng.uniform(size=trials)
+    sent = np.zeros(n_msg, dtype=np.int64)
+    succeeded = np.zeros(n_msg, dtype=np.int64)
+    decode_errors = 0
+    for x in range(n_msg):
+        mask = messages == x
+        sent[x] = int(np.sum(mask))
+        wins = int(np.sum(coins[mask] < success_prob[x]))
+        succeeded[x] = wins
+        if wins:
+            decoded = rng.choice(n_msg, size=wins, p=outcome_dist[x])
+            decode_errors += int(np.sum(decoded != x))
+    return sent, succeeded, decode_errors

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import uuqc
 from uuqc.channels import KrausChannel, maximally_entangled_ket
 from uuqc.cli import dispatch
 from uuqc.densecode import SharedState, optimal_protocol, optimal_receiver
@@ -278,12 +282,42 @@ def test_zero_environment_legs_exit_one(capsys, tmp_path):
         assert "--env-in/--env-out: must be >= 1" in err
 
 
-def test_numerical_failure_exits_two(capsys, tmp_path):
-    # JSON NaN parses as a float; the SVD then fails to converge
-    nan_file = write(tmp_path / "nan.json", matrix_to_doc(np.array([[np.nan, 0.0], [0.0, 1.0]])))
-    code, report, err = run(capsys, ["check-uum", nan_file])
+def test_numerical_failure_exits_two(capsys, tmp_path, monkeypatch):
+    # a library-level failure: the SVD does not converge
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    u_file = write(tmp_path / "u.json", matrix_to_doc(random_unitary(2, 4)))
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    code, report, err = run(capsys, ["check-uum", u_file])
     assert code == 2 and report is None
     assert err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "1e400", "int-1e400"])
+def test_non_finite_documents_exit_one(capsys, tmp_path, text):
+    # JSON NaN used to reach the SVD and exit 2; 1e400 also warned
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 2, "cols": 2, "data": [[%s, 0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}' % text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report, err = run(capsys, ["check-uum", str(path)])
+    assert code == 1 and report is None
+    assert not caught
+    assert err.splitlines() == ["error: omega.data[0]: expected an [re, im] pair of finite numbers"]
+
+
+def test_huge_integer_exits_one_without_traceback(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400))
+    src = os.path.dirname(os.path.dirname(uuqc.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "uuqc", "check-uum", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "omega.data[0]" in proc.stderr
 
 
 def test_json_booleans_exit_one(capsys, tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from uuqc import densecode
 from uuqc.densecode import (
+    DenseCodingProtocol,
     SharedState,
     capacity,
     optimal_protocol,
@@ -10,10 +12,10 @@ from uuqc.densecode import (
     verify_protocol_bound,
     weyl_operators,
 )
-from uuqc.linalg import dagger
+from uuqc.linalg import dagger, random_unitary
 
 from builders import rand_complex
-from oracles import binom_sigma
+from oracles import binom_sigma, simulate_per_message
 
 
 def test_weyl_qubit_family():
@@ -119,6 +121,40 @@ def test_simulate_deterministic():
     assert np.array_equal(a.succeeded, b.succeeded)
     assert np.array_equal(a.sent, b.sent)
     assert a.decode_errors == b.decode_errors
+
+
+def _spectrum(D: int, seed: int) -> SharedState:
+    lam2 = np.sort(np.random.default_rng(seed).uniform(0.3, 1.0, D))[::-1]
+    return SharedState.from_squares(lam2 / lam2.sum())
+
+
+@pytest.mark.parametrize("D", [2, 4, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simulate_matches_per_message_oracle(D, seed):
+    state = _spectrum(D, 40 + seed)
+    prot = optimal_protocol(state)
+    block = densecode._BLOCK
+    for trials in (1, block + 1, 2 * block + 12345):
+        assert trials % block
+        result = simulate(state, prot, trials=trials, seed=seed)
+        sent, succeeded, decode_errors = simulate_per_message(state, prot, trials, seed)
+        assert np.array_equal(result.sent, sent)
+        assert np.array_equal(result.succeeded, succeeded)
+        assert result.decode_errors == decode_errors
+
+
+def test_simulate_matches_oracle_with_decode_errors():
+    # a discrimination basis unrelated to the encoders mistakes messages
+    state = _spectrum(4, 50)
+    prot = optimal_protocol(state)
+    wrong = DenseCodingProtocol(prot.encoders, prot.filter, random_unitary(16, 5))
+    trials = densecode._BLOCK + 999
+    result = simulate(state, wrong, trials=trials, seed=4)
+    sent, succeeded, decode_errors = simulate_per_message(state, wrong, trials, 4)
+    assert decode_errors > 0
+    assert np.array_equal(result.sent, sent)
+    assert np.array_equal(result.succeeded, succeeded)
+    assert result.decode_errors == decode_errors
 
 
 @pytest.mark.parametrize("D", [2, 3, 4])

@@ -32,7 +32,12 @@ The cases:
   recovery) on the 3-, 5- and 7-qubit repetition codes under ``0.7 I`` plus
   single bit flips that share the remaining 0.3;
 - ``unambiguous_correction_probability`` and ``meets_certainty_condition``
-  on the same codes and noise at 3, 5, 7 and 9 qubits.
+  on the same codes and noise at 3, 5, 7 and 9 qubits;
+- ``doc_to_channel`` of the ``cli`` workload's large channel document
+  (6 x 48 x 48), and ``channel_to_doc`` plus ``dump_json`` of its
+  refinement (16 x 48 x 48), the ``refine`` report's payload;
+- ``simulate`` of the optimal dense-coding protocol at D = 8 with 10^6
+  trials, as the ``cli`` workload's ``dense-code`` job runs it.
 
 This is a measuring tool: it is neither a test nor part of the benchmark.
 """
@@ -74,7 +79,11 @@ def _cases():
     import uuqc
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from wl_certify import CERTIFIED
+    from common import random_split, random_unitary
+    from wl_certify import CERTIFIED, _channel
+    from wl_cli import DENSE_D, DENSE_TRIALS, LARGE
+
+    from uuqc import formats
 
     rng = np.random.default_rng(6)
 
@@ -154,6 +163,24 @@ def _cases():
                       lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), repeats))
         cases.append(("meets_certainty_condition", "qec", dims,
                       lambda code=code, noise=noise: uuqc.meets_certainty_condition(code, noise), repeats))
+
+    d, e, k = LARGE
+    elems, _, _ = _channel(rng, d, d, d, e, e, random_split(rng, 0.7, k), [random_unitary(rng, d)] * k)
+    large = uuqc.KrausChannel(tuple(elems))
+    doc = json.loads(json.dumps(formats.channel_to_doc(large)))
+    cases.append(("doc_to_channel", "formats", {"K": k, "out_dim": d * e, "in_dim": d * e},
+                  lambda doc=doc: formats.doc_to_channel(doc), REPEATS))
+    full = uuqc.SubspaceIsometry.full(d)
+    refined = uuqc.refine(large, full, full, e, e)
+    cases.append(("dump_json(channel_to_doc)", "formats",
+                  {"K": len(refined.elements), "out_dim": d * e, "in_dim": d * e},
+                  lambda ch=refined: formats.dump_json(formats.channel_to_doc(ch)), REPEATS))
+
+    lam2 = np.sort(rng.uniform(0.3, 1.0, DENSE_D))[::-1]
+    state = uuqc.SharedState.from_squares(lam2 / lam2.sum())
+    protocol = uuqc.optimal_protocol(state)
+    cases.append(("simulate", "densecode", {"D": DENSE_D, "trials": DENSE_TRIALS},
+                  lambda: uuqc.simulate(state, protocol, DENSE_TRIALS, 7), REPEATS))
     return cases
 
 
