@@ -8,7 +8,7 @@ unnormalized so their trace keeps the channel's success weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,32 +27,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A quantum operation given by its Kraus (operation) elements.
 
     Every element is an ``out_dim x in_dim`` complex matrix.  Construction
     checks shapes only; physicality is a separate query so that deliberately
-    unphysical element sets can still be inspected.  ``elements`` may be a
+    unphysical element sets can still be inspected.  The argument may be a
     sequence of matrices or a ``(K, out_dim, in_dim)`` array; either way it
-    is copied once into the read-only array ``stack``, and ``elements``
-    becomes the tuple of its per-element views.
+    is copied once into the read-only array ``stack``, element index first.
     """
 
-    elements: tuple
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray
 
     def __post_init__(self):
-        if len(self.elements) == 0:
+        if len(self.stack) == 0:
             raise ValueError("a channel needs at least one Kraus element")
         try:
-            stack = np.array(self.elements, dtype=complex)
+            stack = np.array(self.stack, dtype=complex)
         except ValueError:
             stack = None
         if stack is None or stack.ndim != 3:
             # Walk the elements only to name the offending one.
-            first = np.shape(self.elements[0])
-            for k, e in enumerate(self.elements):
+            first = np.shape(self.stack[0])
+            for k, e in enumerate(self.stack):
                 if np.ndim(e) != 2:
                     raise ValueError(f"Kraus element {k} is not a matrix")
                 if np.shape(e) != first:
@@ -60,7 +58,6 @@ class KrausChannel:
             raise ValueError("Kraus elements must be matrices of one shape")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "elements", tuple(stack))
 
     @property
     def in_dim(self) -> int:
@@ -146,6 +143,6 @@ def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
     return KrausChannel(stack.reshape(-1, second.out_dim, first.in_dim))
 
 
-def povm_of(ch: KrausChannel) -> tuple:
-    """POVM elements ``E_k^dag E_k`` of the measurement the channel induces."""
-    return tuple(ch.stack.conj().transpose(0, 2, 1) @ ch.stack)
+def povm_of(ch: KrausChannel) -> np.ndarray:
+    """Stacked POVM elements ``E_k^dag E_k`` of the measurement the channel induces."""
+    return ch.stack.conj().transpose(0, 2, 1) @ ch.stack

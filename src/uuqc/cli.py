@@ -205,10 +205,14 @@ def _run_check_uum(args):
     return report, summary, EXIT_OK if cert.is_uum else EXIT_NEGATIVE
 
 
-def _run_check_uuqc(args):
+def _certified_channel(args) -> tuple:
     ch = doc_to_channel(load_json(args.channel, "channel"), "channel")
     v1, v2 = _load_subspaces(args, ch.in_dim, ch.out_dim)
-    cert = unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
+    return v1, v2, unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
+
+
+def _run_check_uuqc(args):
+    _, _, cert = _certified_channel(args)
     report = {
         "command": "check-uuqc",
         "is_uuqc": bool(cert.is_uuqc),
@@ -224,9 +228,7 @@ def _run_check_uuqc(args):
 
 
 def _run_refine(args):
-    ch = doc_to_channel(load_json(args.channel, "channel"), "channel")
-    v1, v2 = _load_subspaces(args, ch.in_dim, ch.out_dim)
-    cert = unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
+    v1, v2, cert = _certified_channel(args)
     if not cert.is_uuqc:
         report = {
             "command": "refine",
@@ -234,7 +236,8 @@ def _run_refine(args):
             "total_probability": float(cert.total_probability),
         }
         return report, "refusal: channel did not certify", EXIT_NEGATIVE
-    refined = unambiguous.refine(ch, v1, v2, args.env_in, args.env_out, tol=args.tol)
+    bases = (np.eye(args.env_in, dtype=complex), np.eye(args.env_out, dtype=complex))
+    refined = unambiguous._refine_certified(cert, v1, v2, *bases, args.tol)
     # the report doubles as a channel document so it can feed the other
     # subcommands directly
     report = {
@@ -243,25 +246,22 @@ def _run_refine(args):
         "total_probability": float(cert.total_probability),
         **channel_to_doc(refined),
     }
-    summary = f"refined into {len(refined.elements)} rank-one-environment elements"
+    summary = f"refined into {len(refined.stack)} rank-one-environment elements"
     return report, summary, EXIT_OK
 
 
 def _run_to_ues(args):
-    ch = doc_to_channel(load_json(args.channel, "channel"), "channel")
-    v1, v2 = _load_subspaces(args, ch.in_dim, ch.out_dim)
-    cert = unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
+    _, _, cert = _certified_channel(args)
     if not cert.is_uuqc:
         report = {"command": "to-ues", "is_uuqc": False, "success_weight": None, "state": None}
         return report, "refusal: channel did not certify", EXIT_NEGATIVE
-    weight, ket = entanglement.uuqc_to_ues(ch, v1, v2, args.env_in, args.env_out, args.tol)
     report = {
         "command": "to-ues",
         "is_uuqc": True,
-        "success_weight": float(weight),
-        "state": ket_to_doc(ket),
+        "success_weight": float(cert.total_probability),
+        "state": ket_to_doc(entanglement._ues_ket(cert.unitary)),
     }
-    return report, f"success weight {weight:.9g}", EXIT_OK
+    return report, f"success weight {cert.total_probability:.9g}", EXIT_OK
 
 
 def _run_teleport(args):
@@ -343,7 +343,7 @@ def _run_verify_dc(args):
     bob = doc_to_matrix(load_json(args.bob, "bob"), "bob")
     state = _parse_lambdas2(args.lambdas2)
     try:
-        rep = densecode.verify_protocol_bound(state, encoders.elements, bob, args.tol)
+        rep = densecode.verify_protocol_bound(state, encoders.stack, bob, args.tol)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     report = {
@@ -398,9 +398,9 @@ def dispatch(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
     try:
         report, summary, code = _RUNNERS[args.command](args)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, MemoryError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first.
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

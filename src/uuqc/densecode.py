@@ -40,7 +40,7 @@ __all__ = [
 _BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharedState:
     """Schmidt spectrum of the shared ket: descending positive ``lambdas``
     with unit squared sum."""
@@ -82,16 +82,16 @@ class SharedState:
         return cls(np.sqrt(squares))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseCodingProtocol:
-    """Encoders, the receiver-side filter, and the discrimination basis."""
+    """Stacked encoders, the receiver-side filter, and the discrimination basis."""
 
-    encoders: tuple
+    encoders: np.ndarray
     filter: np.ndarray
     discrimination_basis: np.ndarray  # columns are the basis kets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     sent: np.ndarray
     succeeded: np.ndarray
@@ -125,18 +125,18 @@ class BoundReport:
     gram_trace_ok: bool
 
 
-def weyl_operators(D: int) -> tuple:
-    """The ``D**2`` shift/clock encoders: unitary, pairwise trace-orthogonal."""
+def weyl_operators(D: int) -> np.ndarray:
+    """The ``D**2`` stacked shift/clock encoders: unitary, pairwise trace-orthogonal."""
     if D < 2:
         raise ValueError("dense coding needs D >= 2")
-    return tuple(shift_clock_unitaries(D))
+    return shift_clock_unitaries(D)
 
 
-def _encoder_kets(encoders) -> np.ndarray:
-    """Encoders stacked column-wise as kets with the retained-side index slow:
-    entry ``(j*D + i)`` of column ``x`` is ``A_x[i, j]``, so column ``x`` is
-    ``(I (x) A_x) sum_i |ii>``."""
-    return np.asarray(encoders).transpose(2, 1, 0).reshape(-1, len(encoders))
+def _encoder_kets(encoders: np.ndarray) -> np.ndarray:
+    """The ``(K, D, D)`` encoders as columns of kets with the retained-side
+    index slow: entry ``(j*D + i)`` of column ``x`` is ``A_x[i, j]``, so
+    column ``x`` is ``(I (x) A_x) sum_i |ii>``."""
+    return encoders.transpose(2, 1, 0).reshape(-1, len(encoders))
 
 
 def capacity(state: SharedState) -> float:
@@ -225,15 +225,22 @@ def verify_protocol_bound(
     """
     D = state.rank
     n_msg = D * D
-    encoders = [np.asarray(a, dtype=complex) for a in encoders]
     if len(encoders) != n_msg:
         raise ValueError(f"expected {n_msg} encoders, got {len(encoders)}")
-    for k, a in enumerate(encoders):
-        if a.shape != (D, D):
-            raise ValueError(f"encoder {k} has shape {a.shape}, expected ({D}, {D})")
-        top = float(np.max(np.linalg.eigvalsh(dagger(a) @ a)))
-        if top > 1.0 + tol:
-            raise ValueError(f"encoder {k} is not trace-non-increasing")
+    try:
+        stack = np.asarray(encoders, dtype=complex)
+    except ValueError:
+        stack = None
+    if stack is None or stack.shape != (n_msg, D, D):
+        # Walk the encoders only to name the offending one.
+        for k, a in enumerate(encoders):
+            if np.shape(a) != (D, D):
+                raise ValueError(f"encoder {k} has shape {np.shape(a)}, expected ({D}, {D})")
+        raise ValueError("encoders must be complex matrices")
+    tops = np.linalg.eigvalsh(stack.conj().swapaxes(1, 2) @ stack)[:, -1]
+    bad = np.flatnonzero(tops > 1.0 + tol)
+    if len(bad):
+        raise ValueError(f"encoder {bad[0]} is not trace-non-increasing")
     bob = np.asarray(bob, dtype=complex)
     if bob.shape != (n_msg, n_msg):
         raise ValueError(f"receiver operator must be {n_msg} x {n_msg}")
@@ -241,7 +248,7 @@ def verify_protocol_bound(
     if top > 1.0 + tol:
         raise ValueError("receiver operator must satisfy B^dag B <= I")
 
-    stacked = _encoder_kets(encoders)
+    stacked = _encoder_kets(stack)
     lifted = tensor_product(np.diag(state.lambdas), np.eye(D)) @ stacked
     product = bob @ lifted
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """Schmidt data of a bipartite ket: descending coefficients plus bases."""
 
@@ -130,23 +130,27 @@ def uuqc_to_ues(
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
     if not cert.is_uuqc:
         raise ValueError("channel did not certify; cannot convert to a shared state")
+    return cert.total_probability, _ues_ket(cert.unitary)
+
+
+def _ues_ket(unitary: np.ndarray) -> np.ndarray:
+    """The success ket ``(I (x) U)|phi>`` of a certified unitary, its peak real positive."""
     # (I (x) U)|phi> holds U[s, i] / sqrt(d) at (i, s).
-    ket = cert.unitary.T.reshape(-1) / len(cert.unitary) ** 0.5
+    ket = unitary.T.reshape(-1) / len(unitary) ** 0.5
     peak = ket[abs(ket).argmax()]
-    return cert.total_probability, ket * (abs(peak) / peak)
+    return ket * (abs(peak) / peak)
 
 
 def teleportation_parts(d: int):
     """Measurement bras and corrections of the standard teleportation scheme.
 
     Returns ``(bras, corrections)``: the ``d**2`` rank-one measurement
-    operators on (input, held half) as ``1 x d**2`` matrices, and the
-    matching correction unitaries on the receiving side.
+    operators on (input, held half) stacked as ``(d**2, 1, d**2)``, and the
+    matching correction unitaries on the receiving side as ``(d**2, d, d)``.
     """
     corrections = shift_clock_unitaries(d)
     # Bra x conjugates the Bell ket (W_x (x) I)|phi> = vec(W_x) / sqrt(d).
-    bras = list(np.conj(corrections).reshape(d * d, 1, -1) / np.sqrt(d))
-    return bras, corrections
+    return corrections.conj().reshape(d * d, 1, -1) / np.sqrt(d), corrections
 
 
 def ues_to_uuqc(d: int) -> KrausChannel:
@@ -163,8 +167,8 @@ def ues_to_uuqc(d: int) -> KrausChannel:
     # (bra on (input, held-A) (x) I) ( I_input (x) held ket ) contracts to a
     # d x d matrix; entry (o, i) picks the bra component at (i, o) over sqrt(d).
     # Every element works out to W W^dag / d = I / d.
-    base = np.array(bras).reshape(-1, d, d).swapaxes(1, 2) / np.sqrt(d)
-    return KrausChannel(np.array(corrections) @ base)
+    base = bras.reshape(-1, d, d).swapaxes(1, 2) / np.sqrt(d)
+    return KrausChannel(corrections @ base)
 
 
 def teleport_probability_pure(shared: np.ndarray, dim_a: int, dim_b: int, d: int) -> TeleportCertificate:

@@ -148,7 +148,7 @@ def doc_to_channel(doc, field: str = "channel") -> KrausChannel:
                 f"{field}.elements[{k}]: shape {m.shape} does not match "
                 f"declared ({doc['out_dim']}, {doc['in_dim']})"
             )
-    return KrausChannel(tuple(mats))
+    return KrausChannel(mats)
 
 
 def code_to_doc(code: CodeSpec) -> dict:

@@ -53,7 +53,7 @@ def _as_complex(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceIsometry:
     """Matrix whose columns form an orthonormal basis of a subspace.
 
@@ -113,7 +113,7 @@ class SubspaceIsometry:
         return cls(cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredPair:
     """Result of a tensor-factorization attempt ``m ~ sys_factor (x) env_factor``.
 
@@ -224,11 +224,11 @@ def random_ket(dim: int, seed) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def shift_clock_unitaries(dim: int) -> list[np.ndarray]:
+def shift_clock_unitaries(dim: int) -> np.ndarray:
     """Generalized Pauli family ``X^a Z^b`` on a ``dim``-level system.
 
     The ``dim**2`` members are unitary and pairwise trace-orthogonal with
-    ``Tr(W^dag W) = dim``, ordered with the shift power slowest.
+    ``Tr(W^dag W) = dim``, stacked with the shift power slowest.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -236,4 +236,4 @@ def shift_clock_unitaries(dim: int) -> list[np.ndarray]:
     # (X^a Z^b)[i, j] = [i == j + a mod dim] * omega^(b j), indexed [a, b, i, j]
     shifts = k[:, None, None] == (k[:, None] - k) % dim
     phases = np.exp(2j * np.pi * (np.outer(k, k) % dim) / dim)
-    return list((shifts[:, None] * phases[None, :, None, :]).reshape(-1, dim, dim))
+    return (shifts[:, None] * phases[None, :, None, :]).reshape(-1, dim, dim)

@@ -33,7 +33,7 @@ from .linalg import (
     dagger,
     frobenius,
 )
-from .unambiguous import UuqcCertificate, certify_uuqc
+from .unambiguous import UuqcCertificate, _phase_distance, certify_uuqc
 
 __all__ = [
     "CodeSpec",
@@ -50,12 +50,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
     """A code given by its encoding isometry ``encoder`` (n_phys x d)."""
 
     encoder: np.ndarray
-    _subspace: SubspaceIsometry = field(init=False, repr=False, compare=False)
+    _subspace: SubspaceIsometry = field(init=False, repr=False)
 
     def __post_init__(self):
         # The isometry checks the shape and orthonormality once and keeps a
@@ -79,7 +79,7 @@ class CodeSpec:
         return self._subspace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KlReport:
     """Knill-Laflamme verdict: the overlap matrix ``h`` and the worst
     deviation of ``P E_j^dag E_i P`` from ``h_ji P``."""
@@ -123,14 +123,14 @@ def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> 
     if errors.in_dim != code.physical_dim or errors.out_dim != code.physical_dim:
         raise ValueError("error elements must act on the physical space")
     d = code.logical_dim
-    n = len(errors.elements)
+    n = len(errors.stack)
     enc = code.encoder
     h = np.zeros((n, n), dtype=complex)
     residual = 0.0
     eye = np.eye(d)
     for j in range(n):
         for i in range(n):
-            block = dagger(enc) @ dagger(errors.elements[j]) @ errors.elements[i] @ enc
+            block = dagger(enc) @ dagger(errors.stack[j]) @ errors.stack[i] @ enc
             hij = np.trace(block) / d
             h[j, i] = hij
             residual = max(residual, frobenius(block - hij * eye))
@@ -194,9 +194,7 @@ def verify_correction_uuqc(
     v2 = code.subspace()
     cert = certify_uuqc(total, v1, v2, 1, 1, tol)
     per = cert.per_element
-    # ||U - e^{i phi} I|| with phi = arg Tr(U), for every element at once
-    phase = np.exp(1j * np.angle(np.trace(per.unitary, axis1=1, axis2=2)))
-    dist = np.linalg.norm(per.unitary - phase[:, None, None] * np.eye(code.logical_dim), axis=(1, 2))
+    dist = _phase_distance(per.unitary, np.eye(code.logical_dim))
     q_id = np.sum(per.probability[per.is_uum & (dist <= tol)])
     return CorrectionReport(certificate=cert, identity_probability=float(q_id))
 

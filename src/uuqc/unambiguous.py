@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UumCertificate:
     """Verdict and extracted data for a single operator, with Python scalars
     from ``certify_uum``; in ``UuqcCertificate.per_element`` every field is
@@ -66,7 +66,7 @@ class UumCertificate:
     unitarity_deviation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UuqcCertificate:
     """Verdict for a channel: per-element data plus the shared unitary.
 
@@ -234,6 +234,15 @@ def probability_profile(
     return np.sum(np.abs(blocks) ** 2, axis=(1, 2))
 
 
+def _phase_distance(us: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``min_phi ||U_k - e^{i phi} V||_F`` for each ``U_k`` in ``us``, at ``phi = arg Tr(V^dag U_k)``;
+    a zero overlap keeps ``phi = 0``, so trace-orthogonal matrices stay far apart."""
+    us, v = us.reshape(len(us), -1), v.reshape(-1)
+    phase = np.exp(1j * np.angle(us @ v.conj()))
+    diff = (us - phase[:, None] * v).view(float)
+    return np.sqrt(np.einsum("ki,ki->k", diff, diff))
+
+
 def _definition_residual(restricted: np.ndarray, d: int, env_in: int, env_out: int,
                          q: float, unitary: np.ndarray) -> float:
     """Exact ``||J - q |U>><<U|||_F`` for the projected channel.
@@ -285,13 +294,8 @@ def certify_uuqc(
     ok = np.count_nonzero(per.is_uum) == len(contributing)
     mismatched = None
     if ok and len(contributing) > 1:
-        us = per.unitary[contributing].reshape(len(contributing), -1)
-        # ||U_k - e^{i phi} U_0|| with phi = arg Tr(U_0^dag U_k), for all k at
-        # once; a zero overlap keeps phi = 0, so trace-orthogonal unitaries
-        # stay far apart.
-        phase = np.exp(1j * np.angle(us @ us[0].conj()))
-        diff = (us - phase[:, None] * us[0]).view(float)
-        far = (np.sqrt(np.einsum("ki,ki->k", diff, diff)) > tol).nonzero()[0]
+        us = per.unitary[contributing]
+        far = (_phase_distance(us, us[0]) > tol).nonzero()[0]
         if len(far):
             ok = False
             mismatched = (int(contributing[0]), int(contributing[far[0]]))
@@ -349,7 +353,12 @@ def refine(
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
     if not cert.is_uuqc:
         raise ValueError("refinement requires a certified channel")
+    return _refine_certified(cert, v1, v2, b_in, b_out, tol)
 
+
+def _refine_certified(cert: UuqcCertificate, v1: SubspaceIsometry, v2: SubspaceIsometry,
+                      b_in: np.ndarray, b_out: np.ndarray, tol: float) -> KrausChannel:
+    """``refine`` of a channel certified as ``cert``, in the checked environment bases."""
     # Expansion coefficients of every contributing environment factor:
     # row j, column i holds <out_j| T_k |in_i>.
     factors = cert.per_element.env_factor[cert.per_element.probability > tol]
@@ -361,7 +370,7 @@ def refine(
         raise ValueError("refinement produced no elements")
     embedded_u = v2.columns @ cert.unitary @ v1.columns.conj().T
     elements = embedded_u[None, :, None, :, None] * env_parts[:, None, :, None, :]
-    return KrausChannel(elements.reshape(len(env_parts), v2.ambient_dim * env_out, v1.ambient_dim * env_in))
+    return KrausChannel(elements.reshape(len(env_parts), v2.ambient_dim * len(b_out), -1))
 
 
 def extend_by_identity(ch: KrausChannel, ancilla_dim: int) -> KrausChannel:

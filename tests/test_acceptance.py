@@ -124,7 +124,7 @@ def test_criterion_3_channel_sum_and_refinement():
         after = certify_uuqc(refined, v1, v2, env_in, env_out)
         assert after.is_uuqc
         assert after.total_probability == pytest.approx(cert.total_probability, abs=1e-9)
-        for e in refined.elements:
+        for e in refined.stack:
             pair = factor_as_tensor(e, d + 1, env_out, d + 1, env_in)
             assert pair.schmidt_values[1:].max(initial=0.0) <= 1e-9
     report(3, "probability sum and rank-one refinement")

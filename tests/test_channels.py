@@ -11,7 +11,11 @@ from uuqc.channels import (
     maximally_entangled_ket,
     povm_of,
 )
-from uuqc.linalg import random_unitary
+from uuqc.densecode import SharedState, optimal_protocol, simulate, weyl_operators
+from uuqc.entanglement import schmidt, teleportation_parts
+from uuqc.linalg import SubspaceIsometry, factor_as_tensor, random_unitary, shift_clock_unitaries
+from uuqc.qec import CodeSpec, kl_check
+from uuqc.unambiguous import certify_uum, certify_uuqc
 
 from builders import PAULI_X, PAULI_Y, PAULI_Z, rand_complex
 from oracles import choi_by_kron
@@ -69,7 +73,7 @@ def test_apply_stack_of_states_matches_one_by_one():
     batched = apply(ch, rhos)
     assert batched.shape == (5, 2, 2)
     for rho, out in zip(rhos, batched):
-        by_hand = sum(e @ rho @ e.conj().T for e in ch.elements)
+        by_hand = sum(e @ rho @ e.conj().T for e in ch.stack)
         np.testing.assert_allclose(out, by_hand, atol=1e-12)
 
 
@@ -135,7 +139,7 @@ def test_choi_matches_kron_reference():
         ch = KrausChannel(tuple(elems))
         rep = is_physical(ch)
         assert rep.physical and not rep.trace_preserving
-        np.testing.assert_allclose(choi_state(ch), choi_by_kron(ch.elements), atol=1e-12)
+        np.testing.assert_allclose(choi_state(ch), choi_by_kron(ch.stack), atol=1e-12)
 
 
 def test_choi_matches_kron_reference_at_large_dims():
@@ -143,7 +147,7 @@ def test_choi_matches_kron_reference_at_large_dims():
     rng = np.random.default_rng(7)
     for in_dim, out_dim, k in [(20, 32, 6), (25, 24, 3)]:
         ch = KrausChannel(tuple(rand_complex(rng, (k, out_dim, in_dim)) / np.sqrt(k * out_dim)))
-        want = choi_by_kron(ch.elements)
+        want = choi_by_kron(ch.stack)
         np.testing.assert_allclose(choi_state(ch), want, atol=1e-12 * np.abs(want).max())
 
 
@@ -168,9 +172,9 @@ def test_compose_matches_sequential_application():
     first = KrausChannel(tuple(0.6 * rand_complex(rng, (3, 2)) for _ in range(2)))
     second = KrausChannel(tuple(0.6 * rand_complex(rng, (2, 3)) for _ in range(2)))
     comp = compose(first, second)
-    assert len(comp.elements) == 4
+    assert len(comp.stack) == 4
     # second's index runs fastest
-    want = [b @ a for a in first.elements for b in second.elements]
+    want = [b @ a for a in first.stack for b in second.stack]
     np.testing.assert_allclose(comp.stack, want, atol=1e-15)
     for _ in range(20):
         rho = random_density(rng, 2)
@@ -206,18 +210,18 @@ def test_channel_shape_validation():
         KrausChannel(())
 
 
-def test_stack_is_read_only_and_elements_stay_a_tuple():
+def test_stack_is_read_only():
     ch = KrausChannel((np.eye(2), np.diag([1.0, -1.0])))
-    assert ch.stack.shape == (2, 2, 2)
+    assert ch.stack.shape == (2, 2, 2) and ch.stack.dtype == complex
     assert not ch.stack.flags.writeable
-    assert isinstance(ch.elements, tuple)
-    assert all(not e.flags.writeable for e in ch.elements)
     with pytest.raises(ValueError):
-        ch.elements[0][0, 0] = 5.0
+        ch.stack[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ch.stack[0][0, 0] = 5.0
     extra = np.ones((2, 2))
-    longer = ch.elements + (extra,)
-    assert isinstance(longer, tuple) and len(longer) == 3
-    np.testing.assert_array_equal(KrausChannel(longer).stack[2], extra)
+    longer = KrausChannel((*ch.stack, extra))
+    assert longer.stack.shape == (3, 2, 2) and not longer.stack.flags.writeable
+    np.testing.assert_array_equal(longer.stack[2], extra)
 
 
 def test_stack_from_array_is_a_read_only_copy():
@@ -228,7 +232,7 @@ def test_stack_from_array_is_a_read_only_copy():
     keep = arr.copy()
     arr[0, 0, 0] = 99.0
     np.testing.assert_array_equal(ch.stack, keep)
-    assert len(ch.elements) == 3 and all(e.base is ch.stack for e in ch.elements)
+    assert len(ch.stack) == 3 and all(e.base is ch.stack for e in ch.stack)
 
 
 @pytest.mark.parametrize("elements, message", [
@@ -242,3 +246,41 @@ def test_stack_from_array_is_a_read_only_copy():
 def test_malformed_elements_are_named(elements, message):
     with pytest.raises(ValueError, match=message):
         KrausChannel(elements)
+
+
+def test_operator_families_are_single_arrays():
+    bras, corrections = teleportation_parts(3)
+    families = {
+        "shift_clock_unitaries": (shift_clock_unitaries(3), (9, 3, 3)),
+        "weyl_operators": (weyl_operators(3), (9, 3, 3)),
+        "encoders": (optimal_protocol(SharedState.from_squares([0.6, 0.4])).encoders, (4, 2, 2)),
+        "teleportation bras": (bras, (9, 1, 9)),
+        "teleportation corrections": (corrections, (9, 3, 3)),
+        "povm_of": (povm_of(KrausChannel((np.eye(2), PAULI_X))), (2, 2, 2)),
+    }
+    for name, (family, shape) in families.items():
+        assert type(family) is np.ndarray and family.shape == shape, name
+
+
+def _state():
+    return SharedState.from_squares([0.6, 0.4])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SubspaceIsometry.full(2),
+    lambda: factor_as_tensor(np.eye(4), 2, 2, 2, 2),
+    lambda: KrausChannel((np.eye(2), PAULI_X)),
+    lambda: certify_uum(np.eye(2)),
+    lambda: certify_uuqc(identity_channel(2)),
+    lambda: schmidt(maximally_entangled_ket(2), 2, 2),
+    lambda: CodeSpec(np.eye(2)),
+    lambda: kl_check(CodeSpec(np.eye(2)), KrausChannel(np.stack([np.eye(2)] * 2) / np.sqrt(2))),
+    _state,
+    lambda: optimal_protocol(_state()),
+    lambda: simulate(_state(), optimal_protocol(_state()), 10),
+], ids=["SubspaceIsometry", "FactoredPair", "KrausChannel", "UumCertificate", "UuqcCertificate",
+        "SchmidtForm", "CodeSpec", "KlReport", "SharedState", "DenseCodingProtocol", "SimulationResult"])
+def test_array_records_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and a in {a} and b not in {a}

@@ -294,6 +294,42 @@ def test_numerical_failure_exits_two(capsys, tmp_path, monkeypatch):
     assert err.startswith("numerical failure:")
 
 
+@pytest.mark.parametrize("message", [
+    "", "Unable to allocate 121. GiB for an array with shape (90000, 300, 300) and data type complex128",
+], ids=["bare", "numpy"])
+def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch, message):
+    # `dense-code --D 300` needs 121 GiB for the encoders; simulate the
+    # failed allocation instead of attempting it
+    def no_memory(state):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(uuqc.densecode, "optimal_protocol", no_memory)
+    code, report, err = run(capsys, ["dense-code", "--D", "2", "--lambdas2", "0.5,0.5"])
+    assert code == 2 and report is None
+    assert err == f"numerical failure: {message or 'MemoryError'}\n"
+
+
+@pytest.mark.parametrize("command", ["refine", "to-ues"])
+def test_refine_and_to_ues_certify_once(capsys, tmp_path, monkeypatch, command):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(command)
+        return certify(*args, **kwargs)
+
+    certify = uuqc.unambiguous.certify_uuqc
+    for module in (uuqc.unambiguous, uuqc.entanglement):
+        monkeypatch.setattr(module, "certify_uuqc", counting)
+    u = random_unitary(2, 9)
+    ch = KrausChannel((tensor_product(u, np.eye(2) / 2), tensor_product(u, np.eye(2) / 2)))
+    ch_file = write(tmp_path / "ch.json", channel_to_doc(ch))
+    code, report, _ = run(capsys, [command, ch_file, "--env-in", "2", "--env-out", "2"])
+    assert code == 0 and report["is_uuqc"] and len(calls) == 1
+    bad = write(tmp_path / "bad.json", channel_to_doc(KrausChannel((np.diag([1.0, 0.5]),))))
+    code, report, _ = run(capsys, [command, bad])
+    assert code == 3 and not report["is_uuqc"] and len(calls) == 2
+
+
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1" + "0" * 400],
                          ids=["nan", "inf", "1e400", "int-1e400"])
 def test_non_finite_documents_exit_one(capsys, tmp_path, text):

@@ -213,3 +213,19 @@ def test_verify_bound_rejects_unphysical_inputs():
     bad_encoders[0] = 1.2 * bad_encoders[0]
     with pytest.raises(ValueError):
         verify_protocol_bound(state, bad_encoders, optimal_receiver(prot))
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+def test_verify_bound_names_the_first_bad_encoder(as_list):
+    state = SharedState.from_squares([0.4, 0.3, 0.3])
+    prot = optimal_protocol(state)
+    encoders = prot.encoders.copy()
+    encoders[5] *= 1.1
+    encoders[7] *= 1.2
+    encoders = list(encoders) if as_list else encoders
+    with pytest.raises(ValueError, match="encoder 5 is not trace-non-increasing"):
+        verify_protocol_bound(state, encoders, optimal_receiver(prot))
+    shapes = list(prot.encoders)
+    shapes[4] = np.ones((3, 2))
+    with pytest.raises(ValueError, match=r"encoder 4 has shape \(3, 2\), expected \(3, 3\)"):
+        verify_protocol_bound(state, shapes, optimal_receiver(prot))

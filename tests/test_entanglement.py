@@ -153,7 +153,7 @@ def test_uuqc_to_ues_matches_projected_choi_reference():
     ]:
         ch, u, _, v1, v2 = make_uuqc(rng, d, dim1, dim2, env_in, env_out, probs, with_noise=True)
         weight, ket = uuqc_to_ues(ch, v1, v2, env_in, env_out)
-        sigma = projected_choi_by_kron(ch.elements, v1.columns, v2.columns, env_in, env_out)
+        sigma = projected_choi_by_kron(ch.stack, v1.columns, v2.columns, env_in, env_out)
         assert weight == pytest.approx(np.trace(sigma).real, abs=1e-10)
         assert weight == pytest.approx(sum(probs), abs=1e-10)
         np.testing.assert_allclose(weight * np.outer(ket, ket.conj()), sigma, atol=1e-10)
@@ -187,7 +187,7 @@ def test_round_trip_probability_invariant():
 @pytest.mark.parametrize("d", [2, 3])
 def test_teleportation_channel_is_unit_probability_identity(d):
     ch = ues_to_uuqc(d)
-    assert len(ch.elements) == d * d
+    assert len(ch.stack) == d * d
     cert = certify_uuqc(ch)
     assert cert.is_uuqc
     assert cert.total_probability == pytest.approx(1.0, abs=1e-10)
@@ -201,8 +201,8 @@ def test_teleportation_channel_is_unit_probability_identity(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_teleportation_elements_are_scaled_identities(d):
     ch = ues_to_uuqc(d)
-    assert len(ch.elements) == d * d
-    for elem in ch.elements:
+    assert len(ch.stack) == d * d
+    for elem in ch.stack:
         np.testing.assert_allclose(elem, np.eye(d) / d, atol=1e-12)
 
 
@@ -221,7 +221,7 @@ def test_teleportation_outcomes_uniform():
     ch = ues_to_uuqc(d)
     psi = random_ket(d, 9)
     rho = np.outer(psi, psi.conj())
-    probs = [np.trace(e @ rho @ e.conj().T).real for e in ch.elements]
+    probs = [np.trace(e @ rho @ e.conj().T).real for e in ch.stack]
     np.testing.assert_allclose(probs, np.full(d * d, 1 / d**2), atol=1e-10)
 
 
@@ -236,7 +236,7 @@ def test_teleportation_measurement_is_rank_one():
         # reconstruct the channel elements from the parts
         ch = ues_to_uuqc(d)
         phi = maximally_entangled_ket(d)
-        for bra, corr, elem in zip(bras, corrections, ch.elements):
+        for bra, corr, elem in zip(bras, corrections, ch.stack):
             manual = np.zeros((d, d), dtype=complex)
             for i in range(d):
                 e_i = np.zeros(d)

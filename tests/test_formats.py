@@ -40,7 +40,7 @@ def test_channel_round_trip():
     ch = KrausChannel(tuple(rand_complex(rng, (3, 2)) for _ in range(2)))
     back = doc_to_channel(channel_to_doc(ch))
     assert back.in_dim == 2 and back.out_dim == 3
-    for a, b in zip(ch.elements, back.elements):
+    for a, b in zip(ch.stack, back.stack):
         np.testing.assert_allclose(a, b, atol=1e-15)
 
 

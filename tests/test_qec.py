@@ -383,9 +383,9 @@ def test_recovery_matches_two_pass_oracle(seed, shape, m, extra, degenerate, wei
     # same elements, same order, as remixing, re-running the overlap check
     # and keeping each syndrome with weight above tol
     code, noise = _correctable_noise(seed, shape, m, extra, degenerate, weight)
-    want = standard_recovery_two_pass(code.encoder, noise.elements, kl_check(code, noise).h)
+    want = standard_recovery_two_pass(code.encoder, noise.stack, kl_check(code, noise).h)
     got = standard_recovery(code, noise)
-    assert len(got.elements) == len(want)
+    assert len(got.stack) == len(want)
     np.testing.assert_allclose(got.stack, want, atol=1e-12)
 
 
@@ -468,7 +468,7 @@ def repetition_phase_flip():
 def test_bound_matches_orthogonal_branch_oracle(case):
     code, noise = case()
     prob, method = unambiguous_correction_probability(code, noise)
-    blocks = [e @ code.encoder for e in noise.elements]
+    blocks = [e @ code.encoder for e in noise.stack]
     assert method == "filter-lower-bound"
     assert prob == pytest.approx(orthogonal_branch_probability(blocks, code.logical_dim), abs=1e-9)
 

@@ -213,7 +213,7 @@ def test_uuqc_allows_zero_probability_elements():
     ch, u, thetas, v1, v2 = make_uuqc(rng, 2, 4, 4, 1, 1, [0.5])
     # an element supported entirely outside the output subspace
     junk = v2.complement().columns @ rand_complex(rng, (2, 4)) * 0.1
-    ch2 = KrausChannel(ch.elements + (junk,))
+    ch2 = KrausChannel((*ch.stack, junk))
     cert = certify_uuqc(ch2, v1, v2)
     assert cert.is_uuqc
     assert cert.total_probability == pytest.approx(0.5, abs=1e-9)
@@ -227,7 +227,7 @@ def _with_non_factorable_and_zero_weight():
     non_factorable = tensor_product(v2.columns @ rand_complex(rng, (3, 3)) @ v1.columns.conj().T,
                                     np.eye(3, 2)) + 0.1 * rand_complex(rng, (12, 10))
     junk = tensor_product(v2.complement().columns @ rand_complex(rng, (1, 5)), np.ones((3, 2)))
-    return ch, KrausChannel(ch.elements + (non_factorable, junk)), v1, v2
+    return ch, KrausChannel((*ch.stack, non_factorable, junk)), v1, v2
 
 
 def test_uuqc_per_element_equals_certify_uum():
@@ -235,8 +235,8 @@ def test_uuqc_per_element_equals_certify_uum():
     for channel in (ch, mixed):
         cert = certify_uuqc(channel, v1, v2, 2, 3)
         per = cert.per_element
-        assert len(per.probability) == len(channel.elements)
-        for k, e in enumerate(channel.elements):
+        assert len(per.probability) == len(channel.stack)
+        for k, e in enumerate(channel.stack):
             want = certify_uum(e, v1, v2, 2, 3)
             assert per.is_uum[k] == want.is_uum
             assert per.probability[k] == pytest.approx(want.probability, abs=1e-12)
@@ -260,7 +260,7 @@ def test_uuqc_per_element_is_one_stacked_certificate():
 
 def test_certify_uum_returns_python_scalars():
     _, mixed, v1, v2 = _with_non_factorable_and_zero_weight()
-    for element in mixed.elements:
+    for element in mixed.stack:
         cert = certify_uum(element, v1, v2, 2, 3)
         assert type(cert.is_uum) is bool
         for name in ("probability", "residual", "unitarity_deviation"):
@@ -298,12 +298,12 @@ def _non_certifying_channels():
     # operator on an independent environment factor
     ch, *_, v1, v2 = make_uuqc(rng, 3, 5, 4, 2, 3, [0.2, 0.3, 0.1], with_noise=True)
     w = v2.columns @ rand_complex(rng, (3, 3)) @ v1.columns.conj().T
-    broken = ch.elements[0] + 0.01 * tensor_product(w, rand_complex(rng, (3, 2)))
-    yield KrausChannel((broken,) + ch.elements[1:]), v1, v2, 2, 3
+    broken = ch.stack[0] + 0.01 * tensor_product(w, rand_complex(rng, (3, 2)))
+    yield KrausChannel((broken, *ch.stack[1:])), v1, v2, 2, 3
     # a certified element next to one built for other subspaces
     other, *_ = make_uuqc(rng, 2, 4, 3, 2, 2, [0.4])
     ch, _, _, v1, v2 = make_uuqc(rng, 2, 4, 3, 2, 2, [0.3], with_noise=True)
-    yield KrausChannel(ch.elements + other.elements), v1, v2, 2, 2
+    yield KrausChannel((*ch.stack, *other.stack)), v1, v2, 2, 2
     # every element below tol: q = 0 against the identity
     faint = v2.columns @ rand_complex(rng, (2, 2)) @ v1.columns.conj().T * 1e-6
     junk = v2.complement().columns @ rand_complex(rng, (1, 4)) + faint
@@ -316,7 +316,7 @@ def test_definition_residual_is_the_choi_distance(case):
     cert = certify_uuqc(ch, v1, v2, env_in, env_out)
     assert not cert.is_uuqc and cert.definition_residual > 1e-12
     d = v1.sub_dim
-    sigma = projected_choi_by_kron(ch.elements, v1.columns, v2.columns, env_in, env_out)
+    sigma = projected_choi_by_kron(ch.stack, v1.columns, v2.columns, env_in, env_out)
     target = tensor_product(np.eye(d), cert.unitary) @ maximally_entangled_ket(d)
     want = d * np.linalg.norm(sigma - cert.total_probability * np.outer(target, target.conj()))
     assert cert.definition_residual == pytest.approx(want, rel=1e-10)
@@ -352,7 +352,7 @@ def test_definition_residual_bounds_every_state(seed, d, extra, env, k, eps):
     g = rand_complex(rng, (d, d))
     rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
     embedded = np.kron(v1.columns @ rho @ v1.columns.conj().T, np.eye(env_in))
-    out = sum(e @ embedded @ e.conj().T for e in ch.elements)
+    out = sum(e @ embedded @ e.conj().T for e in ch.stack)
     lhs = v2.columns.conj().T @ partial_trace_sum(out, (amb_out, env_out), 1) @ v2.columns
     rhs = cert.total_probability * cert.unitary @ rho @ cert.unitary.conj().T
     assert np.linalg.norm(lhs - rhs) <= cert.definition_residual + 1e-12
@@ -420,7 +420,7 @@ def test_refine_matches_kron_oracle_in_random_bases(shape):
     # phase, which each certified environment factor carries conjugated
     assert abs(abs(np.trace(unitary.conj().T @ u)) - d) <= 1e-9
     want = refine_by_kron(unitary, thetas, v1.columns, v2.columns, b_in, b_out)
-    assert len(refined.elements) == len(want) == env_in * env_out
+    assert len(refined.stack) == len(want) == env_in * env_out
     np.testing.assert_allclose(refined.stack, np.array(want), atol=1e-12)
 
 
@@ -469,9 +469,9 @@ def test_refine_already_rank_one():
     env[1, 0] = 1.0  # |1><0| on the environment legs
     ch = KrausChannel((tensor_product(u, env),))
     refined = refine(ch, env_in=2, env_out=2)
-    assert len(refined.elements) == 1
-    original = ch.elements[0]
-    overlap = abs(np.vdot(refined.elements[0], original))
+    assert len(refined.stack) == 1
+    original = ch.stack[0]
+    overlap = abs(np.vdot(refined.stack[0], original))
     assert overlap == pytest.approx(np.linalg.norm(original) ** 2, abs=1e-9)
 
 
@@ -482,9 +482,9 @@ def test_refine_expands_full_rank_environment():
     theta *= np.sqrt(0.9) / np.linalg.norm(theta)
     ch = KrausChannel((tensor_product(u, theta),))
     refined = refine(ch, env_in=2, env_out=2)
-    assert len(refined.elements) == 4
+    assert len(refined.stack) == 4
     # weights are the entry moduli of the environment factor
-    weights = sorted(np.linalg.norm(e) / np.sqrt(2) for e in refined.elements)
+    weights = sorted(np.linalg.norm(e) / np.sqrt(2) for e in refined.stack)
     expected = sorted(np.abs(theta).reshape(-1))
     np.testing.assert_allclose(weights, expected, atol=1e-9)
     cert = certify_uuqc(refined, env_in=2, env_out=2)
@@ -501,7 +501,7 @@ def test_refine_combines_elements_entrywise():
     # entry-wise expansion: weight(i_out, i_in) = sqrt(|t1|^2 + |t2|^2)
     expected = np.sqrt(np.abs(t1) ** 2 + np.abs(t2) ** 2)
     got = np.zeros((2, 2))
-    for e in refined.elements:
+    for e in refined.stack:
         pair = factor_as_tensor(e, 2, 2, 2, 2)
         env = pair.env_factor
         j, i = np.unravel_index(np.argmax(np.abs(env)), env.shape)
@@ -521,7 +521,7 @@ def test_refine_rank_one_environment_invariant():
     after = certify_uuqc(refined, v1, v2, 2, 3)
     assert after.is_uuqc
     assert after.total_probability == pytest.approx(before.total_probability, abs=1e-9)
-    for e in refined.elements:
+    for e in refined.stack:
         pair = factor_as_tensor(e, 3, 3, 3, 2)
         assert pair.schmidt_values[1] <= 1e-9
 
@@ -532,9 +532,9 @@ def test_refine_in_chosen_environment_bases():
     b_in = np.linalg.qr(rand_complex(rng, (2, 2)))[0]
     b_out = np.linalg.qr(rand_complex(rng, (3, 3)))[0]
     refined = refine(ch, v1, v2, 2, 3, env_in_basis=b_in, env_out_basis=b_out)
-    assert len(refined.elements) == 6
+    assert len(refined.stack) == 6
     embedded = v2.columns @ u @ v1.columns.conj().T
-    for e, (j, i) in zip(refined.elements, [(j, i) for j in range(3) for i in range(2)]):
+    for e, (j, i) in zip(refined.stack, [(j, i) for j in range(3) for i in range(2)]):
         w2 = sum(abs(b_out[:, j].conj() @ t @ b_in[:, i]) ** 2 for t in thetas)
         part = np.outer(b_out[:, j], b_in[:, i].conj())
         target = np.sqrt(w2) * tensor_product(embedded, part)

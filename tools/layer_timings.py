@@ -28,16 +28,17 @@ The cases:
 - ``search_mixed_nonzero`` with ``d = 2`` on 3 x 4 and 4 x 4 product states,
   which sweep every subset pair;
 - ``choi_state`` at ``in_dim * out_dim`` = 288, 640 and 1536;
-- ``standard_recovery`` and ``verify_correction_uuqc`` (with that
-  recovery) on the 3-, 5- and 7-qubit repetition codes under ``0.7 I`` plus
-  single bit flips that share the remaining 0.3;
+- ``kl_check``, ``standard_recovery`` and ``verify_correction_uuqc``
+  (with that recovery) on the 3-, 5- and 7-qubit repetition codes under
+  ``0.7 I`` plus single bit flips that share the remaining 0.3;
 - ``unambiguous_correction_probability`` and ``meets_certainty_condition``
   on the same codes and noise at 3, 5, 7 and 9 qubits;
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
   (6 x 48 x 48), and ``channel_to_doc`` plus ``dump_json`` of its
   refinement (16 x 48 x 48), the ``refine`` report's payload;
 - ``simulate`` of the optimal dense-coding protocol at D = 8 with 10^6
-  trials, as the ``cli`` workload's ``dense-code`` job runs it.
+  trials, as the ``cli`` workload's ``dense-code`` job runs it, and
+  ``verify_protocol_bound`` of that protocol with its optimal receiver.
 
 This is a measuring tool: it is neither a test nor part of the benchmark.
 """
@@ -153,6 +154,8 @@ def _cases():
         dims = {"qubits": n, "n_phys": 2**n, "K": n + 1}
         if n in REPETITION_QUBITS:
             recovery = uuqc.standard_recovery(code, noise)
+            cases.append(("kl_check", "qec", dims,
+                          lambda code=code, noise=noise: uuqc.kl_check(code, noise), REPEATS))
             cases.append(("standard_recovery", "qec", dims,
                           lambda code=code, noise=noise: uuqc.standard_recovery(code, noise), REPEATS))
             cases.append(("verify_correction_uuqc", "qec", dims,
@@ -173,7 +176,7 @@ def _cases():
     full = uuqc.SubspaceIsometry.full(d)
     refined = uuqc.refine(large, full, full, e, e)
     cases.append(("dump_json(channel_to_doc)", "formats",
-                  {"K": len(refined.elements), "out_dim": d * e, "in_dim": d * e},
+                  {"K": len(refined.stack), "out_dim": d * e, "in_dim": d * e},
                   lambda ch=refined: formats.dump_json(formats.channel_to_doc(ch)), REPEATS))
 
     lam2 = np.sort(rng.uniform(0.3, 1.0, DENSE_D))[::-1]
@@ -181,6 +184,9 @@ def _cases():
     protocol = uuqc.optimal_protocol(state)
     cases.append(("simulate", "densecode", {"D": DENSE_D, "trials": DENSE_TRIALS},
                   lambda: uuqc.simulate(state, protocol, DENSE_TRIALS, 7), REPEATS))
+    bob = uuqc.optimal_receiver(protocol)
+    cases.append(("verify_protocol_bound", "densecode", {"D": DENSE_D},
+                  lambda: uuqc.verify_protocol_bound(state, protocol.encoders, bob), REPEATS))
     return cases
 
 
