@@ -23,6 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     VALIDATION_TOL,
     SubspaceIsometry,
+    _density_eigh,
     dagger,
     shift_clock_unitaries,
     tensor_product,
@@ -181,15 +182,25 @@ def teleport_probability_pure(shared: np.ndarray, dim_a: int, dim_b: int, d: int
     return TeleportCertificate(probability=prob, rank_d=d)
 
 
-def _witness_test(blocks: np.ndarray, d: int, tol: float) -> tuple:
-    """Weights, top eigenvectors and verdicts of a stack of projected states
-    on ``d x d``: a block witnesses when its weight exceeds ``tol``, it is
-    pure within ``tol``, and its top eigenvector has Schmidt rank ``d``."""
-    weight = np.trace(blocks, axis1=1, axis2=2).real
-    evals, evecs = np.linalg.eigh(blocks)
-    top = evecs[:, :, -1]
-    schmidt_values = np.linalg.svd(top.reshape(-1, d, d), compute_uv=False)
-    return weight, top, (weight > tol) & (weight - evals[:, -1] <= tol) & (schmidt_values[:, -1] > tol)
+def _identity_filters(blocks: np.ndarray, tol: float) -> tuple:
+    """A solution ``B`` of ``M_k B^T = c_k I`` for each stack ``(K, d, m)`` in ``blocks``.
+
+    One batched ``eigh`` of the Gram matrix of ``sum_k ||M_k B^T - c_k I||^2``
+    at ``c_k = Tr(M_k B^T) / d`` gives its null space ``N`` (eigenvalues up to
+    ``tol``).  Returns ``P_N vec(M_k)^*``, the solution with the largest
+    ``|c_k|``, which has no part that every ``M_k`` annihilates, at the best
+    ``k``, and ``d |c_k|^2`` of its unit multiple."""
+    n, k, d, m = blocks.shape
+    rows, flat = blocks.reshape(n, k * d, m), blocks.reshape(n, k, d * m)
+    targets = flat.conj().swapaxes(1, 2)
+    gram = np.eye(d)[:, None, :, None] * (rows.conj().swapaxes(1, 2) @ rows)[:, None, :, None]
+    gram = gram.reshape(n, d * m, d * m) - targets @ flat / d
+    evals, evecs = np.linalg.eigh(gram)
+    null = evecs * (evals <= tol)[:, None, :]
+    candidates = null @ (null.conj().swapaxes(1, 2) @ targets)
+    norms = (candidates.real**2 + candidates.imag**2).sum(1)
+    best, stack = norms.argmax(1), np.arange(n)
+    return candidates[stack, :, best].reshape(n, d, m), norms[stack, best] / d
 
 
 def check_mixed_nonzero(
@@ -208,22 +219,22 @@ def check_mixed_nonzero(
     weight, is pure, and has Schmidt rank ``d``.  The reported probability is
     the lower bound established by this witness (projection weight times the
     pure-state conversion optimum); the zero certificate means this subspace
-    pair proves nothing.
+    pair proves nothing.  ``rho`` must be a density matrix.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError("state shape does not match the factor dimensions")
+    rho, _, _ = _density_eigh(rho, dim_a * dim_b, "state")
     if va.sub_dim != d or vb.sub_dim != d:
         raise ValueError(f"witness subspaces must have dimension {d}")
     if va.ambient_dim != dim_a or vb.ambient_dim != dim_b:
         raise ValueError("witness subspaces do not live on the state factors")
 
     restrict = tensor_product(va.columns, vb.columns)
-    weight, top, passed = _witness_test((dagger(restrict) @ rho @ restrict)[None], d, tol)
-    if not passed[0]:
+    block = dagger(restrict) @ rho @ restrict
+    weight = float(np.trace(block).real)
+    evals, evecs = np.linalg.eigh(block)
+    form = schmidt(evecs[:, -1], d, d, tol)
+    if weight <= tol or weight - evals[-1] > tol or form.rank < d:
         return TeleportCertificate(0.0, d)
-    prob = float(weight[0]) * conversion_probability(schmidt(top[0], d, d, tol), d)
-    return TeleportCertificate(prob, d, witness_subspaces=(va, vb))
+    return TeleportCertificate(weight * conversion_probability(form, d), d, witness_subspaces=(va, vb))
 
 
 def search_mixed_nonzero(
@@ -234,32 +245,32 @@ def search_mixed_nonzero(
     tol: float = DEFAULT_TOL,
     max_dim: int = 4,
 ) -> TeleportCertificate:
-    """Exhaustive sweep of computational-basis subspace pairs.
+    """Local-filter search for a nonzero teleportation probability.
 
-    Tries every pair of ``d``-element basis-index subsets in lexicographic
-    order and returns the first nonzero certificate, or the zero certificate
-    when no pair works.  Restriction onto basis subspaces is a selection, so
-    all pair blocks are gathered from ``rho`` at once and take the test of
-    ``check_mixed_nonzero`` in one batched ``eigh`` and Schmidt SVD; that
-    function then certifies the first passing pair.  Guarded to small factor
-    dimensions; larger searches need problem-specific subspaces fed to
-    ``check_mixed_nonzero``.
+    Filters ``X (x) B`` give the canonical ket when ``X V_k B^T = c_k I``,
+    some ``c_k != 0``, for every eigenket ``V_k`` above ``tol`` (scaled by
+    the root of its eigenvalue).  As ``(X (x) I)|phi> = (I (x) X^T)|phi>``,
+    only the row space ``W`` of ``X`` on the smaller factor matters; ``W``
+    runs over its basis subsets (dimension at most ``max_dim``), so the
+    decision is exact when that factor has dimension ``d``.  The first
+    ``W`` where ``_identity_filters`` solves for ``B``, and the support of
+    ``B``, go to ``check_mixed_nonzero`` for the certificate.
     """
-    if dim_a > max_dim or dim_b > max_dim:
-        raise ValueError(f"exhaustive sweep limited to factor dims <= {max_dim}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError("state shape does not match the factor dimensions")
-    subsets_a, subsets_b = (np.array(list(combinations(range(n), d)), dtype=int).reshape(-1, d)
-                            for n in (dim_a, dim_b))
-    # Row (i, j) holds the composite indices of subsets_a[i] (x) subsets_b[j].
-    idx = (subsets_a[:, None, :, None] * dim_b + subsets_b[None, :, None, :]).reshape(-1, d * d)
-    _, _, passed = _witness_test(rho[idx[:, :, None], idx[:, None, :]], d, tol)
-    for p in np.flatnonzero(passed):
-        i, j = divmod(p, len(subsets_b))
-        va = SubspaceIsometry.from_indices(dim_a, subsets_a[i])
-        vb = SubspaceIsometry.from_indices(dim_b, subsets_b[j])
-        cert = check_mixed_nonzero(rho, dim_a, dim_b, d, va, vb, tol)
-        if cert.probability > 0.0:
-            return cert
-    return TeleportCertificate(0.0, d)
+    rho, evals, evecs = _density_eigh(rho, dim_a * dim_b, "state")
+    swap, small = dim_b < dim_a, min(dim_a, dim_b)
+    if small > max_dim:
+        raise ValueError(f"subset sweep limited to a smaller factor dim <= {max_dim}")
+    subsets = np.array(list(combinations(range(small), d)), dtype=int).reshape(-1, d)
+    keep = evals > tol
+    kets = (evecs[:, keep] * np.sqrt(evals[keep])).T.reshape(-1, dim_a, dim_b)
+    if swap:
+        kets = kets.swapaxes(1, 2)
+    filters, gain = _identity_filters(kets[:, subsets].swapaxes(0, 1), tol)
+    found = np.flatnonzero(gain > tol)
+    if not found.size:
+        return TeleportCertificate(0.0, d)
+    w = found[0]
+    # The swept subset, and the support of the filter on the other factor.
+    pair = (SubspaceIsometry.from_indices(small, subsets[w]),
+            SubspaceIsometry(np.linalg.svd(filters[w])[2][:d].conj().T))
+    return check_mixed_nonzero(rho, dim_a, dim_b, d, *(pair[::-1] if swap else pair), tol)

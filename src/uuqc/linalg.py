@@ -203,6 +203,18 @@ def factor_as_tensor(
     return FactoredPair(sys_factor, env_factor, np.sqrt(np.einsum("...i,...i->...", tail, tail)), values)
 
 
+def _density_eigh(rho, dim: int, name: str) -> tuple:
+    """``rho`` and its ``eigh``, checked to be a ``dim x dim`` density matrix within ``VALIDATION_TOL``."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValueError(f"{name} shape {rho.shape} does not match ({dim}, {dim})")
+    evals, evecs = np.linalg.eigh(rho)
+    tol = VALIDATION_TOL
+    if not np.isfinite(rho).all() or max(frobenius(rho - dagger(rho)), -evals[0], abs(evals.sum() - 1)) > tol:
+        raise ValueError(f"{name} must be a density matrix (Hermitian, positive semidefinite, unit trace)")
+    return rho, evals, evecs
+
+
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary; deterministic for a fixed seed."""
     if dim < 1:

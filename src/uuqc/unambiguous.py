@@ -29,6 +29,7 @@ import numpy as np
 # perfbench/smoke.py checks that the tracer patches this binding.
 from .channels import KrausChannel, apply  # noqa: F401
 from .linalg import DEFAULT_TOL, VALIDATION_TOL, SubspaceIsometry, dagger, factor_as_tensor, frobenius
+from .linalg import _density_eigh
 
 __all__ = [
     "UumCertificate",
@@ -215,12 +216,7 @@ def probability_profile(
     if env_state is None:
         env_block = np.eye(env_in)
     else:
-        env_state = np.asarray(env_state, dtype=complex)
-        if env_state.shape != (env_in, env_in) or frobenius(env_state - dagger(env_state)) > VALIDATION_TOL:
-            raise ValueError("env_state must be a density matrix on the input environment")
-        evals, evecs = np.linalg.eigh(env_state)
-        if evals[0] < -VALIDATION_TOL or abs(np.sum(evals) - 1.0) > VALIDATION_TOL:
-            raise ValueError("env_state must be a density matrix on the input environment")
+        _, evals, evecs = _density_eigh(env_state, env_in, "env_state")
         env_block = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ dagger(evecs)
 
     # One draw of every (real, imaginary) pair keeps the stream of drawing

@@ -329,27 +329,150 @@ def _basis_indices(v: SubspaceIsometry) -> list:
     return list(np.nonzero(v.columns.T)[1])
 
 
+def _low_rank_state(rng, dim_a, dim_b, rank, sparse):
+    """A random state of rank at most ``rank``; ``sparse`` keeps about a
+    third of the amplitudes, so basis-subset witnesses become likely."""
+    g = rand_complex(rng, (dim_a * dim_b, rank))
+    if sparse:
+        g = g * (rng.uniform(size=g.shape) < 0.3)
+        g[rng.integers(dim_a * dim_b), 0] = 1.0
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim_a=st.integers(2, 4),
     dim_b=st.integers(2, 4),
     d=st.integers(2, 3),
-    kind=st.sampled_from(["block", "pure", "product"]),
+    kind=st.sampled_from(["block", "pure", "product", "low-rank", "sparse"]),
+    rank=st.integers(1, 3),
 )
-def test_batched_sweep_matches_pairwise_oracle(seed, dim_a, dim_b, d, kind):
+def test_filter_search_never_weaker_than_pairwise_oracle(seed, dim_a, dim_b, d, kind, rank):
     rng = np.random.default_rng(seed)
     fits = d <= min(dim_a, dim_b)
-    rho = _shared_state(rng, dim_a, dim_b, d, kind if fits else "product")
+    if kind in ("low-rank", "sparse"):
+        rho = _low_rank_state(rng, dim_a, dim_b, rank, kind == "sparse")
+    else:
+        rho = _shared_state(rng, dim_a, dim_b, d, kind if fits else "product")
     got = search_mixed_nonzero(rho, dim_a, dim_b, d)
     want = search_mixed_nonzero_by_pairs(rho, dim_a, dim_b, d)
-    assert (got.probability > 0.0) == (fits and kind != "product")
-    assert got.probability == want.probability
-    if want.witness_subspaces is None:
-        assert got.witness_subspaces is None
+    if want.probability > 0.0:
+        assert got.probability > 0.0
+    if kind in ("block", "pure", "product"):
+        assert (got.probability > 0.0) == (fits and kind != "product")
+        assert got.probability >= want.probability - 1e-12
+    if got.probability > 0.0:
+        again = check_mixed_nonzero(rho, dim_a, dim_b, d, *got.witness_subspaces)
+        assert again.probability == got.probability
     else:
-        assert [_basis_indices(v) for v in got.witness_subspaces] == [
-            _basis_indices(v) for v in want.witness_subspaces
-        ]
+        assert got.witness_subspaces is None
+
+
+def test_baseline_choi_state_reaches_one_half():
+    # Normalised Choi state of sqrt(0.6) diag(1, 1, 0) and
+    # sqrt(0.4) (|0><0| + |2><1|) on span(e0, e1): the receiver filter
+    # [[1, 0, 0], [0, 1, 1]] / sqrt(2) leaves the canonical ket with weight 0.5.
+    first = np.zeros((2, 3))
+    first[0, 0] = first[1, 1] = np.sqrt(0.6)
+    second = np.zeros((2, 3))
+    second[0, 0] = second[1, 2] = np.sqrt(0.4)
+    kets = np.stack([first.reshape(-1), second.reshape(-1)]) / np.sqrt(2)
+    rho = kets.T @ kets
+    cert = search_mixed_nonzero(rho, 2, 3, 2)
+    assert cert.probability == pytest.approx(0.5, abs=1e-9)
+    va, vb = cert.witness_subspaces
+    np.testing.assert_allclose(abs(va.projector()), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(abs(vb.projector()), [[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]], atol=1e-12)
+    assert check_mixed_nonzero(rho, 2, 3, 2, va, vb).probability == cert.probability
+    # the basis-subset pairs hold no witness
+    assert search_mixed_nonzero_by_pairs(rho, 2, 3, 2).probability == 0.0
+
+
+def _qubit_times_six(rng):
+    """Half a maximally entangled ket on a random plane of C^6 (weight 0.7),
+    plus noise on the qubit's |0> times a direction outside that plane."""
+    frame = random_unitary(6, rng)
+    psi = (np.kron([1, 0], frame[:, 0]) + np.kron([0, 1], frame[:, 1])) / np.sqrt(2)
+    noise = np.kron([1, 0], frame[:, 2])
+    return 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.outer(noise, noise.conj())
+
+
+def test_qubit_witness_beyond_four_levels():
+    rho = _qubit_times_six(np.random.default_rng(12))
+    cert = search_mixed_nonzero(rho, 2, 6, 2)
+    assert cert.probability == pytest.approx(0.7, abs=1e-9)
+    assert check_mixed_nonzero(rho, 2, 6, 2, *cert.witness_subspaces).probability == cert.probability
+    # the same state with its factors swapped, and the witness pair with them
+    swapped = rho.reshape(2, 6, 2, 6).transpose(1, 0, 3, 2).reshape(12, 12)
+    flipped = search_mixed_nonzero(swapped, 6, 2, 2)
+    assert flipped.probability == pytest.approx(0.7, abs=1e-9)
+    assert [v.ambient_dim for v in flipped.witness_subspaces] == [6, 2]
+
+
+def test_qubit_product_beyond_four_levels_has_no_witness():
+    rng = np.random.default_rng(13)
+    ga, gb = rand_complex(rng, (2, 2)), rand_complex(rng, (6, 6))
+    rho = np.kron(ga @ ga.conj().T, gb @ gb.conj().T)
+    cert = search_mixed_nonzero(rho / np.trace(rho).real, 2, 6, 2)
+    assert cert.probability == 0.0
+    assert cert.witness_subspaces is None
+
+
+def test_check_mixed_nonzero_refuses_a_pure_product_projection():
+    rho = np.zeros((4, 4))
+    rho[0, 0] = 1.0
+    cert = check_mixed_nonzero(rho, 2, 2, 2, SubspaceIsometry.full(2), SubspaceIsometry.full(2))
+    assert cert.probability == 0.0
+    assert cert.witness_subspaces is None
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(3, 4), (4, 3)])
+def test_search_takes_the_first_basis_subset(dim_a, dim_b):
+    # every subset of a generic pure state holds a solution
+    psi = random_ket(dim_a * dim_b, np.random.default_rng(15))
+    cert = search_mixed_nonzero(np.outer(psi, psi.conj()), dim_a, dim_b, 2)
+    swept = cert.witness_subspaces[0 if dim_a < dim_b else 1]
+    np.testing.assert_allclose(swept.projector(), np.diag([1, 1, 0]), atol=1e-12)
+
+
+def test_near_solution_does_not_hide_a_later_subset():
+    # Rows {0, 1} hold an entangled ket made impure by a 1e-6 eigenket that
+    # no filter removes, so subset (0, 1) has only a near solution; rows
+    # {2, 3} hold an exact witness.
+    rng = np.random.default_rng(16)
+    near, exact, flaw = np.zeros((3, 4, 4), dtype=complex)
+    near[:2, :2] = random_unitary(2, rng) / np.sqrt(2)
+    exact[2:, 2:] = random_unitary(2, rng) / np.sqrt(2)
+    flaw[1, 0] = 1.0
+    near, exact, flaw = (k.reshape(-1) for k in (near, exact, flaw))
+    rho = 0.5 * (1 - 1e-6) * np.outer(near, near.conj()) + 0.5e-6 * np.outer(flaw, flaw)
+    rho = rho + 0.5 * np.outer(exact, exact.conj())
+    cert = search_mixed_nonzero(rho, 4, 4, 2)
+    assert cert.probability > 0.0
+    np.testing.assert_allclose(cert.witness_subspaces[0].projector(), np.diag([0, 0, 1, 1]), atol=1e-12)
+
+
+def test_sweep_bound_applies_to_the_smaller_factor():
+    with pytest.raises(ValueError, match="smaller factor"):
+        search_mixed_nonzero(np.eye(25) / 25, 5, 5, 2)
+
+
+@pytest.mark.parametrize("search", [True, False])
+@pytest.mark.parametrize("make", [
+    lambda rng: rand_complex(rng, (9, 9)),  # not Hermitian
+    lambda rng: -np.eye(9) / 9,  # not positive semidefinite
+    lambda rng: np.eye(9) / 18,  # trace 0.5
+    lambda rng: np.diag([np.nan] + [1 / 8] * 8),  # not finite
+], ids=["non-hermitian", "negative", "wrong-trace", "not-finite"])
+def test_mixed_checks_reject_non_density_matrices(make, search):
+    rho = make(np.random.default_rng(14))
+    v01 = SubspaceIsometry.from_indices(3, (0, 1))
+    with pytest.raises(ValueError, match="density matrix"):
+        if search:
+            search_mixed_nonzero(rho, 3, 3, 2)
+        else:
+            check_mixed_nonzero(rho, 3, 3, 2, v01, v01)
 
 
 def test_sweep_checks_the_state_shape():
@@ -387,7 +510,7 @@ def _faint_witness(rng):
     (lambda rng: _shared_state(rng, 4, 4, 2, "pure"), 1),
 ])
 def test_sweep_certifies_only_the_first_passing_pair(make, calls):
-    # only the first passing pair reaches check_mixed_nonzero
+    # only the first subset with a filter solution reaches check_mixed_nonzero
     rho = make(np.random.default_rng(8))
     with mock.patch.object(entanglement, "check_mixed_nonzero",
                            wraps=entanglement.check_mixed_nonzero) as check:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import uuqc.qec
 from uuqc.channels import KrausChannel, apply, choi_state, compose
-from uuqc.entanglement import is_rank_d_ues, schmidt
+from uuqc.entanglement import check_mixed_nonzero, is_rank_d_ues, schmidt, search_mixed_nonzero
 from uuqc.linalg import random_unitary
 from uuqc.qec import (
     CodeSpec,
@@ -523,6 +523,47 @@ def test_choi_free_verdicts_match_choi_eigh_oracle(seed, dims, branches, extra, 
     assert method == want_method
     assert prob == pytest.approx(want_prob, abs=1e-9)
     assert meets_certainty_condition(code, noise) == want_certain
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(3, 2), (4, 2), (6, 2), (6, 3), (8, 2)]),
+    branches=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    separated=st.booleans(),
+    trace_preserving=st.booleans(),
+)
+def test_ec_prob_agrees_with_teleport_search_on_the_choi_state(
+    seed, dims, branches, extra, separated, trace_preserving
+):
+    # The search sweeps the d-dimensional reference factor, where it is
+    # exact: on pure noise it gives the conversion optimum, and it is nonzero
+    # whenever the branch bound is.
+    code, noise = _noise_with_branches(seed, dims, branches, extra, separated, trace_preserving)
+    sigma = noise_choi_state(code, noise)
+    weight = np.trace(sigma).real
+    d = code.logical_dim
+    found = search_mixed_nonzero(sigma / weight, d, noise.out_dim, d)
+    prob, method = unambiguous_correction_probability(code, noise)
+    if branches == 1:
+        assert method == "pure-exact"
+        assert prob == pytest.approx(weight * found.probability, abs=1e-9)
+    elif prob > 1e-9:
+        assert found.probability > 0.0
+
+
+def test_teleport_search_on_the_baseline_choi_state():
+    # The filter [[1, 0, 0], [0, 1, 1]] / sqrt(2) on the noisy half leaves the
+    # canonical ket with weight 0.5; ec-prob's branch bound still reads 0.
+    code = CodeSpec(np.eye(3, 2, dtype=complex))
+    flip = np.zeros((3, 3), dtype=complex)
+    flip[0, 0] = flip[2, 1] = 1.0
+    noise = KrausChannel((np.sqrt(0.6) * np.diag([1.0, 1.0, 0.0]).astype(complex), np.sqrt(0.4) * flip))
+    sigma = noise_choi_state(code, noise)
+    assert np.trace(sigma).real == pytest.approx(1.0, abs=1e-12)
+    found = search_mixed_nonzero(sigma, 2, 3, 2)
+    assert found.probability == pytest.approx(0.5, abs=1e-9)
+    assert check_mixed_nonzero(sigma, 2, 3, 2, *found.witness_subspaces).probability == found.probability
 
 
 def test_correction_verdicts_build_no_choi_matrix(monkeypatch):

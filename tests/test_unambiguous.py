@@ -441,6 +441,7 @@ def test_refine_rejects_non_unitary_environment_basis(which):
     [[0.75, 0.2], [0.0, 0.25]],  # not Hermitian: eigh would read one triangle
     [[1.5, 0.0], [0.0, -0.5]],  # unit trace, not positive semidefinite
     [[0.5, 0.0], [0.0, 0.25]],  # positive, trace 0.75
+    [[np.nan, 0.0], [0.0, 1.0]],  # not finite
 ])
 def test_profile_rejects_invalid_environment_state(env_state):
     u = random_unitary(2, 42)

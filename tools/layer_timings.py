@@ -25,8 +25,11 @@ The cases:
   ``TELEPORT_DIMS`` dimension;
 - ``KrausChannel`` built from a ``(K, out, in)`` array of each
   ``STACK_SHAPES`` shape;
-- ``search_mixed_nonzero`` with ``d = 2`` on 3 x 4 and 4 x 4 product states,
-  which sweep every subset pair;
+- ``search_mixed_nonzero`` with ``d = 2`` on 3 x 4 and 4 x 4 product states
+  (no witness), on a 4 x 4 state holding an entangled 2 x 2 block
+  (``"block"``, one witness) and on the normalised 2 x 3 Choi state of
+  ``sqrt(0.6) diag(1, 1, 0)`` and ``sqrt(0.4) (|0><0| + |2><1|)`` on
+  ``span(e0, e1)`` (``"choi"``, witnessed by a non-basis receiver filter);
 - ``choi_state`` at ``in_dim * out_dim`` = 288, 640 and 1536;
 - ``kl_check``, ``standard_recovery`` and ``verify_correction_uuqc``
   (with that recovery) on the 3-, 5- and 7-qubit repetition codes under
@@ -71,6 +74,32 @@ EC_PROB_QUBITS = [3, 5, 7, 9]
 STACK_SHAPES = [(64, 8, 8), (16, 64, 64)]
 SWEEP_DIMS = [(3, 4), (4, 4)]
 TELEPORT_DIMS = [2, 4, 8]
+
+
+def _witness_states() -> dict:
+    """``kind -> (rho, dim_a, dim_b)`` of the timed states that hold a witness.
+
+    ``"block"``: a rank-2 entangled ket on the basis block ``{1, 3} x {0, 2}``
+    of 4 x 4 (weight 0.6) plus diagonal noise on basis states outside it.
+    ``"choi"``: the normalised Choi state of ``sqrt(0.6) diag(1, 1, 0)`` and
+    ``sqrt(0.4) (|0><0| + |2><1|)`` on ``span(e0, e1)`` in C^3, logical
+    factor first; its witness filter is ``[[1, 0, 0], [0, 1, 1]] / sqrt(2)``.
+    Built from their own seed, so the inputs of the other cases stay put.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(12)
+    coeff = np.zeros((4, 4), dtype=complex)
+    coeff[np.ix_([1, 3], [0, 2])] = np.linalg.qr(rng.standard_normal((2, 2)))[0] * [0.8, 0.6]
+    noise = rng.uniform(size=(4, 4))
+    noise[np.ix_([1, 3], [0, 2])] = 0.0
+    psi = coeff.reshape(-1)
+    block = 0.6 * np.outer(psi, psi.conj()) + 0.4 * np.diag(noise.reshape(-1) / noise.sum())
+    kets = np.zeros((2, 2, 3))
+    kets[0, 0, 0] = kets[0, 1, 1] = np.sqrt(0.6)
+    kets[1, 0, 0] = kets[1, 1, 2] = np.sqrt(0.4)
+    kets = kets.reshape(2, 6) / np.sqrt(2)
+    return {"block": (block, 4, 4), "choi": (kets.T @ kets, 2, 3)}
 
 
 def _cases():
@@ -136,6 +165,9 @@ def _cases():
         rho = np.kron(ga @ ga.conj().T, gb @ gb.conj().T)
         rho /= np.trace(rho).real
         cases.append(("search_mixed_nonzero", "entanglement", {"dim_a": dim_a, "dim_b": dim_b, "d": 2},
+                      lambda rho=rho, a=dim_a, b=dim_b: uuqc.search_mixed_nonzero(rho, a, b, 2), REPEATS))
+    for kind, (rho, dim_a, dim_b) in _witness_states().items():
+        cases.append(("search_mixed_nonzero", "entanglement", {"dim_a": dim_a, "dim_b": dim_b, "d": 2, "state": kind},
                       lambda rho=rho, a=dim_a, b=dim_b: uuqc.search_mixed_nonzero(rho, a, b, 2), REPEATS))
 
     for in_dim, out_dim, k in CHOI_SHAPES:
