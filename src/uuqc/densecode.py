@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, frobenius, partial_trace, shift_clock_unitaries, tensor_product
+from .linalg import DEFAULT_TOL, dagger, shift_clock_unitaries, tensor_product
+from .unambiguous import _phase_distance, certify_uum
 
 __all__ = [
     "SharedState",
@@ -115,8 +116,8 @@ class SimulationResult:
 class BoundReport:
     """Outcome of the linear-form bound verification."""
 
-    r: complex
-    form_residual: float
+    r: complex                  # Tr(B M) / D^2
+    form_residual: float        # min_phi ||U - e^{i phi} I||_F of the certified U
     form_holds: bool
     success_probability: float  # |r|^2
     bound: float                # D * lambda_D^2
@@ -217,11 +218,13 @@ def verify_protocol_bound(
 
     Stacks the vectorized encoders (retained-side index slow) into columns,
     applies the shared-state diagonal on the retained slot and the receiver
-    operator, and tests whether the product is ``r`` times the identity.
-    When the form holds, ``|r|**2`` is the protocol's equal success
-    probability and must respect ``D * lambda_D**2``.  The trace condition
-    on the stacked encoders' Gram operator is verified alongside; it holds
-    whenever every encoder is trace-non-increasing.
+    operator, and certifies the product with ``certify_uum``: the form
+    ``r I`` holds when it is an unambiguous unitary map whose unitary is the
+    identity up to a phase, the rule of ``verify_correction_uuqc``.  Then
+    ``|r|**2`` is the protocol's equal success probability and must respect
+    ``D * lambda_D**2``.  The trace condition on the stacked encoders' Gram
+    operator is verified alongside; it holds whenever every encoder is
+    trace-non-increasing.
     """
     D = state.rank
     n_msg = D * D
@@ -248,22 +251,22 @@ def verify_protocol_bound(
     if top > 1.0 + tol:
         raise ValueError("receiver operator must satisfy B^dag B <= I")
 
-    stacked = _encoder_kets(stack)
-    lifted = tensor_product(np.diag(state.lambdas), np.eye(D)) @ stacked
-    product = bob @ lifted
-
+    kets = _encoder_kets(stack)
+    product = bob @ (np.repeat(state.lambdas, D)[:, None] * kets)
+    cert = certify_uum(product, tol=tol)
+    form_residual = float(_phase_distance(cert.unitary[None], np.eye(n_msg))[0])
     r = complex(np.trace(product) / n_msg)
-    form_residual = frobenius(product - r * np.eye(n_msg))
     bound = capacity(state)
     success = float(abs(r) ** 2)
-
-    gram = partial_trace(stacked @ dagger(stacked), (D, D), keep=(0,))
-    gram_max = float(np.max(np.linalg.eigvalsh(gram)))
+    # The Gram operator's partial trace over the transmitted slot, one
+    # D x D block per transmitted index i: blocks[i][j, x] = A_x[i, j].
+    blocks = kets.reshape(D, D, -1).swapaxes(0, 1)
+    gram_max = float(np.linalg.eigvalsh((blocks @ blocks.conj().swapaxes(1, 2)).sum(0))[-1])
 
     return BoundReport(
         r=r,
         form_residual=form_residual,
-        form_holds=form_residual <= tol,
+        form_holds=cert.is_uum and form_residual <= tol,
         success_probability=success,
         bound=bound,
         bound_satisfied=success <= bound + tol,

@@ -11,7 +11,6 @@ with the offending field named.
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain
 
 import numpy as np
@@ -58,17 +57,6 @@ def matrix_to_doc(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs(m)}
 
 
-def _is_finite_pair(pair) -> bool:
-    try:
-        return (
-            isinstance(pair, (list, tuple))
-            and len(pair) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in pair)
-        )
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 def _finite_values(data: list):
     """``data`` flattened into one float array, or ``None`` when some entry
     is not an ``[re, im]`` pair of finite numbers."""
@@ -104,7 +92,7 @@ def doc_to_matrix(doc, field: str = "matrix") -> np.ndarray:
     values = _finite_values(data)
     if values is None:
         # name the first bad entry
-        i = next(i for i, pair in enumerate(data) if not _is_finite_pair(pair))
+        i = next(i for i, pair in enumerate(data) if _finite_values([pair]) is None)
         raise FormatError(f"{field}.data[{i}]: expected an [re, im] pair of finite numbers")
     return values.view(complex).reshape(rows, cols)
 

@@ -267,7 +267,7 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
     if weight <= tol:
         return 0.0, "pure-exact"
     if weight - float(evals[0]) <= tol:
-        prob = weight * conversion_probability(schmidt(kets[0], d, n), d)
+        prob = weight * conversion_probability(schmidt(kets[0], d, n, tol), d)
         return float(prob), "pure-exact"
 
     keep = evals > tol

@@ -164,6 +164,15 @@ def test_ec_prob_certainty_uses_tol(capsys, tmp_path):
     assert code == 0 and report["certainty_condition"] is False
 
 
+def test_ec_prob_tol_sets_the_pure_schmidt_rank(capsys, tmp_path):
+    code_file = write(tmp_path / "triv.json", code_to_doc(CodeSpec(np.eye(2, dtype=complex))))
+    noise = KrausChannel((np.diag([1.0, 1e-7]).astype(complex),))
+    noise_file = write(tmp_path / "noise.json", channel_to_doc(noise))
+    code, report, _ = run(capsys, ["ec-prob", code_file, noise_file, "--tol", "1e-6"])
+    assert code == 0
+    assert report["probability"] == 0.0 and report["method"] == "pure-exact"
+
+
 def test_dense_code_stats(capsys):
     code, report, _ = run(
         capsys,
@@ -195,6 +204,28 @@ def test_verify_dc(capsys, tmp_path):
     # the optimal receiver for one spectrum is not the scaled identity form
     # for another: the verdict must turn negative
     assert code == 3
+
+
+def test_verify_dc_rejects_receivers_off_the_identity_form(capsys, tmp_path):
+    state = SharedState.from_squares([0.8, 0.2])
+    prot = optimal_protocol(state)
+    enc_file = write(tmp_path / "enc.json", channel_to_doc(KrausChannel(prot.encoders)))
+    receivers = {
+        # r = 0: no message ever gets through
+        "zero": np.zeros((4, 4)),
+        # equal success probabilities, but message x arrives with its own phase
+        "phased": np.diag(np.exp(0.5j * np.arange(4))) @ optimal_receiver(prot),
+    }
+    for name, bob in receivers.items():
+        bob_file = write(tmp_path / f"{name}.json", matrix_to_doc(bob))
+        code, report, _ = run(capsys, ["verify-dc", enc_file, bob_file, "--lambdas2", "0.8,0.2"])
+        assert code == 3, name
+        assert not report["form_holds"] and report["bound_satisfied"], name
+    # a receiver scaled past the capacity breaks B^dag B <= I: bad input
+    bob_file = write(tmp_path / "over.json", matrix_to_doc(1.1 * optimal_receiver(prot)))
+    code, report, err = run(capsys, ["verify-dc", enc_file, bob_file, "--lambdas2", "0.8,0.2"])
+    assert code == 1 and report is None
+    assert "B^dag B <= I" in err
 
 
 def test_nan_schmidt_coefficients_exit_one(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uuqc import densecode
 from uuqc.densecode import (
@@ -13,6 +15,7 @@ from uuqc.densecode import (
     weyl_operators,
 )
 from uuqc.linalg import dagger, random_unitary
+from uuqc.unambiguous import certify_uum
 
 from builders import rand_complex
 from oracles import binom_sigma, simulate_per_message
@@ -229,3 +232,82 @@ def test_verify_bound_names_the_first_bad_encoder(as_list):
     shapes[4] = np.ones((3, 2))
     with pytest.raises(ValueError, match=r"encoder 4 has shape \(3, 2\), expected \(3, 3\)"):
         verify_protocol_bound(state, shapes, optimal_receiver(prot))
+
+
+def _lifted_encoders(state: SharedState, encoders) -> np.ndarray:
+    """``M``: column ``x`` is ``(diag(lambdas) (x) I)(I (x) A_x) sum_i |ii>``."""
+    D = state.rank
+    phi = np.eye(D).reshape(-1)
+    kets = np.column_stack([np.kron(np.eye(D), a) @ phi for a in encoders])
+    return np.kron(np.diag(state.lambdas), np.eye(D)) @ kets
+
+
+@pytest.mark.parametrize("D", [2, 4, 8])
+def test_form_residual_is_a_phase_distance_at_rounding_level(D):
+    state = _spectrum(D, 60 + D)
+    prot = optimal_protocol(state)
+    rep = verify_protocol_bound(state, prot.encoders, optimal_receiver(prot))
+    assert rep.form_holds
+    assert rep.form_residual < 1e-14
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+@pytest.mark.parametrize("ratio", [0.3, 0.7, 1.0, 1.01, 1.5])
+def test_capacity_is_tight_for_a_scaled_optimal_receiver(D, ratio):
+    # B = (c / lambda_D) B_opt gives B M = (c / lambda_D) r_opt I; it obeys
+    # B^dag B <= I exactly when c <= lambda_D.
+    state = _spectrum(D, 70 + D)
+    prot = optimal_protocol(state)
+    c = ratio * state.lambdas[-1]
+    bob = c / state.lambdas[-1] * optimal_receiver(prot)
+    if ratio > 1:
+        with pytest.raises(ValueError, match=r"B\^dag B <= I"):
+            verify_protocol_bound(state, prot.encoders, bob)
+        return
+    rep = verify_protocol_bound(state, prot.encoders, bob)
+    assert rep.form_holds and rep.bound_satisfied
+    assert rep.success_probability == pytest.approx(D * c**2, abs=1e-12)
+
+
+@st.composite
+def _shared_states(draw):
+    D = draw(st.integers(2, 5))
+    squares = draw(st.lists(st.floats(0.05, 1.0), min_size=D, max_size=D))
+    lam2 = np.sort(squares)[::-1]
+    return SharedState.from_squares(lam2 / lam2.sum())
+
+
+@given(_shared_states())
+def test_optimal_product_certifies_at_the_capacity(state):
+    prot = optimal_protocol(state)
+    bob = optimal_receiver(prot)
+    rep = verify_protocol_bound(state, prot.encoders, bob)
+    assert rep.form_holds
+    cert = certify_uum(bob @ _lifted_encoders(state, prot.encoders))
+    assert cert.is_uum
+    assert abs(cert.probability - capacity(state)) <= 1e-12
+
+
+def test_equal_moduli_with_different_phases_fail_the_form():
+    # B M is diagonal with equal moduli, a unitary map but not the identity:
+    # every message arrives with the same probability, yet not as itself.
+    state = SharedState.from_squares([0.6, 0.4])
+    prot = optimal_protocol(state)
+    bob = np.diag(np.exp(0.5j * np.arange(4))) @ optimal_receiver(prot)
+    product = bob @ _lifted_encoders(state, prot.encoders)
+    np.testing.assert_allclose(product, np.diag(np.diag(product)), atol=1e-15)
+    np.testing.assert_allclose(abs(np.diag(product)), np.sqrt(capacity(state)), atol=1e-15)
+    assert certify_uum(product).is_uum
+    rep = verify_protocol_bound(state, prot.encoders, bob)
+    assert not rep.form_holds
+    assert rep.form_residual > 0.1
+    assert rep.bound_satisfied and rep.gram_trace_ok
+
+
+def test_zero_receiver_fails_the_form():
+    # r = 0 passes any residual test, but a UUQC needs nonzero probability
+    state = SharedState.from_squares([0.8, 0.2])
+    rep = verify_protocol_bound(state, optimal_protocol(state).encoders, np.zeros((4, 4)))
+    assert rep.r == 0 and rep.success_probability == 0.0
+    assert not rep.form_holds
+    assert rep.bound_satisfied and rep.gram_trace_ok

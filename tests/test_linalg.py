@@ -223,3 +223,20 @@ def test_subspace_isometry_validation_and_complement():
     np.testing.assert_allclose(comp.columns.conj().T @ iso.columns, 0, atol=1e-12)
     ext = iso.extend_left(3)
     assert ext.ambient_dim == 12 and ext.sub_dim == 6
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_full_subspace_is_a_read_only_complex_identity(d):
+    iso = SubspaceIsometry.full(d)
+    assert iso.columns.dtype == complex
+    np.testing.assert_array_equal(iso.columns, np.eye(d))
+    assert not iso.columns.flags.writeable
+    with pytest.raises(ValueError):
+        iso.columns[0, 0] = 2
+    assert iso.ambient_dim == iso.sub_dim == d
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_full_subspace_rejects_empty_dimensions(d):
+    with pytest.raises(ValueError, match="invalid subspace shape"):
+        SubspaceIsometry.full(d)

@@ -261,6 +261,15 @@ def test_correction_probability_filter_noise():
     assert prob == pytest.approx(weight * filter_conversion_max(lam, 2), abs=1e-4)
 
 
+def test_correction_probability_pure_noise_honours_tol():
+    # Schmidt coefficients 1 and 1e-7: rank 1 < d at tol = 1e-6, so no
+    # filter reaches the canonical ket; at the default tol it is rank 2
+    noise = KrausChannel((np.diag([1.0, 1e-7]).astype(complex),))
+    assert unambiguous_correction_probability(trivial_code(), noise, 1e-6) == (0.0, "pure-exact")
+    prob, method = unambiguous_correction_probability(trivial_code(), noise)
+    assert method == "pure-exact" and prob == pytest.approx(1e-14, rel=1e-6)
+
+
 def test_correction_probability_depolarizing():
     dep = KrausChannel((np.eye(2) / 2, PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2))
     prob, method = unambiguous_correction_probability(trivial_code(), dep)

@@ -41,7 +41,9 @@ The cases:
   refinement (16 x 48 x 48), the ``refine`` report's payload;
 - ``simulate`` of the optimal dense-coding protocol at D = 8 with 10^6
   trials, as the ``cli`` workload's ``dense-code`` job runs it, and
-  ``verify_protocol_bound`` of that protocol with its optimal receiver.
+  ``verify_protocol_bound`` of the optimal protocol with its optimal
+  receiver at every ``VERIFY_D`` rank (D = 8 on that same protocol);
+- ``SubspaceIsometry.full`` at every ``FULL_DIMS`` dimension.
 
 This is a measuring tool: it is neither a test nor part of the benchmark.
 """
@@ -74,6 +76,8 @@ EC_PROB_QUBITS = [3, 5, 7, 9]
 STACK_SHAPES = [(64, 8, 8), (16, 64, 64)]
 SWEEP_DIMS = [(3, 4), (4, 4)]
 TELEPORT_DIMS = [2, 4, 8]
+VERIFY_D = [2, 4, 8]
+FULL_DIMS = [2, 8, 64]
 
 
 def _witness_states() -> dict:
@@ -216,9 +220,21 @@ def _cases():
     protocol = uuqc.optimal_protocol(state)
     cases.append(("simulate", "densecode", {"D": DENSE_D, "trials": DENSE_TRIALS},
                   lambda: uuqc.simulate(state, protocol, DENSE_TRIALS, 7), REPEATS))
-    bob = uuqc.optimal_receiver(protocol)
-    cases.append(("verify_protocol_bound", "densecode", {"D": DENSE_D},
-                  lambda: uuqc.verify_protocol_bound(state, protocol.encoders, bob), REPEATS))
+    # The smaller ranks draw from their own seed, so the inputs above stay put.
+    verify_rng = np.random.default_rng(14)
+    states = {DENSE_D: state}
+    for D in VERIFY_D:
+        if D not in states:
+            lam2 = np.sort(verify_rng.uniform(0.3, 1.0, D))[::-1]
+            states[D] = uuqc.SharedState.from_squares(lam2 / lam2.sum())
+        prot = uuqc.optimal_protocol(states[D])
+        cases.append(("verify_protocol_bound", "densecode", {"D": D},
+                      lambda s=states[D], p=prot, b=uuqc.optimal_receiver(prot):
+                      uuqc.verify_protocol_bound(s, p.encoders, b), REPEATS))
+
+    for d in FULL_DIMS:
+        cases.append(("SubspaceIsometry.full", "linalg", {"d": d},
+                      lambda d=d: uuqc.SubspaceIsometry.full(d), REPEATS))
     return cases
 
 
