@@ -342,10 +342,7 @@ def _run_verify_dc(args):
     encoders = doc_to_channel(load_json(args.encoders, "encoders"), "encoders")
     bob = doc_to_matrix(load_json(args.bob, "bob"), "bob")
     state = _parse_lambdas2(args.lambdas2)
-    try:
-        rep = densecode.verify_protocol_bound(state, encoders.stack, bob, args.tol)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    rep = densecode.verify_protocol_bound(state, encoders.stack, bob, args.tol)
     report = {
         "command": "verify-dc",
         "r": [float(rep.r.real), float(rep.r.imag)],

@@ -44,6 +44,9 @@ __all__ = [
     "search_mixed_nonzero",
 ]
 
+# The largest smaller-factor dimension whose basis subsets the search sweeps.
+_MAX_SWEEP_DIM = 4
+
 
 @dataclass(frozen=True, eq=False)
 class SchmidtForm:
@@ -79,14 +82,10 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
 
 def is_rank_d_ues(psi: np.ndarray, dim_a: int, dim_b: int, d: int, tol: float = DEFAULT_TOL) -> bool:
     """True when the ket has exactly ``d`` Schmidt coefficients ~ 1/sqrt(d)."""
-    form = schmidt(psi, dim_a, dim_b, tol)
-    target = 1.0 / np.sqrt(d)
-    values = form.coefficients
-    head = values[:d]
-    tail = values[d:]
-    if head.size < d:
+    values = schmidt(psi, dim_a, dim_b, tol).coefficients
+    if values.size < d:
         return False
-    return bool(np.max(np.abs(head - target)) <= tol and (tail.size == 0 or np.max(tail) <= tol))
+    return bool(np.max(np.abs(values[:d] - 1.0 / np.sqrt(d))) <= tol and np.all(values[d:] <= tol))
 
 
 def conversion_probability(sf: SchmidtForm, d: int) -> float:
@@ -221,6 +220,8 @@ def check_mixed_nonzero(
     pure-state conversion optimum); the zero certificate means this subspace
     pair proves nothing.  ``rho`` must be a density matrix.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     rho, _, _ = _density_eigh(rho, dim_a * dim_b, "state")
     if va.sub_dim != d or vb.sub_dim != d:
         raise ValueError(f"witness subspaces must have dimension {d}")
@@ -243,7 +244,6 @@ def search_mixed_nonzero(
     dim_b: int,
     d: int,
     tol: float = DEFAULT_TOL,
-    max_dim: int = 4,
 ) -> TeleportCertificate:
     """Local-filter search for a nonzero teleportation probability.
 
@@ -251,15 +251,17 @@ def search_mixed_nonzero(
     some ``c_k != 0``, for every eigenket ``V_k`` above ``tol`` (scaled by
     the root of its eigenvalue).  As ``(X (x) I)|phi> = (I (x) X^T)|phi>``,
     only the row space ``W`` of ``X`` on the smaller factor matters; ``W``
-    runs over its basis subsets (dimension at most ``max_dim``), so the
-    decision is exact when that factor has dimension ``d``.  The first
+    runs over its basis subsets (of a factor of dimension at most 4), so
+    the decision is exact when that factor has dimension ``d``.  The first
     ``W`` where ``_identity_filters`` solves for ``B``, and the support of
     ``B``, go to ``check_mixed_nonzero`` for the certificate.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     rho, evals, evecs = _density_eigh(rho, dim_a * dim_b, "state")
     swap, small = dim_b < dim_a, min(dim_a, dim_b)
-    if small > max_dim:
-        raise ValueError(f"subset sweep limited to a smaller factor dim <= {max_dim}")
+    if small > _MAX_SWEEP_DIM:
+        raise ValueError(f"subset sweep limited to a smaller factor dim <= {_MAX_SWEEP_DIM}")
     subsets = np.array(list(combinations(range(small), d)), dtype=int).reshape(-1, d)
     keep = evals > tol
     kets = (evecs[:, keep] * np.sqrt(evals[keep])).T.reshape(-1, dim_a, dim_b)

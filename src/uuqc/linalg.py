@@ -114,10 +114,10 @@ class SubspaceIsometry:
     @classmethod
     def from_indices(cls, ambient_dim: int, indices) -> "SubspaceIsometry":
         """Span of the given computational-basis states."""
-        cols = np.zeros((ambient_dim, len(indices)), dtype=complex)
-        for j, i in enumerate(indices):
-            cols[i, j] = 1.0
-        return cls(cols)
+        cols = np.asarray(indices, dtype=int)
+        if np.any((cols < 0) | (cols >= ambient_dim)) or not np.array_equal(cols, indices):
+            raise ValueError(f"basis indices must be integers in [0, {ambient_dim})")
+        return cls(np.eye(ambient_dim, dtype=complex)[:, cols])
 
 
 @dataclass(frozen=True, eq=False)

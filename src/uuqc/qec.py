@@ -14,9 +14,9 @@ and distils each at the pure-state optimum; the bound is exact on
 Knill-Laflamme-correctable noise.
 
 Both verdicts depend only on the noise's action on the code, the stacked
-blocks ``E_k C``: the Choi eigen-branches come from one SVD of the ``K x d n``
-matrix of their ``vec``, never from the ``(d n) x (d n)`` Choi matrix, which
-``noise_choi_state`` builds for inspection only.
+blocks ``E_k C``: the Choi eigen-branches and their Schmidt values come from
+two SVDs (``_choi_branches``), never from the ``(d n) x (d n)`` Choi matrix,
+which ``noise_choi_state`` builds for inspection only.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel, choi_state, compose
-from .entanglement import conversion_probability, is_rank_d_ues, schmidt
-from .linalg import (
-    DEFAULT_TOL,
-    SubspaceIsometry,
-    dagger,
-    frobenius,
-)
+from .linalg import DEFAULT_TOL, SubspaceIsometry, dagger, frobenius
 from .unambiguous import UuqcCertificate, _phase_distance, certify_uuqc
 
 __all__ = [
@@ -207,16 +201,26 @@ def noise_choi_state(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     return choi_state(compose(encoding_channel(code), noise))
 
 
-def _choi_branches(code: CodeSpec, noise: KrausChannel) -> tuple:
-    """Weight, descending eigenvalues and eigenkets (rows) of the Choi state
-    ``V^T V^* / d`` of encode-then-noise, from one SVD of ``V``, whose row
-    ``k`` is ``vec(E_k C)`` with the logical index slow."""
+def _choi_branches(code: CodeSpec, noise: KrausChannel, tol: float, pure_only: bool = False) -> tuple:
+    """Purity flag, weights above ``tol`` (a pure state is one branch of the
+    whole weight), Schmidt values and noisy-side Schmidt vectors (rows) of
+    the eigen-branches of the Choi state ``V^T V^* / d``, row ``k`` of ``V``
+    being ``vec(E_k C)`` with the logical index slow: one SVD of ``V``, one
+    batched SVD of the branches, which ``pure_only`` skips on mixed states."""
     if noise.in_dim != code.physical_dim:
         raise ValueError("noise must act on the physical space")
     root = (noise.stack @ code.encoder).transpose(0, 2, 1).reshape(len(noise.stack), -1)
     _, svals, vh = np.linalg.svd(root, full_matrices=False)
     evals = svals**2 / code.logical_dim
-    return float(evals.sum()), evals, vh
+    weight = float(evals.sum())
+    pure = weight - float(evals[0]) <= tol
+    if pure_only and not pure:
+        return pure, None, None, None
+    weights = np.array([weight]) if pure else evals
+    weights = weights[weights > tol]
+    kets = vh[: len(weights)].reshape(-1, code.logical_dim, noise.out_dim)
+    _, values, ranges = np.linalg.svd(kets, full_matrices=False)
+    return pure, weights, values, ranges
 
 
 def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
@@ -226,21 +230,20 @@ def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = 
     Meaningful as stated for pure Choi states (isometric or filtered noise);
     a mixed Choi state fails the check outright.
     """
-    weight, evals, kets = _choi_branches(code, noise)
-    if weight <= tol or weight - float(evals[0]) > tol:
-        return False
+    pure, _, values, _ = _choi_branches(code, noise, tol, pure_only=True)
     d = code.logical_dim
-    return is_rank_d_ues(kets[0], d, noise.out_dim, d, tol)
+    return bool(pure and values.shape == (1, d) and np.max(np.abs(values[0] - 1.0 / np.sqrt(d))) <= tol)
 
 
 def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL):
     """Probability that the noise on this code is unambiguously correctable.
 
     Reads the unnormalized Choi state of encode-then-noise as its
-    eigen-branches (``_choi_branches``).  When that state is pure the answer
-    is exact: its weight times the optimal pure-state conversion probability
-    to the canonical entangled ket (Vidal, PRL 83, 1046 (1999)), method
-    ``"pure-exact"``.
+    eigen-branches (``_choi_branches``).  A branch with Schmidt values
+    ``s_1 >= .. >= s_d`` converts to the canonical entangled ket with
+    Vidal's optimum (PRL 83, 1046 (1999)) ``min(1, d s_d^2)``, as every cut
+    ``l`` has a tail of at least ``(d - l) s_d^2``, or 0 if ``s_d <= tol``.
+    A pure state's weight times it is exact, method ``"pure-exact"``.
 
     A mixed state ``sum_m lambda_m |v_m><v_m|`` gets a deterministic lower
     bound, method ``"filter-lower-bound"``, from an instrument on the noisy
@@ -261,24 +264,18 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
     maximally entangled and the bound equals ``Tr h``, the standard-recovery
     probability.
     """
-    weight, evals, kets = _choi_branches(code, noise)
+    pure, weights, values, ranges = _choi_branches(code, noise, tol)
     d = code.logical_dim
-    n = noise.out_dim
-    if weight <= tol:
-        return 0.0, "pure-exact"
-    if weight - float(evals[0]) <= tol:
-        prob = weight * conversion_probability(schmidt(kets[0], d, n, tol), d)
-        return float(prob), "pure-exact"
-
-    keep = evals > tol
-    kets = kets[keep].reshape(-1, d, n)
-    _, svals, vh = np.linalg.svd(kets, full_matrices=False)
-    support = svals > tol
-    ranges, labels = vh[support].T, np.nonzero(support)[0]
-    # overlaps between the orthonormal range vectors of different branches
-    cross = (dagger(ranges) @ ranges) * (labels[:, None] != labels)
-    prob = 0.0
-    for m, (lam, ket) in enumerate(zip(evals[keep], kets)):
-        if np.max(np.abs(cross[labels == m]), initial=0.0) <= tol:
-            prob += lam * conversion_probability(schmidt(ket, d, n, tol), d)
-    return float(prob), "filter-lower-bound"
+    support = values > tol
+    # A branch scores when it has d supported Schmidt values and is
+    # separated, as a lone branch is.
+    keep = support[:, -1] & (values.shape[1] == d)
+    if len(weights) > 1:
+        # Overlaps of the supported range vectors of every pair of branches;
+        # the (m, m) blocks, a branch's overlaps with itself, are zeroed.
+        ranges = ranges * support[..., None]
+        cross = np.abs(np.einsum("air,bjr->abij", ranges.conj(), ranges))
+        cross.reshape(-1, *cross.shape[2:])[:: len(weights) + 1] = 0.0
+        keep &= cross.max(axis=(1, 2, 3)) <= tol
+    prob = weights * np.minimum(1.0, d * values[:, -1] ** 2) * keep
+    return float(prob.sum()), "pure-exact" if pure else "filter-lower-bound"

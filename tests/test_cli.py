@@ -228,6 +228,18 @@ def test_verify_dc_rejects_receivers_off_the_identity_form(capsys, tmp_path):
     assert "B^dag B <= I" in err
 
 
+def test_verify_dc_numerical_failure_exits_two(capsys, tmp_path):
+    # B^dag B overflows to inf and nan, so its eigenvalues do not converge
+    prot = optimal_protocol(SharedState.from_squares([0.8, 0.2]))
+    enc_file = write(tmp_path / "enc.json", channel_to_doc(KrausChannel(prot.encoders)))
+    bob_file = write(tmp_path / "bob.json", matrix_to_doc(np.full((4, 4), 1e200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, report, err = run(capsys, ["verify-dc", enc_file, bob_file, "--lambdas2", "0.8,0.2"])
+    assert code == 2 and report is None
+    assert err.startswith("numerical failure:")
+
+
 def test_nan_schmidt_coefficients_exit_one(capsys, tmp_path):
     prot = optimal_protocol(SharedState.from_squares([0.8, 0.2]))
     enc_file = write(tmp_path / "enc.json", channel_to_doc(KrausChannel(prot.encoders)))

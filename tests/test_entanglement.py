@@ -475,6 +475,15 @@ def test_mixed_checks_reject_non_density_matrices(make, search):
             check_mixed_nonzero(rho, 3, 3, 2, v01, v01)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_mixed_checks_reject_empty_targets(d):
+    rho = np.eye(4) / 4
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        search_mixed_nonzero(rho, 2, 2, d)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        check_mixed_nonzero(rho, 2, 2, d, SubspaceIsometry.full(2), SubspaceIsometry.full(2))
+
+
 def test_sweep_checks_the_state_shape():
     with pytest.raises(ValueError, match="state shape"):
         search_mixed_nonzero(np.eye(6) / 6, 2, 2, 2)

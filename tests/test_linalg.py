@@ -225,6 +225,22 @@ def test_subspace_isometry_validation_and_complement():
     assert ext.ambient_dim == 12 and ext.sub_dim == 6
 
 
+def test_basis_subspace_spans_the_given_states():
+    np.testing.assert_array_equal(SubspaceIsometry.from_indices(3, [2, 0]).columns, np.eye(3)[:, [2, 0]])
+
+
+@pytest.mark.parametrize("indices", [[-1], [5], [0, 3], [1.5]])
+def test_basis_subspace_rejects_indices_out_of_range(indices):
+    # -1 used to wrap round to e2; 5 and 1.5 raised IndexError
+    with pytest.raises(ValueError, match="basis indices"):
+        SubspaceIsometry.from_indices(3, indices)
+
+
+def test_basis_subspace_rejects_repeated_indices():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SubspaceIsometry.from_indices(3, [1, 1])
+
+
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_full_subspace_is_a_read_only_complex_identity(d):
     iso = SubspaceIsometry.full(d)

@@ -270,6 +270,18 @@ def test_correction_probability_pure_noise_honours_tol():
     assert method == "pure-exact" and prob == pytest.approx(1e-14, rel=1e-6)
 
 
+def test_pure_state_below_tol_per_eigenvalue_keeps_its_whole_weight():
+    # Weight 1.1e-9 is above tol, but the top eigenvalue 0.9e-9 is not: the
+    # pure state is one branch carrying the whole weight, not an empty set.
+    shift = np.zeros((2, 2), dtype=complex)
+    shift[0, 1] = np.sqrt(0.4e-9)
+    noise = KrausChannel((np.sqrt(0.9e-9) * np.eye(2), shift))
+    prob, method = unambiguous_correction_probability(trivial_code(), noise)
+    assert method == "pure-exact"
+    assert prob == pytest.approx(1.1e-9, rel=1e-12)
+    assert meets_certainty_condition(trivial_code(), noise)
+
+
 def test_correction_probability_depolarizing():
     dep = KrausChannel((np.eye(2) / 2, PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2))
     prob, method = unambiguous_correction_probability(trivial_code(), dep)

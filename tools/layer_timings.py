@@ -35,7 +35,9 @@ The cases:
   (with that recovery) on the 3-, 5- and 7-qubit repetition codes under
   ``0.7 I`` plus single bit flips that share the remaining 0.3;
 - ``unambiguous_correction_probability`` and ``meets_certainty_condition``
-  on the same codes and noise at 3, 5, 7 and 9 qubits;
+  on the same codes and noise at 3, 5, 7 and 9 qubits, and on the two
+  ``_ec_prob_inputs``: the ``qec`` workload's mixed-noise shape and a
+  three-element noise with a pure Choi state;
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
   (6 x 48 x 48), and ``channel_to_doc`` plus ``dump_json`` of its
   refinement (16 x 48 x 48), the ``refine`` report's payload;
@@ -104,6 +106,36 @@ def _witness_states() -> dict:
     kets[1, 0, 0] = kets[1, 1, 2] = np.sqrt(0.4)
     kets = kets.reshape(2, 6) / np.sqrt(2)
     return {"block": (block, 4, 4), "choi": (kets.T @ kets, 2, 3)}
+
+
+def _ec_prob_inputs() -> dict:
+    """``kind -> (code, noise)`` of the extra ``ec-prob`` cases.
+
+    ``"mixed"``: the shape of the ``qec`` workload's mixed-noise job, the
+    3-qubit repetition code under ``sqrt(p_0) I`` plus ``sqrt(p_k) X_k`` on
+    each qubit, with ``p_0`` in [0.6, 0.8].  ``"pure"``: three multiples of
+    one random operator on a random 3-dimensional code in C^16, so the Choi
+    state is pure.  Built from their own seed, so the inputs of the other
+    cases stay put.
+    """
+    import numpy as np
+
+    import uuqc
+
+    rng = np.random.default_rng(15)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ops = [np.eye(8)] + [np.kron(np.kron(np.eye(2**j), flip), np.eye(2 ** (2 - j))) for j in range(3)]
+    p0 = rng.uniform(0.6, 0.8)
+    p = np.concatenate([[p0], rng.dirichlet(np.ones(3)) * (1.0 - p0)])
+    enc = np.zeros((8, 2), dtype=complex)
+    enc[0, 0] = enc[-1, 1] = 1.0
+    mixed = (uuqc.CodeSpec(enc), uuqc.KrausChannel(tuple(np.sqrt(pk) * op for pk, op in zip(p, ops))))
+    code = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))[0][:, :3]
+    op = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    scales = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    op = op / (np.linalg.norm(op, 2) * np.linalg.norm(scales))
+    pure = (uuqc.CodeSpec(code), uuqc.KrausChannel(tuple(c * op for c in scales)))
+    return {"mixed": mixed, "pure": pure}
 
 
 def _cases():
@@ -202,6 +234,13 @@ def _cases():
                       lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), repeats))
         cases.append(("meets_certainty_condition", "qec", dims,
                       lambda code=code, noise=noise: uuqc.meets_certainty_condition(code, noise), repeats))
+
+    for kind, (code, noise) in _ec_prob_inputs().items():
+        dims = {"n_phys": code.physical_dim, "d": code.logical_dim, "K": len(noise.stack), "noise": kind}
+        cases.append(("unambiguous_correction_probability", "qec", dims,
+                      lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), REPEATS))
+        cases.append(("meets_certainty_condition", "qec", dims,
+                      lambda code=code, noise=noise: uuqc.meets_certainty_condition(code, noise), REPEATS))
 
     d, e, k = LARGE
     elems, _, _ = _channel(rng, d, d, d, e, e, random_split(rng, 0.7, k), [random_unitary(rng, d)] * k)
