@@ -394,8 +394,11 @@ def dispatch(argv) -> int:
         # numerical failures here.
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
     try:
-        report, summary, code = _RUNNERS[args.command](args)
-    except (np.linalg.LinAlgError, MemoryError) as exc:
+        # Overflow and NaN-producing operations fail the command in one line;
+        # underflow to zero stays silent.
+        with np.errstate(over="raise", invalid="raise"):
+            report, summary, code = _RUNNERS[args.command](args)
+    except (np.linalg.LinAlgError, MemoryError, FloatingPointError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first.
         print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -82,31 +82,33 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
 
 def is_rank_d_ues(psi: np.ndarray, dim_a: int, dim_b: int, d: int, tol: float = DEFAULT_TOL) -> bool:
     """True when the ket has exactly ``d`` Schmidt coefficients ~ 1/sqrt(d)."""
-    values = schmidt(psi, dim_a, dim_b, tol).coefficients
-    if values.size < d:
-        return False
-    return bool(np.max(np.abs(values[:d] - 1.0 / np.sqrt(d))) <= tol and np.all(values[d:] <= tol))
+    return bool(_is_flat(schmidt(psi, dim_a, dim_b, tol).coefficients, d, tol))
+
+
+def _is_flat(values: np.ndarray, d: int, tol: float) -> np.ndarray:
+    """Along the last axis of descending Schmidt values: ``d`` of them within
+    ``tol`` of ``1/sqrt(d)`` and the rest at most ``tol``."""
+    flat = np.max(np.abs(values[..., :d] - 1.0 / np.sqrt(d)), axis=-1) <= tol
+    return flat & (values.shape[-1] >= d) & np.all(values[..., d:] <= tol, axis=-1)
 
 
 def conversion_probability(sf: SchmidtForm, d: int) -> float:
     """Optimal probability of converting a normalized pure state into the
-    canonical rank-``d`` entangled ket by local operations.
-
-    Zero when the Schmidt rank falls short of ``d``; otherwise the minimum
-    over cut points ``l`` of ``d * (tail sum of squared coefficients from l)
-    / (d - l + 1)``, which is one exactly when the squared spectrum is
-    majorized by the flat one.
-    """
+    canonical rank-``d`` entangled ket by local operations (zero below rank ``d``)."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if sf.rank < d:
         return 0.0
-    lam2 = np.asarray(sf.coefficients, dtype=float) ** 2
-    best = 1.0
-    for cut in range(d):
-        tail = float(np.sum(lam2[cut:]))
-        best = min(best, d * tail / (d - cut))
-    return max(0.0, min(1.0, best))
+    return float(_vidal_optimum(sf.coefficients, d))
+
+
+def _vidal_optimum(values: np.ndarray, d: int) -> np.ndarray:
+    """Vidal's optimum (PRL 83, 1046 (1999)) ``min(1, min_{l<d} d tail_l / (d - l))``
+    over the last axis of descending Schmidt values, ``tail_l`` summing the squares
+    with those before ``l`` zeroed (bit for bit the slice sum below eight values)."""
+    cuts, squares = np.arange(d), np.square(values)
+    tails = np.where(np.arange(squares.shape[-1]) >= cuts[:, None], squares[..., None, :], 0.0).sum(-1)
+    return np.minimum(1.0, (d * tails / (d - cuts)).min(-1))
 
 
 def uuqc_to_ues(

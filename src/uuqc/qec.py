@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel, choi_state, compose
+from .entanglement import _is_flat, _vidal_optimum
 from .linalg import DEFAULT_TOL, SubspaceIsometry, dagger, frobenius
 from .unambiguous import UuqcCertificate, _phase_distance, certify_uuqc
 
@@ -120,15 +121,17 @@ def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> 
     n = len(errors.stack)
     enc = code.encoder
     h = np.zeros((n, n), dtype=complex)
-    residual = 0.0
+    deviation = np.zeros((n, n))
     eye = np.eye(d)
     for j in range(n):
         for i in range(n):
             block = dagger(enc) @ dagger(errors.stack[j]) @ errors.stack[i] @ enc
             hij = np.trace(block) / d
             h[j, i] = hij
-            residual = max(residual, frobenius(block - hij * eye))
-    return KlReport(correctable=residual <= tol, h=h, residual=float(residual))
+            deviation[j, i] = frobenius(block - hij * eye)
+    # The array maximum, unlike the builtin one, keeps a NaN deviation.
+    residual = float(deviation.max())
+    return KlReport(correctable=residual <= tol, h=h, residual=residual)
 
 
 def diagonalize_errors(report: KlReport, errors: KrausChannel) -> KrausChannel:
@@ -231,19 +234,17 @@ def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = 
     a mixed Choi state fails the check outright.
     """
     pure, _, values, _ = _choi_branches(code, noise, tol, pure_only=True)
-    d = code.logical_dim
-    return bool(pure and values.shape == (1, d) and np.max(np.abs(values[0] - 1.0 / np.sqrt(d))) <= tol)
+    return bool(pure and _is_flat(values[0], code.logical_dim, tol))
 
 
 def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL):
     """Probability that the noise on this code is unambiguously correctable.
 
     Reads the unnormalized Choi state of encode-then-noise as its
-    eigen-branches (``_choi_branches``).  A branch with Schmidt values
-    ``s_1 >= .. >= s_d`` converts to the canonical entangled ket with
-    Vidal's optimum (PRL 83, 1046 (1999)) ``min(1, d s_d^2)``, as every cut
-    ``l`` has a tail of at least ``(d - l) s_d^2``, or 0 if ``s_d <= tol``.
-    A pure state's weight times it is exact, method ``"pure-exact"``.
+    eigen-branches (``_choi_branches``).  A branch converts to the canonical
+    entangled ket with Vidal's optimum of its Schmidt values, 0 if its
+    ``d``-th is at most ``tol``; a pure state's weight times it is exact,
+    method ``"pure-exact"``.
 
     A mixed state ``sum_m lambda_m |v_m><v_m|`` gets a deterministic lower
     bound, method ``"filter-lower-bound"``, from an instrument on the noisy
@@ -265,11 +266,10 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
     probability.
     """
     pure, weights, values, ranges = _choi_branches(code, noise, tol)
-    d = code.logical_dim
     support = values > tol
-    # A branch scores when it has d supported Schmidt values and is
-    # separated, as a lone branch is.
-    keep = support[:, -1] & (values.shape[1] == d)
+    # A branch scores when its last Schmidt value is supported (with fewer
+    # than d values its optimum is 0) and it is separated, as a lone branch is.
+    keep = support[:, -1]
     if len(weights) > 1:
         # Overlaps of the supported range vectors of every pair of branches;
         # the (m, m) blocks, a branch's overlaps with itself, are zeroed.
@@ -277,5 +277,5 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
         cross = np.abs(np.einsum("air,bjr->abij", ranges.conj(), ranges))
         cross.reshape(-1, *cross.shape[2:])[:: len(weights) + 1] = 0.0
         keep &= cross.max(axis=(1, 2, 3)) <= tol
-    prob = weights * np.minimum(1.0, d * values[:, -1] ** 2) * keep
+    prob = weights * _vidal_optimum(values, code.logical_dim) * keep
     return float(prob.sum()), "pure-exact" if pure else "filter-lower-bound"

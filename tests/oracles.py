@@ -55,6 +55,18 @@ def filter_conversion_max(lambdas: np.ndarray, d: int, t_points: int = 4001) -> 
     return best
 
 
+def vidal_by_cuts(values: np.ndarray, d: int) -> float:
+    """Vidal's optimum ``min(1, min_{l<d} d tail_l / (d - l))`` for descending
+    Schmidt values, one cut and one slice sum at a time, ``tail_l`` the sum
+    of the squares from ``l`` on."""
+    lam2 = np.asarray(values, dtype=float) ** 2
+    best = 1.0
+    for cut in range(d):
+        tail = float(np.sum(lam2[cut:]))
+        best = min(best, d * tail / (d - cut))
+    return max(0.0, min(1.0, best))
+
+
 def shift_clock_by_powers(dim: int) -> list:
     """The generalized Paulis ``X^a Z^b`` (shift power slowest) as explicit
     matrix powers of the shift and clock matrices."""

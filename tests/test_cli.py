@@ -228,16 +228,34 @@ def test_verify_dc_rejects_receivers_off_the_identity_form(capsys, tmp_path):
     assert "B^dag B <= I" in err
 
 
-def test_verify_dc_numerical_failure_exits_two(capsys, tmp_path):
-    # B^dag B overflows to inf and nan, so its eigenvalues do not converge
+def _overflowing_argv(tmp_path, command):
+    """``command``'s arguments with one input whose entries are all 1e200."""
+    huge = np.full((4, 4), 1e200)
+    code_file = write(tmp_path / "code.json", code_to_doc(CodeSpec(np.eye(4, 2, dtype=complex))))
     prot = optimal_protocol(SharedState.from_squares([0.8, 0.2]))
-    enc_file = write(tmp_path / "enc.json", channel_to_doc(KrausChannel(prot.encoders)))
-    bob_file = write(tmp_path / "bob.json", matrix_to_doc(np.full((4, 4), 1e200)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, report, err = run(capsys, ["verify-dc", enc_file, bob_file, "--lambdas2", "0.8,0.2"])
+    return {
+        "check-uum": ["check-uum", write(tmp_path / "omega.json", matrix_to_doc(huge))],
+        "kl-check": ["kl-check", code_file, write(tmp_path / "errors.json", channel_to_doc(KrausChannel((huge,))))],
+        "ec-prob": ["ec-prob", code_file, write(tmp_path / "noise.json", channel_to_doc(KrausChannel((huge,))))],
+        "teleport": ["teleport", write(tmp_path / "shared.json", ket_to_doc(huge.reshape(-1))),
+                     "--dims", "4,4", "--d", "2"],
+        "verify-dc": ["verify-dc", write(tmp_path / "enc.json", channel_to_doc(KrausChannel(prot.encoders))),
+                      write(tmp_path / "bob.json", matrix_to_doc(huge)), "--lambdas2", "0.8,0.2"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["check-uum", "kl-check", "ec-prob", "teleport", "verify-dc"])
+def test_overflow_is_a_one_line_numerical_failure(capsys, tmp_path, command):
+    # overflow is a numerical failure, not warnings followed by an Infinity
+    # report, a false verdict or an invalid-input error
+    argv = _overflowing_argv(tmp_path, command)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report, err = run(capsys, argv)
     assert code == 2 and report is None
-    assert err.startswith("numerical failure:")
+    assert not caught
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_nan_schmidt_coefficients_exit_one(capsys, tmp_path):

@@ -14,6 +14,7 @@ from uuqc.densecode import (
     verify_protocol_bound,
     weyl_operators,
 )
+from uuqc.entanglement import conversion_probability, schmidt
 from uuqc.linalg import dagger, random_unitary
 from uuqc.unambiguous import certify_uum
 
@@ -286,6 +287,14 @@ def test_optimal_product_certifies_at_the_capacity(state):
     cert = certify_uum(bob @ _lifted_encoders(state, prot.encoders))
     assert cert.is_uum
     assert abs(cert.probability - capacity(state)) <= 1e-12
+
+
+@given(_shared_states())
+def test_capacity_is_the_vidal_optimum_of_the_shared_ket(state):
+    # equal-probability dense coding succeeds exactly when the shared ket is
+    # first distilled into the canonical one
+    D = state.rank
+    assert abs(capacity(state) - conversion_probability(schmidt(state.ket(), D, D), D)) <= 1e-15
 
 
 def test_equal_moduli_with_different_phases_fail_the_form():

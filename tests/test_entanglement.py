@@ -34,6 +34,7 @@ from oracles import (
     majorized_by_uniform,
     projected_choi_by_kron,
     search_mixed_nonzero_by_pairs,
+    vidal_by_cuts,
 )
 
 
@@ -126,6 +127,38 @@ def test_conversion_probability_monotone_in_d():
     lam2 = (0.4, 0.3, 0.2, 0.1)
     values = [conversion_probability(spectrum(*lam2), d) for d in (1, 2, 3, 4)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def _descending_values(draw):
+    """A stack of 1-4 rows of descending Schmidt values at rank 1-12, each
+    row's squares summing to a weight in (0, 1], and a ``d`` up to the rank."""
+    rank, rows = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    squares = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=rank, max_size=rank),
+                                     min_size=rows, max_size=rows)))
+    squares = np.sort(squares + 1e-3, axis=1)[:, ::-1]
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=rows, max_size=rows)))
+    return np.sqrt(squares * (weights / squares.sum(1))[:, None]), draw(st.integers(1, rank))
+
+
+@given(_descending_values())
+def test_vidal_optimum_matches_the_cut_loop(case):
+    values, d = case
+    stacked = entanglement._vidal_optimum(values, d)
+    assert stacked.shape == (len(values),)
+    for row, got in zip(values, stacked):
+        want = vidal_by_cuts(row, d)
+        assert abs(got - want) <= 1e-15
+        assert abs(entanglement._vidal_optimum(row, d) - want) <= 1e-15
+
+
+def test_vidal_optimum_needs_the_whole_tail():
+    # the closed form min(1, d s_d^2) reads 2 * 0.1 = 0.2 here, but the cut
+    # at l = 1 sums the tail 0.4, so the optimum is 2 * 0.4 = 0.8
+    form = spectrum(0.6, 0.1, 0.1, 0.1, 0.1)
+    assert conversion_probability(form, 2) == pytest.approx(0.8, abs=1e-15)
+    shared = np.diag(form.coefficients).reshape(-1)
+    assert teleport_probability_pure(shared, 5, 5, 2).probability == pytest.approx(0.8, abs=1e-15)
 
 
 def test_uuqc_to_ues_identity_channel():

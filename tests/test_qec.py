@@ -329,6 +329,13 @@ def test_unit_probability_correction_has_uniform_choi():
     assert is_rank_d_ues(evecs[:, -1], 2, 8, 2, tol=1e-8)
 
 
+def test_kl_check_rejects_non_finite_blocks():
+    # a NaN deviation must not lose to a running maximum and read correctable
+    report = kl_check(CodeSpec(np.eye(2)[:, :1]), KrausChannel([np.full((2, 2), np.nan)]))
+    assert not report.correctable
+    assert not np.isfinite(report.residual)
+
+
 def test_kl_dimension_mismatch():
     with pytest.raises(ValueError):
         kl_check(repetition_code(), KrausChannel((np.eye(4, dtype=complex),)))

@@ -45,7 +45,11 @@ The cases:
   trials, as the ``cli`` workload's ``dense-code`` job runs it, and
   ``verify_protocol_bound`` of the optimal protocol with its optimal
   receiver at every ``VERIFY_D`` rank (D = 8 on that same protocol);
-- ``SubspaceIsometry.full`` at every ``FULL_DIMS`` dimension.
+- ``SubspaceIsometry.full`` at every ``FULL_DIMS`` dimension;
+- ``conversion_probability`` at every ``CONVERSION_DIMS`` ``(d, rank)``,
+  on a random spectrum of that rank, and
+  ``unambiguous_correction_probability`` on pure noise, one random operator
+  on a random 8-dimensional code in C^16.
 
 This is a measuring tool: it is neither a test nor part of the benchmark.
 """
@@ -80,6 +84,7 @@ SWEEP_DIMS = [(3, 4), (4, 4)]
 TELEPORT_DIMS = [2, 4, 8]
 VERIFY_D = [2, 4, 8]
 FULL_DIMS = [2, 8, 64]
+CONVERSION_DIMS = [(2, 3), (4, 5), (8, 9)]
 
 
 def _witness_states() -> dict:
@@ -274,6 +279,18 @@ def _cases():
     for d in FULL_DIMS:
         cases.append(("SubspaceIsometry.full", "linalg", {"d": d},
                       lambda d=d: uuqc.SubspaceIsometry.full(d), REPEATS))
+
+    # Vidal's optimum, from its own seed, so the inputs above stay put.
+    vidal_rng = np.random.default_rng(16)
+    for d, rank in CONVERSION_DIMS:
+        lam2 = np.sort(vidal_rng.uniform(0.05, 1.0, rank))[::-1]
+        form = uuqc.schmidt(np.diag(np.sqrt(lam2 / lam2.sum())).reshape(-1), rank, rank)
+        cases.append(("conversion_probability", "entanglement", {"d": d, "rank": rank},
+                      lambda f=form, d=d: uuqc.conversion_probability(f, d), REPEATS))
+    code = uuqc.CodeSpec(np.linalg.qr(vidal_rng.standard_normal((16, 8)))[0])
+    noise = uuqc.KrausChannel((vidal_rng.standard_normal((16, 16)) / 8,))
+    cases.append(("unambiguous_correction_probability", "qec", {"n_phys": 16, "d": 8, "K": 1, "noise": "pure"},
+                  lambda: uuqc.unambiguous_correction_probability(code, noise), REPEATS))
     return cases
 
 
