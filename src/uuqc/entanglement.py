@@ -82,14 +82,14 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
 
 def is_rank_d_ues(psi: np.ndarray, dim_a: int, dim_b: int, d: int, tol: float = DEFAULT_TOL) -> bool:
     """True when the ket has exactly ``d`` Schmidt coefficients ~ 1/sqrt(d)."""
-    return bool(_is_flat(schmidt(psi, dim_a, dim_b, tol).coefficients, d, tol))
+    return _is_flat(schmidt(psi, dim_a, dim_b, tol).coefficients, d, tol)
 
 
-def _is_flat(values: np.ndarray, d: int, tol: float) -> np.ndarray:
-    """Along the last axis of descending Schmidt values: ``d`` of them within
-    ``tol`` of ``1/sqrt(d)`` and the rest at most ``tol``."""
-    flat = np.max(np.abs(values[..., :d] - 1.0 / np.sqrt(d)), axis=-1) <= tol
-    return flat & (values.shape[-1] >= d) & np.all(values[..., d:] <= tol, axis=-1)
+def _is_flat(values: np.ndarray, d: int, tol: float) -> bool:
+    """``d`` descending Schmidt values within ``tol`` of ``1/sqrt(d)``, the rest at most ``tol``."""
+    if values.size < d:
+        return False
+    return bool(np.max(np.abs(values[:d] - 1.0 / np.sqrt(d))) <= tol and np.all(values[d:] <= tol))
 
 
 def conversion_probability(sf: SchmidtForm, d: int) -> float:
@@ -108,7 +108,7 @@ def _vidal_optimum(values: np.ndarray, d: int) -> np.ndarray:
     with those before ``l`` zeroed (bit for bit the slice sum below eight values)."""
     cuts, squares = np.arange(d), np.square(values)
     tails = np.where(np.arange(squares.shape[-1]) >= cuts[:, None], squares[..., None, :], 0.0).sum(-1)
-    return np.minimum(1.0, (d * tails / (d - cuts)).min(-1))
+    return (d * tails / (d - cuts)).min(-1, initial=1.0)
 
 
 def uuqc_to_ues(

@@ -234,7 +234,7 @@ def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = 
     a mixed Choi state fails the check outright.
     """
     pure, _, values, _ = _choi_branches(code, noise, tol, pure_only=True)
-    return bool(pure and _is_flat(values[0], code.logical_dim, tol))
+    return pure and len(values) == 1 and _is_flat(values[0], code.logical_dim, tol)
 
 
 def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL):

@@ -153,6 +153,16 @@ def test_ec_prob(capsys, tmp_path):
     assert report["certainty_condition"] is False
 
 
+
+def test_ec_prob_on_all_zero_noise_reports_probability_zero(capsys, tmp_path):
+    code_file = write(tmp_path / "triv.json", code_to_doc(CodeSpec(np.eye(2, dtype=complex))))
+    noise_file = write(tmp_path / "zero.json", channel_to_doc(KrausChannel((np.zeros((2, 2), dtype=complex),))))
+    code, report, err = run(capsys, ["ec-prob", code_file, noise_file])
+    assert code == 0 and "Traceback" not in err
+    assert report["probability"] == 0.0 and report["method"] == "pure-exact"
+    assert report["certainty_condition"] is False
+
+
 def test_ec_prob_certainty_uses_tol(capsys, tmp_path):
     # a pure Choi state whose Schmidt coefficients miss 1/sqrt(2) by ~4e-6
     code_file = write(tmp_path / "triv.json", code_to_doc(CodeSpec(np.eye(2, dtype=complex))))

@@ -314,6 +314,14 @@ def test_certainty_condition():
     assert not meets_certainty_condition(trivial_code(), dep)
 
 
+
+def test_all_zero_noise_has_no_branch_and_fails_the_certainty_condition():
+    # the only Choi weight is at most tol, so no branch survives
+    zero = KrausChannel((np.zeros((2, 2), dtype=complex),))
+    assert unambiguous_correction_probability(trivial_code(), zero) == (0.0, "pure-exact")
+    assert meets_certainty_condition(trivial_code(), zero) is False
+
+
 def test_unit_probability_correction_has_uniform_choi():
     # whenever the corrected composite reaches probability one, its Choi
     # state on a logical reference is a rank-d uniformly entangled ket
