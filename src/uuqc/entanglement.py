@@ -82,6 +82,8 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
 
 def is_rank_d_ues(psi: np.ndarray, dim_a: int, dim_b: int, d: int, tol: float = DEFAULT_TOL) -> bool:
     """True when the ket has exactly ``d`` Schmidt coefficients ~ 1/sqrt(d)."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     return _is_flat(schmidt(psi, dim_a, dim_b, tol).coefficients, d, tol)
 
 

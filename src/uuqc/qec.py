@@ -13,10 +13,10 @@ by an instrument on the noisy half that separates the state's eigen-branches
 and distils each at the pure-state optimum; the bound is exact on
 Knill-Laflamme-correctable noise.
 
-Both verdicts depend only on the noise's action on the code, the stacked
-blocks ``E_k C``: the Choi eigen-branches and their Schmidt values come from
-two SVDs (``_choi_branches``), never from the ``(d n) x (d n)`` Choi matrix,
-which ``noise_choi_state`` builds for inspection only.
+Every verdict reads the noise only as the stacked blocks ``E_k C``
+(``_code_blocks``): the Choi eigen-branches and their Schmidt values come
+from two SVDs (``_choi_branches``), never from the ``(d n) x (d n)`` Choi
+matrix, which ``noise_choi_state`` builds for inspection only.
 """
 
 from __future__ import annotations
@@ -106,26 +106,30 @@ def encoding_channel(code: CodeSpec) -> KrausChannel:
     return KrausChannel((code.encoder,))
 
 
+def _code_blocks(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
+    """The ``(K, out, d)`` stack ``E_k C``, ``out`` any dimension: the one read of the noise."""
+    if noise.in_dim != code.physical_dim:
+        raise ValueError("noise must act on the physical space")
+    return noise.stack @ code.encoder
+
+
 def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> KlReport:
     """Test ``P E_j^dag E_i P = h_ji P`` on the code projector.
 
     ``h_ji = Tr(P E_j^dag E_i P) / d``; the residual is the largest Frobenius
     deviation over element pairs, evaluated on the logical blocks
-    ``C^dag E_j^dag E_i C`` (an isometry-invariant, hence identical, norm).
+    ``(E_j C)^dag E_i C`` (an isometry-invariant, hence identical, norm).
     ``h`` comes back Hermitian and positive semidefinite for correctable
     sets, with unit trace when the noise is trace-preserving.
     """
-    if errors.in_dim != code.physical_dim or errors.out_dim != code.physical_dim:
-        raise ValueError("error elements must act on the physical space")
-    d = code.logical_dim
-    n = len(errors.stack)
-    enc = code.encoder
+    blocks = _code_blocks(code, errors)
+    n, _, d = blocks.shape
     h = np.zeros((n, n), dtype=complex)
     deviation = np.zeros((n, n))
     eye = np.eye(d)
     for j in range(n):
         for i in range(n):
-            block = dagger(enc) @ dagger(errors.stack[j]) @ errors.stack[i] @ enc
+            block = dagger(blocks[j]) @ blocks[i]
             hij = np.trace(block) / d
             h[j, i] = hij
             deviation[j, i] = frobenius(block - hij * eye)
@@ -155,12 +159,12 @@ def standard_recovery(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT
     code space isometrically onto a mutually orthogonal corrupted space; the
     recovery elements project onto those spaces and rotate them back.  The
     result is trace-decreasing when the corrupted spaces do not fill the
-    physical space, which is fine for unambiguous bookkeeping.
+    noise's output space, which is fine for unambiguous bookkeeping.
     """
     report = kl_check(code, errors, tol)
     if not report.correctable:
         raise ValueError("error set is not correctable on this code")
-    blocks = diagonalize_errors(report, errors).stack @ code.encoder
+    blocks = diagonalize_errors(report, KrausChannel(_code_blocks(code, errors))).stack
     # lambda_m = ||F_m C||^2 / d, the diagonal of the remixed overlap matrix
     lambdas = np.sum(np.abs(blocks) ** 2, axis=(1, 2)) / code.logical_dim
     keep = lambdas > tol
@@ -184,12 +188,10 @@ def verify_correction_uuqc(
     space as output subspace.  The identity-consistent probability is one
     exactly when the recovery corrects the noise completely.
     """
-    if recovery.in_dim != code.physical_dim:
-        raise ValueError("recovery must act on the physical space")
-    total = compose(compose(encoding_channel(code), errors), recovery)
-    v1 = SubspaceIsometry.full(code.logical_dim)
-    v2 = code.subspace()
-    cert = certify_uuqc(total, v1, v2, 1, 1, tol)
+    if recovery.out_dim != code.physical_dim:
+        raise ValueError("recovery must map back into the physical space")
+    total = compose(KrausChannel(_code_blocks(code, errors)), recovery)
+    cert = certify_uuqc(total, v2=code.subspace(), tol=tol)
     per = cert.per_element
     dist = _phase_distance(per.unitary, np.eye(code.logical_dim))
     q_id = np.sum(per.probability[per.is_uum & (dist <= tol)])
@@ -199,9 +201,7 @@ def verify_correction_uuqc(
 def noise_choi_state(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     """Unnormalized Choi state of encode-then-noise with a logical reference,
     for inspection: the verdicts below never build it."""
-    if noise.in_dim != code.physical_dim:
-        raise ValueError("noise must act on the physical space")
-    return choi_state(compose(encoding_channel(code), noise))
+    return choi_state(KrausChannel(_code_blocks(code, noise)))
 
 
 def _choi_branches(code: CodeSpec, noise: KrausChannel, tol: float, pure_only: bool = False) -> tuple:
@@ -210,9 +210,7 @@ def _choi_branches(code: CodeSpec, noise: KrausChannel, tol: float, pure_only: b
     the eigen-branches of the Choi state ``V^T V^* / d``, row ``k`` of ``V``
     being ``vec(E_k C)`` with the logical index slow: one SVD of ``V``, one
     batched SVD of the branches, which ``pure_only`` skips on mixed states."""
-    if noise.in_dim != code.physical_dim:
-        raise ValueError("noise must act on the physical space")
-    root = (noise.stack @ code.encoder).transpose(0, 2, 1).reshape(len(noise.stack), -1)
+    root = _code_blocks(code, noise).transpose(0, 2, 1).reshape(len(noise.stack), -1)
     _, svals, vh = np.linalg.svd(root, full_matrices=False)
     evals = svals**2 / code.logical_dim
     weight = float(evals.sum())

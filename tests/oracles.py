@@ -314,3 +314,19 @@ def simulate_per_message(state, protocol, trials: int, seed) -> tuple:
             decoded = rng.choice(n_msg, size=wins, p=outcome_dist[x])
             decode_errors += int(np.sum(decoded != x))
     return sent, succeeded, decode_errors
+
+
+def kl_by_projector(encoder, elements) -> tuple:
+    """The Knill-Laflamme data by its literal formula on the code projector
+    ``P``: ``h_ji = Tr(P E_j^dag E_i P) / d`` and the residual
+    ``max_ji ||P E_j^dag E_i P - h_ji P||_F``, one pair at a time."""
+    proj = encoder @ encoder.conj().T
+    d = encoder.shape[1]
+    h = np.zeros((len(elements), len(elements)), dtype=complex)
+    residual = 0.0
+    for j, ej in enumerate(elements):
+        for i, ei in enumerate(elements):
+            sandwich = proj @ ej.conj().T @ ei @ proj
+            h[j, i] = np.trace(sandwich) / d
+            residual = max(residual, float(np.linalg.norm(sandwich - h[j, i] * proj)))
+    return h, residual

@@ -21,7 +21,7 @@ from uuqc.formats import (
 from uuqc.linalg import random_unitary, tensor_product
 from uuqc.qec import CodeSpec
 
-from builders import PAULI_X, repetition_code, single_qubit_on
+from builders import PAULI_X, flagged_erasure, leung_code, repetition_code, single_qubit_on
 
 
 def write(path, doc):
@@ -140,6 +140,16 @@ def test_kl_check_exit_codes(capsys, tmp_path):
     assert code == 3 and not report["correctable"]
     code, report, _ = run(capsys, ["ec-prob", code_file, z_file])
     assert code == 0 and report["probability"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_kl_check_accepts_noise_into_a_larger_space(capsys, tmp_path):
+    # a flagged erasure on Leung's code maps 16 dimensions into 81
+    code_file = write(tmp_path / "code.json", code_to_doc(leung_code()))
+    erasure_file = write(tmp_path / "erasure.json", channel_to_doc(flagged_erasure(4, 0.2)))
+    code, report, _ = run(capsys, ["kl-check", code_file, erasure_file])
+    assert code == 0 and report["correctable"]
+    code, report, _ = run(capsys, ["ec-prob", code_file, erasure_file])
+    assert code == 0 and report["probability"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ec_prob(capsys, tmp_path):

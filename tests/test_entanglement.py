@@ -517,6 +517,12 @@ def test_mixed_checks_reject_empty_targets(d):
         check_mixed_nonzero(rho, 2, 2, d, SubspaceIsometry.full(2), SubspaceIsometry.full(2))
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_is_rank_d_ues_rejects_empty_targets(d):
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        is_rank_d_ues(maximally_entangled_ket(2), 2, 2, d)
+
+
 def test_sweep_checks_the_state_shape():
     with pytest.raises(ValueError, match="state shape"):
         search_mixed_nonzero(np.eye(6) / 6, 2, 2, 2)

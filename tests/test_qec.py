@@ -23,7 +23,9 @@ from builders import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    flagged_erasure,
     kron_chain,
+    leung_code,
     rand_complex,
     repetition_code,
     single_qubit_on,
@@ -31,6 +33,7 @@ from builders import (
 from oracles import (
     correction_by_choi_eigh,
     filter_conversion_max,
+    kl_by_projector,
     orthogonal_branch_probability,
     standard_recovery_two_pass,
 )
@@ -347,6 +350,63 @@ def test_kl_check_rejects_non_finite_blocks():
 def test_kl_dimension_mismatch():
     with pytest.raises(ValueError):
         kl_check(repetition_code(), KrausChannel((np.eye(4, dtype=complex),)))
+
+
+def test_flagged_erasure_into_a_larger_space_agrees_across_verdicts():
+    # 16 -> 81 dimensions: every verdict reads the blocks E_k C, whatever
+    # the output space, and the recovery maps back into the physical space.
+    code, noise = leung_code(), flagged_erasure(4, 0.2)
+    assert (noise.in_dim, noise.out_dim) == (16, 81)
+    report = kl_check(code, noise)
+    assert report.correctable and report.residual <= 1e-12
+    assert np.trace(report.h) == pytest.approx(1.0, abs=1e-12)
+    assert unambiguous_correction_probability(code, noise)[0] == pytest.approx(1.0, abs=1e-12)
+    recovery = standard_recovery(code, noise)
+    assert (recovery.in_dim, recovery.out_dim) == (81, 16)
+    assert verify_correction_uuqc(code, noise, recovery).identity_probability == pytest.approx(1.0, abs=1e-12)
+    assert noise_choi_state(code, noise).shape == (2 * 81, 2 * 81)
+
+
+def test_recovery_must_map_back_into_the_physical_space():
+    code = repetition_code()
+    with pytest.raises(ValueError, match="recovery must map back into the physical space"):
+        verify_correction_uuqc(code, bit_flip_errors(), KrausChannel((np.eye(4, 8),)))
+
+
+@pytest.mark.parametrize("verdict", [
+    kl_check,
+    standard_recovery,
+    lambda code, noise: verify_correction_uuqc(code, noise, KrausChannel((np.eye(8),))),
+    unambiguous_correction_probability,
+    noise_choi_state,
+], ids=["kl_check", "standard_recovery", "verify_correction_uuqc", "ec_prob", "noise_choi_state"])
+def test_noise_on_the_wrong_space_raises_one_error(verdict):
+    with pytest.raises(ValueError, match="^noise must act on the physical space$"):
+        verdict(repetition_code(), KrausChannel((np.eye(6, 4),)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 6),
+    d=st.integers(1, 2),
+    k=st.integers(1, 4),
+    grow=st.sampled_from([-1, 0, 2]),
+    correctable=st.booleans(),
+)
+def test_kl_check_matches_projector_oracle(seed, n, d, k, grow, correctable):
+    rng = np.random.default_rng(seed)
+    code = CodeSpec(random_unitary(n, rng)[:, :d])
+    out = n + grow
+    elems = rand_complex(rng, (k, out, n)) / np.sqrt(2 * n * k)
+    if correctable:
+        # E_k C = c_k W for one isometry W: correctable, h = c_j^* c_i
+        image = random_unitary(out, rng)[:, :d] @ code.encoder.conj().T
+        elems = elems @ (np.eye(n) - code.code_projector()) + rand_complex(rng, (k, 1, 1)) / k * image
+    h, residual = kl_by_projector(code.encoder, elems)
+    report = kl_check(code, KrausChannel(elems))
+    np.testing.assert_allclose(report.h, h, rtol=0, atol=1e-12)
+    assert report.residual == pytest.approx(residual, abs=1e-12)
+    assert not correctable or report.correctable
 
 
 def _flip(wire, n_qubits):

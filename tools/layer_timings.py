@@ -38,6 +38,11 @@ The cases:
   on the same codes and noise at 3, 5, 7 and 9 qubits, and on the two
   ``_ec_prob_inputs``: the ``qec`` workload's mixed-noise shape and a
   three-element noise with a pure Choi state;
+- ``kl_check``, ``standard_recovery``, ``verify_correction_uuqc`` (with
+  that recovery) and ``unambiguous_correction_probability`` on the
+  five-qubit code, and ``kl_check`` and ``unambiguous_correction_probability``
+  on Shor's code (``LARGE_REPEATS``), both under ``sqrt(0.7) I`` plus every
+  single-qubit Pauli, built by ``tests/builders.py``;
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
   (6 x 48 x 48), and ``channel_to_doc`` plus ``dump_json`` of its
   refinement (16 x 48 x 48), the ``refine`` report's payload;
@@ -68,7 +73,8 @@ BLAS_THREADS = 1
 ROUNDS = 10
 REPEATS = 15
 # Repeats per round of the 9-qubit cases, which took about 0.5 s per call
-# when they built the 1024 x 1024 Choi matrix.
+# when they built the 1024 x 1024 Choi matrix, and of Shor's code, whose
+# kl_check took about 1.1 s when it multiplied four matrices per pair.
 LARGE_REPEATS = 3
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
@@ -239,6 +245,24 @@ def _cases():
                       lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), repeats))
         cases.append(("meets_certainty_condition", "qec", dims,
                       lambda code=code, noise=noise: uuqc.meets_certainty_condition(code, noise), repeats))
+
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    from builders import five_qubit_code, pauli_noise, shor_code
+
+    for name, build, n in (("five-qubit", five_qubit_code, 5), ("shor", shor_code, 9)):
+        code, noise = build(), pauli_noise(n, 0.3)
+        dims = {"code": name, "n_phys": 2**n, "K": len(noise.stack)}
+        repeats = REPEATS if n == 5 else LARGE_REPEATS
+        cases.append(("kl_check", "qec", dims, lambda code=code, noise=noise: uuqc.kl_check(code, noise), repeats))
+        if n == 5:
+            recovery = uuqc.standard_recovery(code, noise)
+            cases.append(("standard_recovery", "qec", dims,
+                          lambda code=code, noise=noise: uuqc.standard_recovery(code, noise), repeats))
+            cases.append(("verify_correction_uuqc", "qec", dims,
+                          lambda code=code, noise=noise, r=recovery: uuqc.verify_correction_uuqc(code, noise, r),
+                          repeats))
+        cases.append(("unambiguous_correction_probability", "qec", dims,
+                      lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), repeats))
 
     for kind, (code, noise) in _ec_prob_inputs().items():
         dims = {"n_phys": code.physical_dim, "d": code.logical_dim, "K": len(noise.stack), "noise": kind}
