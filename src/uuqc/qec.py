@@ -13,10 +13,10 @@ by an instrument on the noisy half that separates the state's eigen-branches
 and distils each at the pure-state optimum; the bound is exact on
 Knill-Laflamme-correctable noise.
 
-Every verdict reads the noise only as the stacked blocks ``E_k C``
-(``_code_blocks``): the Choi eigen-branches and their Schmidt values come
-from two SVDs (``_choi_branches``), never from the ``(d n) x (d n)`` Choi
-matrix, which ``noise_choi_state`` builds for inspection only.
+Every verdict reads the noise once, as the stacked blocks ``E_k C``
+(``_code_blocks``), and runs its steps on that one stack: the Knill-Laflamme
+pair loop (``_kl``) and the Choi eigen-branches (``_choi_branches``, one SVD),
+never the ``(d n) x (d n)`` Choi matrix ``noise_choi_state`` builds to inspect.
 """
 
 from __future__ import annotations
@@ -91,15 +91,13 @@ class CorrectionReport:
     ``identity_probability`` counts only the weight of Kraus elements whose
     extracted unitary ``U`` satisfies ``min_phi ||U - e^{i phi} I||_F <= tol``;
     it is the probability that the composite provably acts as the logical
-    identity.  The full channel certificate is kept alongside for inspection.
+    identity, and ``fully_corrected`` that it is within ``tol`` of one on a
+    certified composite, whose certificate is kept alongside for inspection.
     """
 
     certificate: UuqcCertificate
     identity_probability: float
-
-    @property
-    def fully_corrected(self) -> bool:
-        return self.certificate.is_uuqc and abs(self.identity_probability - 1.0) <= DEFAULT_TOL
+    fully_corrected: bool
 
 
 def encoding_channel(code: CodeSpec) -> KrausChannel:
@@ -122,7 +120,11 @@ def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> 
     ``h`` comes back Hermitian and positive semidefinite for correctable
     sets, with unit trace when the noise is trace-preserving.
     """
-    blocks = _code_blocks(code, errors)
+    return _kl(_code_blocks(code, errors), tol)
+
+
+def _kl(blocks: np.ndarray, tol: float) -> KlReport:
+    """``kl_check`` on the ``(K, out, d)`` stack ``E_k C``."""
     n, _, d = blocks.shape
     h = np.zeros((n, n), dtype=complex)
     deviation = np.zeros((n, n))
@@ -161,10 +163,11 @@ def standard_recovery(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT
     result is trace-decreasing when the corrupted spaces do not fill the
     noise's output space, which is fine for unambiguous bookkeeping.
     """
-    report = kl_check(code, errors, tol)
+    blocks = _code_blocks(code, errors)
+    report = _kl(blocks, tol)
     if not report.correctable:
         raise ValueError("error set is not correctable on this code")
-    blocks = diagonalize_errors(report, KrausChannel(_code_blocks(code, errors))).stack
+    blocks = diagonalize_errors(report, KrausChannel(blocks)).stack
     # lambda_m = ||F_m C||^2 / d, the diagonal of the remixed overlap matrix
     lambdas = np.sum(np.abs(blocks) ** 2, axis=(1, 2)) / code.logical_dim
     keep = lambdas > tol
@@ -194,8 +197,8 @@ def verify_correction_uuqc(
     cert = certify_uuqc(total, v2=code.subspace(), tol=tol)
     per = cert.per_element
     dist = _phase_distance(per.unitary, np.eye(code.logical_dim))
-    q_id = np.sum(per.probability[per.is_uum & (dist <= tol)])
-    return CorrectionReport(certificate=cert, identity_probability=float(q_id))
+    q_id = float(np.sum(per.probability[per.is_uum & (dist <= tol)]))
+    return CorrectionReport(cert, q_id, cert.is_uuqc and abs(q_id - 1.0) <= tol)
 
 
 def noise_choi_state(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
@@ -204,24 +207,19 @@ def noise_choi_state(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     return choi_state(KrausChannel(_code_blocks(code, noise)))
 
 
-def _choi_branches(code: CodeSpec, noise: KrausChannel, tol: float, pure_only: bool = False) -> tuple:
+def _choi_branches(blocks: np.ndarray, tol: float) -> tuple:
     """Purity flag, weights above ``tol`` (a pure state is one branch of the
-    whole weight), Schmidt values and noisy-side Schmidt vectors (rows) of
-    the eigen-branches of the Choi state ``V^T V^* / d``, row ``k`` of ``V``
-    being ``vec(E_k C)`` with the logical index slow: one SVD of ``V``, one
-    batched SVD of the branches, which ``pure_only`` skips on mixed states."""
-    root = _code_blocks(code, noise).transpose(0, 2, 1).reshape(len(noise.stack), -1)
-    _, svals, vh = np.linalg.svd(root, full_matrices=False)
-    evals = svals**2 / code.logical_dim
+    whole weight) and ``d x out`` kets of the Choi state's eigen-branches,
+    from one SVD of ``V``, whose row ``k`` is ``vec(E_k C)`` (logical index
+    slow) for the ``(K, out, d)`` blocks; the Choi state is ``V^T V^* / d``."""
+    k, out, d = blocks.shape
+    _, svals, vh = np.linalg.svd(blocks.transpose(0, 2, 1).reshape(k, -1), full_matrices=False)
+    evals = svals**2 / d
     weight = float(evals.sum())
     pure = weight - float(evals[0]) <= tol
-    if pure_only and not pure:
-        return pure, None, None, None
     weights = np.array([weight]) if pure else evals
     weights = weights[weights > tol]
-    kets = vh[: len(weights)].reshape(-1, code.logical_dim, noise.out_dim)
-    _, values, ranges = np.linalg.svd(kets, full_matrices=False)
-    return pure, weights, values, ranges
+    return pure, weights, vh[: len(weights)].reshape(-1, d, out)
 
 
 def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
@@ -229,10 +227,11 @@ def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = 
     Choi state of encode-then-noise is a rank-``d`` uniformly entangled ket.
 
     Meaningful as stated for pure Choi states (isometric or filtered noise);
-    a mixed Choi state fails the check outright.
+    a mixed Choi state fails the check outright, before any Schmidt SVD.
     """
-    pure, _, values, _ = _choi_branches(code, noise, tol, pure_only=True)
-    return pure and len(values) == 1 and _is_flat(values[0], code.logical_dim, tol)
+    pure, weights, kets = _choi_branches(_code_blocks(code, noise), tol)
+    return pure and len(weights) == 1 and _is_flat(np.linalg.svd(kets, full_matrices=False)[1][0],
+                                                   code.logical_dim, tol)
 
 
 def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL):
@@ -263,7 +262,8 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
     maximally entangled and the bound equals ``Tr h``, the standard-recovery
     probability.
     """
-    pure, weights, values, ranges = _choi_branches(code, noise, tol)
+    pure, weights, kets = _choi_branches(_code_blocks(code, noise), tol)
+    _, values, ranges = np.linalg.svd(kets, full_matrices=False)
     support = values > tol
     # A branch scores when its last Schmidt value is supported (with fewer
     # than d values its optimum is 0) and it is separated, as a lone branch is.

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -188,6 +190,16 @@ def test_identity_probability_rejects_unitary_1e6_from_identity():
     assert rep.certificate.is_uuqc
     assert rep.identity_probability == 0.0
     assert not rep.fully_corrected
+
+
+@pytest.mark.parametrize("loss, tol, corrected", [(1e-4, 1e-3, True), (1e-10, 1e-12, False)])
+def test_fully_corrected_reads_the_certification_tol(loss, tol, corrected):
+    # identity_probability is 1 - loss, within tol of one exactly when loss <= tol
+    ident = KrausChannel((np.eye(2, dtype=complex),))
+    rep = verify_correction_uuqc(trivial_code(), KrausChannel((np.sqrt(1 - loss) * np.eye(2),)), ident, tol)
+    assert rep.certificate.is_uuqc
+    assert rep.identity_probability == pytest.approx(1 - loss, abs=1e-15)
+    assert rep.fully_corrected == corrected
 
 
 def test_constructed_recovery_corrects_bit_flips():
@@ -383,6 +395,20 @@ def test_recovery_must_map_back_into_the_physical_space():
 def test_noise_on_the_wrong_space_raises_one_error(verdict):
     with pytest.raises(ValueError, match="^noise must act on the physical space$"):
         verdict(repetition_code(), KrausChannel((np.eye(6, 4),)))
+
+
+@pytest.mark.parametrize("verdict", [
+    kl_check,
+    standard_recovery,
+    lambda code, noise: verify_correction_uuqc(code, noise, KrausChannel((np.eye(8),))),
+    unambiguous_correction_probability,
+    meets_certainty_condition,
+], ids=["kl_check", "standard_recovery", "verify_correction_uuqc", "ec_prob", "certainty"])
+def test_each_verdict_reads_the_noise_once(verdict):
+    code, noise = repetition_code(), bit_flip_errors()
+    with mock.patch.object(uuqc.qec, "_code_blocks", wraps=uuqc.qec._code_blocks) as read:
+        verdict(code, noise)
+    read.assert_called_once_with(code, noise)
 
 
 @given(

@@ -40,9 +40,11 @@ The cases:
   three-element noise with a pure Choi state;
 - ``kl_check``, ``standard_recovery``, ``verify_correction_uuqc`` (with
   that recovery) and ``unambiguous_correction_probability`` on the
-  five-qubit code, and ``kl_check`` and ``unambiguous_correction_probability``
-  on Shor's code (``LARGE_REPEATS``), both under ``sqrt(0.7) I`` plus every
-  single-qubit Pauli, built by ``tests/builders.py``;
+  five-qubit code, and ``kl_check``, ``standard_recovery`` and
+  ``unambiguous_correction_probability`` on Shor's code (``LARGE_REPEATS``;
+  its 28-element noise stack holds about 117 MB), both under
+  ``sqrt(0.7) I`` plus every single-qubit Pauli, built by
+  ``tests/builders.py``;
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
   (6 x 48 x 48), and ``channel_to_doc`` plus ``dump_json`` of its
   refinement (16 x 48 x 48), the ``refine`` report's payload;
@@ -254,10 +256,10 @@ def _cases():
         dims = {"code": name, "n_phys": 2**n, "K": len(noise.stack)}
         repeats = REPEATS if n == 5 else LARGE_REPEATS
         cases.append(("kl_check", "qec", dims, lambda code=code, noise=noise: uuqc.kl_check(code, noise), repeats))
+        cases.append(("standard_recovery", "qec", dims,
+                      lambda code=code, noise=noise: uuqc.standard_recovery(code, noise), repeats))
         if n == 5:
             recovery = uuqc.standard_recovery(code, noise)
-            cases.append(("standard_recovery", "qec", dims,
-                          lambda code=code, noise=noise: uuqc.standard_recovery(code, noise), repeats))
             cases.append(("verify_correction_uuqc", "qec", dims,
                           lambda code=code, noise=noise, r=recovery: uuqc.verify_correction_uuqc(code, noise, r),
                           repeats))
