@@ -309,8 +309,8 @@ def _run_dense_code(args):
     if args.D < 2:
         raise FormatError("dense coding needs D >= 2")
     state = _parse_lambdas2(args.lambdas2, args.D)
-    if args.trials < 1:
-        raise FormatError("--trials: must be >= 1")
+    if not 1 <= args.trials < 2**63:
+        raise FormatError("--trials: must be in [1, 2^63 - 1]")
     protocol = densecode.optimal_protocol(state)
     result = densecode.simulate(state, protocol, args.trials, args.seed)
     bound = densecode.verify_protocol_bound(

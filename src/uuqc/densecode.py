@@ -37,10 +37,6 @@ __all__ = [
     "verify_protocol_bound",
 ]
 
-# Trials per block of the win count in ``simulate``.
-_BLOCK = 1 << 16
-
-
 @dataclass(frozen=True, eq=False)
 class SharedState:
     """Schmidt spectrum of the shared ket: descending positive ``lambdas``
@@ -168,43 +164,37 @@ def simulate(
 ) -> SimulationResult:
     """Monte Carlo run of a dense-coding protocol.
 
-    Each trial draws a uniform message, encodes the transmitted half of the
-    shared ket, Born-samples the receiver's two-outcome filter, and on
-    success measures in the discrimination basis.  Decoding mistakes on
-    success are counted and should be zero for an unambiguous protocol.
+    Each trial sends a uniform message through its encoder, the receiver's
+    two-outcome filter and, on success, the measurement in the
+    discrimination basis.  The trials are independent, so the counts are
+    drawn from their exact law: multinomial sends, binomial successes per
+    message, and binomial decoding mistakes among those successes, which
+    should be zero for an unambiguous protocol.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    # multinomial takes the count as a C long
+    if not 1 <= trials < 2**63:
+        raise ValueError("trials must be in [1, 2^63 - 1]")
     D = state.rank
     n_msg = len(protocol.encoders)
-    kets = _encoder_kets(protocol.encoders)
+    basis = protocol.discrimination_basis
+    if np.shape(basis) != (D * D, n_msg):
+        raise ValueError(f"discrimination basis must be {D * D} x {n_msg}")
+    filt = protocol.filter
+    if np.linalg.eigvalsh(dagger(filt) @ filt)[-1] > 1.0 + DEFAULT_TOL:
+        raise ValueError("filter must satisfy F^dag F <= I")
     # Column x is message x encoded on the shared ket, then filtered.
-    filtered = tensor_product(protocol.filter @ np.diag(state.lambdas), np.eye(D)) @ kets
-    success_prob = np.sum(np.abs(filtered) ** 2, axis=0)
-    dist = np.abs(dagger(protocol.discrimination_basis) @ filtered) ** 2
-    live = success_prob > 0
-    outcome_dist = np.full((n_msg, n_msg), 1.0 / n_msg)
-    outcome_dist[live] = (dist[:, live] / np.sum(dist[:, live], axis=0)).T
+    kets = _encoder_kets(protocol.encoders)
+    filtered = tensor_product(filt @ np.diag(state.lambdas), np.eye(D)) @ kets
+    # A contraction filter leaves only rounding above one.
+    success_prob = np.minimum(np.sum(np.abs(filtered) ** 2, axis=0), 1.0)
+    dist = np.abs(dagger(basis) @ filtered) ** 2
+    total = np.sum(dist, axis=0)
+    hit = np.divide(np.diagonal(dist), total, out=np.zeros(n_msg), where=total > 0)
 
     rng = np.random.default_rng(seed)
-    messages = rng.integers(0, n_msg, size=trials)
-    # One count per (message, won) pair, taken over fixed blocks of trials
-    # so neither the coins nor the per-trial thresholds take a trials-long
-    # array.  Each uniform is one draw of the bit generator, so drawing the
-    # coins block by block gives the same numbers as one call.
-    counts = np.zeros(2 * n_msg, dtype=np.int64)
-    for start in range(0, trials, _BLOCK):
-        block = messages[start : start + _BLOCK]
-        won = rng.uniform(size=block.size) < success_prob[block]
-        counts += np.bincount(block + n_msg * won, minlength=2 * n_msg)
-    succeeded = counts[n_msg:]
-    sent = counts[:n_msg] + succeeded
-    # One decoding draw per message that won, in message order: the RNG
-    # stream, and so every count, of one pass per message.
-    decode_errors = 0
-    for x in np.flatnonzero(succeeded):
-        decoded = rng.choice(n_msg, size=succeeded[x], p=outcome_dist[x])
-        decode_errors += int(np.count_nonzero(decoded != x))
+    sent = rng.multinomial(trials, np.full(n_msg, 1.0 / n_msg))
+    succeeded = rng.binomial(sent, success_prob)
+    decode_errors = int(np.sum(rng.binomial(succeeded, 1.0 - hit)))
     return SimulationResult(sent=sent, succeeded=succeeded, decode_errors=decode_errors)
 
 

@@ -283,9 +283,10 @@ def uum_by_index_loops(restricted, d: int, env_in: int, env_out: int) -> dict:
 
 
 def simulate_per_message(state, protocol, trials: int, seed) -> tuple:
-    """Dense-coding Monte Carlo with one pass over the trials per message:
-    ``(sent, succeeded, decode_errors)`` from the same RNG draws, in the
-    same order, as ``densecode.simulate``."""
+    """Dense-coding Monte Carlo trial by trial, one pass per message:
+    ``(sent, succeeded, decode_errors)`` from one message, one coin and,
+    on success, one decoding draw per trial.  ``densecode.simulate`` draws
+    the same counts from their joint law."""
     d = state.lambdas.size
     encoders = np.asarray(protocol.encoders)
     n_msg = len(encoders)

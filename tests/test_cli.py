@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import uuqc
 from uuqc.channels import KrausChannel, maximally_entangled_ket
@@ -306,6 +310,61 @@ def test_dense_code_checks_d_before_counting_values(capsys, d):
     code, report, err = run(capsys, ["dense-code", "--D", d, "--lambdas2", "1"])
     assert code == 1 and report is None
     assert err.splitlines() == ["error: dense coding needs D >= 2"]
+
+
+@pytest.mark.parametrize("trials", ["10000000000000", "9223372036854775807"])
+def test_dense_code_counts_any_c_long_trial_count(capsys, trials):
+    # the counts come from their law, so no array grows with the trials
+    code, report, err = run(capsys, ["dense-code", "--D", "8", "--lambdas2", ",".join(["0.125"] * 8),
+                                     "--trials", trials])
+    assert code == 0
+    assert report["trials"] == sum(report["per_message_sent"]) == int(trials)
+    assert report["per_message_successes"] == report["per_message_sent"]
+    assert report["decode_errors"] == 0
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-5", "9223372036854775808"])
+def test_dense_code_rejects_trials_outside_a_c_long(capsys, trials):
+    code, report, err = run(capsys, ["dense-code", "--D", "2", "--lambdas2", "0.8,0.2",
+                                     f"--trials={trials}"])
+    assert code == 1 and report is None
+    assert err.splitlines() == ["error: --trials: must be in [1, 2^63 - 1]"]
+
+
+def _descending_squares(values):
+    squares = np.sort(values)[::-1]
+    return ",".join(repr(float(v)) for v in squares / squares.sum())
+
+
+@st.composite
+def _dense_code_argv(draw):
+    d = draw(st.integers(2, 5))
+    lambdas2 = draw(st.one_of(
+        st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d).map(_descending_squares),
+        st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, np.nan, np.inf, -np.inf]),
+                 min_size=1, max_size=6).map(lambda v: ",".join(map(repr, v))),
+        st.text("0123456789.,-+eEinfa ", max_size=16),
+    ))
+    trials = draw(st.integers(-3, 10**5) | st.integers(-(2**70), 2**70)
+                  | st.sampled_from([0, 2**63 - 1, 2**63, 2**64]))
+    seed = draw(st.integers(0, 2**32) | st.integers(-(2**70), 2**70) | st.sampled_from([-1, 2**64]))
+    # the `--flag=value` form keeps argparse from reading "-0.5,..." as a flag
+    return ["dense-code", f"--D={d}", f"--lambdas2={lambdas2}", f"--trials={trials}", f"--seed={seed}"]
+
+
+@given(_dense_code_argv())
+def test_dense_code_flags_fail_in_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    assert code in (0, 1, 2, 3)
+    assert not caught
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1
+    assert bool(out.getvalue()) == (code == 0)
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

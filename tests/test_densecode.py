@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uuqc import densecode
 from uuqc.densecode import (
     DenseCodingProtocol,
     SharedState,
@@ -95,16 +94,22 @@ def test_optimal_protocol_basis_orthonormal(lam2):
 
 
 def test_simulate_maximally_entangled_always_succeeds():
-    state = SharedState.from_squares([0.5, 0.5])
-    result = simulate(state, optimal_protocol(state), trials=2000, seed=3)
-    assert result.pooled_rate == pytest.approx(1.0)
-    assert result.decode_errors == 0
+    # every success probability is 1 up to rounding (1 + 2.2e-16 at D = 2
+    # and 8), so every message sent gets through and decodes as itself
+    for D in (2, 3, 8):
+        state = SharedState.from_squares([1.0 / D] * D)
+        result = simulate(state, optimal_protocol(state), trials=2000, seed=3)
+        assert result.sent.sum() == 2000
+        assert np.array_equal(result.succeeded, result.sent)
+        assert result.pooled_rate == 1.0
+        assert result.decode_errors == 0
 
 
 def test_simulate_matches_capacity_within_noise():
     state = SharedState.from_squares([0.8, 0.2])
     trials = 100_000
     result = simulate(state, optimal_protocol(state), trials=trials, seed=7)
+    assert result.sent.sum() == trials
     cap = capacity(state)
     assert abs(result.pooled_rate - cap) <= 3 * binom_sigma(cap, trials)
     assert result.decode_errors == 0
@@ -132,19 +137,36 @@ def _spectrum(D: int, seed: int) -> SharedState:
     return SharedState.from_squares(lam2 / lam2.sum())
 
 
+def _assert_same_law(state, protocol, trials, runs) -> float:
+    """Check that ``simulate`` and the per-trial oracle, each over ``runs``
+    seeds of its own, agree on the mean of every count (``sent`` and
+    ``succeeded`` per message, then ``decode_errors``) within 4 standard
+    errors of the difference; return the mean ``decode_errors``."""
+
+    def moments(draw, seeds):
+        rows = np.array([np.concatenate(draw(seed)) for seed in seeds], dtype=float)
+        return rows.mean(axis=0), rows.std(axis=0, ddof=1) / np.sqrt(runs)
+
+    def law(seed):
+        result = simulate(state, protocol, trials=trials, seed=seed)
+        return result.sent, result.succeeded, [result.decode_errors]
+
+    def oracle(seed):
+        sent, succeeded, decode_errors = simulate_per_message(state, protocol, trials, seed)
+        return sent, succeeded, [decode_errors]
+
+    mean, err = moments(law, range(runs))
+    mean_ref, err_ref = moments(oracle, range(runs, 2 * runs))
+    assert np.all(np.abs(mean - mean_ref) <= 4 * np.hypot(err, err_ref))
+    return mean[-1]
+
+
 @pytest.mark.parametrize("D", [2, 4, 8])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_simulate_matches_per_message_oracle(D, seed):
+    # simulate draws the counts from their law, the oracle trial by trial
     state = _spectrum(D, 40 + seed)
-    prot = optimal_protocol(state)
-    block = densecode._BLOCK
-    for trials in (1, block + 1, 2 * block + 12345):
-        assert trials % block
-        result = simulate(state, prot, trials=trials, seed=seed)
-        sent, succeeded, decode_errors = simulate_per_message(state, prot, trials, seed)
-        assert np.array_equal(result.sent, sent)
-        assert np.array_equal(result.succeeded, succeeded)
-        assert result.decode_errors == decode_errors
+    assert _assert_same_law(state, optimal_protocol(state), trials=500, runs=100) == 0
 
 
 def test_simulate_matches_oracle_with_decode_errors():
@@ -152,13 +174,36 @@ def test_simulate_matches_oracle_with_decode_errors():
     state = _spectrum(4, 50)
     prot = optimal_protocol(state)
     wrong = DenseCodingProtocol(prot.encoders, prot.filter, random_unitary(16, 5))
-    trials = densecode._BLOCK + 999
-    result = simulate(state, wrong, trials=trials, seed=4)
-    sent, succeeded, decode_errors = simulate_per_message(state, wrong, trials, 4)
-    assert decode_errors > 0
-    assert np.array_equal(result.sent, sent)
-    assert np.array_equal(result.succeeded, succeeded)
-    assert result.decode_errors == decode_errors
+    assert _assert_same_law(state, wrong, trials=1000, runs=400) > 0
+
+
+def test_simulate_takes_any_c_long_trial_count():
+    state = SharedState.from_squares([0.8, 0.2])
+    prot = optimal_protocol(state)
+    result = simulate(state, prot, trials=2**63 - 1, seed=1)
+    assert result.trials == 2**63 - 1
+    assert abs(result.pooled_rate - capacity(state)) <= 1e-6
+    for trials in (0, -1, 2**63, 10**30):
+        with pytest.raises(ValueError, match=r"trials must be in \[1, 2\^63 - 1\]"):
+            simulate(state, prot, trials=trials)
+
+
+def test_simulate_rejects_an_unphysical_filter():
+    # 3 F "succeeds" with probability 3.6 on every message
+    state = SharedState.from_squares([0.8, 0.2])
+    prot = optimal_protocol(state)
+    loud = DenseCodingProtocol(prot.encoders, 3 * prot.filter, prot.discrimination_basis)
+    with pytest.raises(ValueError, match=r"filter must satisfy F\^dag F <= I"):
+        simulate(state, loud)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4, 5), (5, 4)])
+def test_simulate_rejects_a_basis_of_the_wrong_shape(shape):
+    state = SharedState.from_squares([0.8, 0.2])
+    prot = optimal_protocol(state)
+    odd = DenseCodingProtocol(prot.encoders, prot.filter, np.eye(*shape))
+    with pytest.raises(ValueError, match="discrimination basis must be 4 x 4"):
+        simulate(state, odd)
 
 
 @pytest.mark.parametrize("D", [2, 3, 4])

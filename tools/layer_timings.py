@@ -48,8 +48,9 @@ The cases:
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
   (6 x 48 x 48), and ``channel_to_doc`` plus ``dump_json`` of its
   refinement (16 x 48 x 48), the ``refine`` report's payload;
-- ``simulate`` of the optimal dense-coding protocol at D = 8 with 10^6
-  trials, as the ``cli`` workload's ``dense-code`` job runs it, and
+- ``simulate`` of the optimal dense-coding protocol at D = 8 with every
+  ``SIMULATE_TRIALS`` count (10^6 is the ``cli`` workload's ``dense-code``
+  job), and
   ``verify_protocol_bound`` of the optimal protocol with its optimal
   receiver at every ``VERIFY_D`` rank (D = 8 on that same protocol);
 - ``SubspaceIsometry.full`` at every ``FULL_DIMS`` dimension;
@@ -93,6 +94,7 @@ TELEPORT_DIMS = [2, 4, 8]
 VERIFY_D = [2, 4, 8]
 FULL_DIMS = [2, 8, 64]
 CONVERSION_DIMS = [(2, 3), (4, 5), (8, 9)]
+SIMULATE_TRIALS = [10**4, 10**5, 10**6]
 
 
 def _witness_states() -> dict:
@@ -160,7 +162,7 @@ def _cases():
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from common import random_split, random_unitary
     from wl_certify import CERTIFIED, _channel
-    from wl_cli import DENSE_D, DENSE_TRIALS, LARGE
+    from wl_cli import DENSE_D, LARGE
 
     from uuqc import formats
 
@@ -288,8 +290,9 @@ def _cases():
     lam2 = np.sort(rng.uniform(0.3, 1.0, DENSE_D))[::-1]
     state = uuqc.SharedState.from_squares(lam2 / lam2.sum())
     protocol = uuqc.optimal_protocol(state)
-    cases.append(("simulate", "densecode", {"D": DENSE_D, "trials": DENSE_TRIALS},
-                  lambda: uuqc.simulate(state, protocol, DENSE_TRIALS, 7), REPEATS))
+    for trials in SIMULATE_TRIALS:
+        cases.append(("simulate", "densecode", {"D": DENSE_D, "trials": trials},
+                      lambda n=trials: uuqc.simulate(state, protocol, n, 7), REPEATS))
     # The smaller ranks draw from their own seed, so the inputs above stay put.
     verify_rng = np.random.default_rng(14)
     states = {DENSE_D: state}
