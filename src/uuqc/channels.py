@@ -124,12 +124,18 @@ def choi_state(ch: KrausChannel) -> np.ndarray:
     tensor slot.  The result is left unnormalized: its trace equals the
     average success weight ``Tr(sum_k E_k^dag E_k) / in_dim``.
 
-    Closed form ``V^T V^* / in_dim``: row ``k`` of ``V`` is ``vec(E_k)``
-    with the input index slowest (Choi 1975; Watrous, *Theory of Quantum
-    Information*, section 2.2).  The scale goes on the small factor.
+    Closed form ``V^T V^* / in_dim`` with ``V = _choi_vectors(ch.stack)``
+    (Choi 1975).  The scale goes on the small factor.
     """
-    v = ch.stack.transpose(0, 2, 1).reshape(len(ch.stack), -1)
+    v = _choi_vectors(ch.stack)
     return v.T @ (v.conj() / ch.in_dim)
+
+
+def _choi_vectors(stack: np.ndarray) -> np.ndarray:
+    """``V``, whose row ``k`` is ``vec(E_k)`` with the input index slowest: the
+    unnormalised ``(I (x) E_k)|Phi>``, ``|Phi> = sum_i |ii>`` (Watrous, *Theory
+    of Quantum Information*, section 2.2), for a ``(K, out, in)`` stack."""
+    return stack.transpose(0, 2, 1).reshape(len(stack), -1)
 
 
 def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import KrausChannel, _choi_vectors, is_physical, povm_of
 from .linalg import DEFAULT_TOL, dagger, shift_clock_unitaries, tensor_product
 from .unambiguous import _phase_distance, certify_uum
 
@@ -129,11 +130,18 @@ def weyl_operators(D: int) -> np.ndarray:
     return shift_clock_unitaries(D)
 
 
-def _encoder_kets(encoders: np.ndarray) -> np.ndarray:
-    """The ``(K, D, D)`` encoders as columns of kets with the retained-side
-    index slow: entry ``(j*D + i)`` of column ``x`` is ``A_x[i, j]``, so
-    column ``x`` is ``(I (x) A_x) sum_i |ii>``."""
-    return encoders.transpose(2, 1, 0).reshape(-1, len(encoders))
+def _encoder_channel(encoders, D: int, tol: float) -> KrausChannel:
+    """The encoders as a channel of ``D**2`` elements of shape ``D x D``, each
+    trace-non-increasing within ``tol``; the first that is not is named."""
+    if len(encoders) != D * D:
+        raise ValueError(f"expected {D * D} encoders, got {len(encoders)}")
+    channel = KrausChannel(encoders)
+    if channel.stack.shape[1:] != (D, D):
+        raise ValueError(f"encoders must be {D} x {D}, got {channel.out_dim} x {channel.in_dim}")
+    bad = np.flatnonzero(np.linalg.eigvalsh(povm_of(channel))[:, -1] > 1.0 + tol)
+    if len(bad):
+        raise ValueError(f"encoder {bad[0]} is not trace-non-increasing")
+    return channel
 
 
 def capacity(state: SharedState) -> float:
@@ -152,7 +160,7 @@ def optimal_protocol(state: SharedState) -> DenseCodingProtocol:
     D = state.rank
     encoders = weyl_operators(D)
     filt = np.diag(state.lambdas[-1] / state.lambdas).astype(complex)
-    basis = _encoder_kets(encoders) / np.sqrt(D)
+    basis = _choi_vectors(encoders).T / np.sqrt(D)
     return DenseCodingProtocol(encoders=encoders, filter=filt, discrimination_basis=basis)
 
 
@@ -169,21 +177,24 @@ def simulate(
     discrimination basis.  The trials are independent, so the counts are
     drawn from their exact law: multinomial sends, binomial successes per
     message, and binomial decoding mistakes among those successes, which
-    should be zero for an unambiguous protocol.
+    should be zero for an unambiguous protocol.  The encoders must be
+    ``D**2`` trace-non-increasing ``D x D`` matrices, as in
+    ``verify_protocol_bound``, and the filter a contraction.
     """
     # multinomial takes the count as a C long
     if not 1 <= trials < 2**63:
         raise ValueError("trials must be in [1, 2^63 - 1]")
     D = state.rank
-    n_msg = len(protocol.encoders)
+    n_msg = D * D
+    encoders = _encoder_channel(protocol.encoders, D, DEFAULT_TOL)
     basis = protocol.discrimination_basis
-    if np.shape(basis) != (D * D, n_msg):
-        raise ValueError(f"discrimination basis must be {D * D} x {n_msg}")
+    if np.shape(basis) != (n_msg, n_msg):
+        raise ValueError(f"discrimination basis must be {n_msg} x {n_msg}")
     filt = protocol.filter
-    if np.linalg.eigvalsh(dagger(filt) @ filt)[-1] > 1.0 + DEFAULT_TOL:
+    if not is_physical(KrausChannel((filt,))).physical:
         raise ValueError("filter must satisfy F^dag F <= I")
     # Column x is message x encoded on the shared ket, then filtered.
-    kets = _encoder_kets(protocol.encoders)
+    kets = _choi_vectors(encoders.stack).T
     filtered = tensor_product(filt @ np.diag(state.lambdas), np.eye(D)) @ kets
     # A contraction filter leaves only rounding above one.
     success_prob = np.minimum(np.sum(np.abs(filtered) ** 2, axis=0), 1.0)
@@ -218,40 +229,21 @@ def verify_protocol_bound(
     """
     D = state.rank
     n_msg = D * D
-    if len(encoders) != n_msg:
-        raise ValueError(f"expected {n_msg} encoders, got {len(encoders)}")
-    try:
-        stack = np.asarray(encoders, dtype=complex)
-    except ValueError:
-        stack = None
-    if stack is None or stack.shape != (n_msg, D, D):
-        # Walk the encoders only to name the offending one.
-        for k, a in enumerate(encoders):
-            if np.shape(a) != (D, D):
-                raise ValueError(f"encoder {k} has shape {np.shape(a)}, expected ({D}, {D})")
-        raise ValueError("encoders must be complex matrices")
-    tops = np.linalg.eigvalsh(stack.conj().swapaxes(1, 2) @ stack)[:, -1]
-    bad = np.flatnonzero(tops > 1.0 + tol)
-    if len(bad):
-        raise ValueError(f"encoder {bad[0]} is not trace-non-increasing")
+    encoders = _encoder_channel(encoders, D, tol)
     bob = np.asarray(bob, dtype=complex)
     if bob.shape != (n_msg, n_msg):
         raise ValueError(f"receiver operator must be {n_msg} x {n_msg}")
-    top = float(np.max(np.linalg.eigvalsh(dagger(bob) @ bob)))
-    if top > 1.0 + tol:
+    if not is_physical(KrausChannel((bob,)), tol).physical:
         raise ValueError("receiver operator must satisfy B^dag B <= I")
 
-    kets = _encoder_kets(stack)
-    product = bob @ (np.repeat(state.lambdas, D)[:, None] * kets)
+    product = bob @ (np.repeat(state.lambdas, D)[:, None] * _choi_vectors(encoders.stack).T)
     cert = certify_uum(product, tol=tol)
     form_residual = float(_phase_distance(cert.unitary[None], np.eye(n_msg))[0])
     r = complex(np.trace(product) / n_msg)
     bound = capacity(state)
     success = float(abs(r) ** 2)
-    # The Gram operator's partial trace over the transmitted slot, one
-    # D x D block per transmitted index i: blocks[i][j, x] = A_x[i, j].
-    blocks = kets.reshape(D, D, -1).swapaxes(0, 1)
-    gram_max = float(np.linalg.eigvalsh((blocks @ blocks.conj().swapaxes(1, 2)).sum(0))[-1])
+    # The Gram operator's partial trace over the transmitted slot is sum_x A_x^dag A_x.
+    gram_max = is_physical(encoders, tol).max_eigenvalue
 
     return BoundReport(
         r=r,

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _choi_vectors
 from .linalg import (
     DEFAULT_TOL,
     VALIDATION_TOL,
@@ -139,8 +139,7 @@ def uuqc_to_ues(
 
 def _ues_ket(unitary: np.ndarray) -> np.ndarray:
     """The success ket ``(I (x) U)|phi>`` of a certified unitary, its peak real positive."""
-    # (I (x) U)|phi> holds U[s, i] / sqrt(d) at (i, s).
-    ket = unitary.T.reshape(-1) / len(unitary) ** 0.5
+    ket = _choi_vectors(unitary[None])[0] / len(unitary) ** 0.5
     peak = ket[abs(ket).argmax()]
     return ket * (abs(peak) / peak)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, choi_state, compose
+from .channels import KrausChannel, _choi_vectors, choi_state, compose
 from .entanglement import _is_flat, _vidal_optimum
 from .linalg import DEFAULT_TOL, SubspaceIsometry, dagger, frobenius
 from .unambiguous import UuqcCertificate, _phase_distance, certify_uuqc
@@ -210,10 +210,10 @@ def noise_choi_state(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
 def _choi_branches(blocks: np.ndarray, tol: float) -> tuple:
     """Purity flag, weights above ``tol`` (a pure state is one branch of the
     whole weight) and ``d x out`` kets of the Choi state's eigen-branches,
-    from one SVD of ``V``, whose row ``k`` is ``vec(E_k C)`` (logical index
-    slow) for the ``(K, out, d)`` blocks; the Choi state is ``V^T V^* / d``."""
-    k, out, d = blocks.shape
-    _, svals, vh = np.linalg.svd(blocks.transpose(0, 2, 1).reshape(k, -1), full_matrices=False)
+    from one SVD of ``V = _choi_vectors(blocks)`` for the ``(K, out, d)``
+    blocks ``E_k C``; the Choi state is ``V^T V^* / d``."""
+    _, out, d = blocks.shape
+    _, svals, vh = np.linalg.svd(_choi_vectors(blocks), full_matrices=False)
     evals = svals**2 / d
     weight = float(evals.sum())
     pure = weight - float(evals[0]) <= tol

@@ -3,6 +3,7 @@ import pytest
 
 from uuqc.channels import (
     KrausChannel,
+    _choi_vectors,
     apply,
     choi_state,
     compose,
@@ -12,7 +13,7 @@ from uuqc.channels import (
     povm_of,
 )
 from uuqc.densecode import SharedState, optimal_protocol, simulate, weyl_operators
-from uuqc.entanglement import schmidt, teleportation_parts
+from uuqc.entanglement import _ues_ket, schmidt, teleportation_parts
 from uuqc.linalg import SubspaceIsometry, factor_as_tensor, random_unitary, shift_clock_unitaries
 from uuqc.qec import CodeSpec, kl_check
 from uuqc.unambiguous import certify_uum, certify_uuqc
@@ -129,8 +130,15 @@ def test_choi_trace_matches_gram_trace():
         assert np.trace(choi_state(ch)).real == pytest.approx(expected, abs=1e-10)
 
 
+def _kron_ket(e):
+    """``(I (x) E)|Phi>`` with ``|Phi> = sum_i |ii>``, the reference slot slow."""
+    n = e.shape[1]
+    return np.kron(np.eye(n), e) @ np.eye(n).reshape(-1)
+
+
 def test_choi_matches_kron_reference():
-    # in_dim != out_dim, up to eight elements, trace-decreasing
+    # in_dim != out_dim, up to eight elements, trace-decreasing; the Choi
+    # vectors, the dense-coding basis and the certified UES ket share the layout
     rng = np.random.default_rng(5)
     for in_dim, out_dim, k in [(2, 3, 1), (3, 2, 4), (4, 5, 8), (5, 1, 2)]:
         elems = rand_complex(rng, (k, out_dim, in_dim))
@@ -140,6 +148,16 @@ def test_choi_matches_kron_reference():
         rep = is_physical(ch)
         assert rep.physical and not rep.trace_preserving
         np.testing.assert_allclose(choi_state(ch), choi_by_kron(ch.stack), atol=1e-12)
+        np.testing.assert_allclose(_choi_vectors(ch.stack), [_kron_ket(e) for e in elems], atol=1e-15)
+    for squares in ([0.8, 0.2], [0.5, 0.3, 0.2]):
+        D = len(squares)
+        basis = optimal_protocol(SharedState.from_squares(squares)).discrimination_basis
+        np.testing.assert_allclose(basis.T * np.sqrt(D), [_kron_ket(a) for a in weyl_operators(D)], atol=1e-15)
+    for d in (2, 3, 5):
+        u = random_unitary(d, d)
+        peak = u.reshape(-1)[abs(u).argmax()]
+        u *= abs(peak) / peak  # _ues_ket fixes the phase of the peak
+        np.testing.assert_allclose(_ues_ket(u) * np.sqrt(d), _kron_ket(u), atol=1e-15)
 
 
 def test_choi_matches_kron_reference_at_large_dims():

@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from uuqc.formats import (
 from uuqc.linalg import random_unitary, tensor_product
 from uuqc.qec import CodeSpec
 
-from builders import PAULI_X, flagged_erasure, leung_code, repetition_code, single_qubit_on
+from builders import PAULI_X, flagged_erasure, leung_code, rand_complex, repetition_code, single_qubit_on
 
 
 def write(path, doc):
@@ -365,6 +367,48 @@ def test_dense_code_flags_fail_in_one_line(argv):
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) == 1
     assert bool(out.getvalue()) == (code == 0)
+
+
+@st.composite
+def _verify_dc_documents(draw):
+    """``(encoders, receiver, lambdas2)``: the optimal protocol's parts or
+    random ones, of drawn counts and shapes, each scaled by a drawn factor."""
+    squares = draw(st.sampled_from([[0.8, 0.2], [0.5, 0.3, 0.2]]))
+    D = len(squares)
+    prot = optimal_protocol(SharedState.from_squares(squares))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.sampled_from([D, D * D]) | st.integers(1, 10)
+    scales = st.sampled_from([1.0, 0.5, 0.0, 1e-300, 1.0 + 1e-6, 2.0, 1e200])
+    if draw(st.booleans()):
+        encoders = prot.encoders
+    else:
+        shape = (draw(sizes), draw(sizes), draw(sizes))
+        encoders = rand_complex(rng, shape) / np.sqrt(shape[1] * shape[2])
+    if draw(st.booleans()):
+        bob = optimal_receiver(prot)
+    else:
+        bob = rand_complex(rng, (draw(sizes), draw(sizes))) / D
+    # "1", a rank-one state, fits no drawn document
+    lambdas2 = draw(st.sampled_from([",".join(map(repr, squares)), "1"]))
+    return draw(scales) * encoders, draw(scales) * bob, lambdas2
+
+
+@given(_verify_dc_documents())
+def test_verify_dc_documents_fail_in_one_line(documents):
+    encoders, bob, lambdas2 = documents
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["verify-dc", write(Path(tmp) / "enc.json", channel_to_doc(KrausChannel(encoders))),
+                write(Path(tmp) / "bob.json", matrix_to_doc(bob)), f"--lambdas2={lambdas2}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = dispatch(argv)
+    assert code in (0, 1, 2, 3)
+    assert not caught
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1
+    assert bool(out.getvalue()) == (code in (0, 3))
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

@@ -197,6 +197,16 @@ def test_simulate_rejects_an_unphysical_filter():
         simulate(state, loud)
 
 
+def test_simulate_rejects_encoders_that_increase_the_trace():
+    # 2 A_x "succeeds" with probability 1.6 per message: a pooled rate of 1.0
+    # with no decode errors, against a capacity of 0.4
+    state = SharedState.from_squares([0.8, 0.2])
+    prot = optimal_protocol(state)
+    loud = DenseCodingProtocol(2 * prot.encoders, prot.filter, prot.discrimination_basis)
+    with pytest.raises(ValueError, match="encoder 0 is not trace-non-increasing"):
+        simulate(state, loud, 10000, 1)
+
+
 @pytest.mark.parametrize("shape", [(4, 3), (4, 5), (5, 4)])
 def test_simulate_rejects_a_basis_of_the_wrong_shape(shape):
     state = SharedState.from_squares([0.8, 0.2])
@@ -276,8 +286,10 @@ def test_verify_bound_names_the_first_bad_encoder(as_list):
         verify_protocol_bound(state, encoders, optimal_receiver(prot))
     shapes = list(prot.encoders)
     shapes[4] = np.ones((3, 2))
-    with pytest.raises(ValueError, match=r"encoder 4 has shape \(3, 2\), expected \(3, 3\)"):
+    with pytest.raises(ValueError, match=r"Kraus element 4 has shape \(3, 2\), expected \(3, 3\)"):
         verify_protocol_bound(state, shapes, optimal_receiver(prot))
+    with pytest.raises(ValueError, match="encoders must be 3 x 3, got 2 x 2"):
+        verify_protocol_bound(state, np.ones((9, 2, 2)), optimal_receiver(prot))
 
 
 def _lifted_encoders(state: SharedState, encoders) -> np.ndarray:

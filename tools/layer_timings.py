@@ -6,15 +6,17 @@ against (``git clone`` or ``git archive``) in ``PARENT``:
 
     python3 tools/layer_timings.py --before PARENT/src --after src --out BENCH_6.json
 
-Each side runs in a fresh interpreter that imports ``uuqc`` from the given
-``src`` directory, with one BLAS thread.  The sides alternate for
-``ROUNDS`` rounds, the first side switching each round; a round times every
-case ``REPEATS`` times (``LARGE_REPEATS`` at 9 qubits) with
-``time.perf_counter`` after one warm-up call.
-Inputs come from fixed seeds, so both sides time the same work.  The
-output lists, for each case, its name, layer and dims and, for each side,
-the median and interquartile range in milliseconds over all rounds, plus a
-machine note.
+Each round starts one interpreter per side that imports ``uuqc`` from the
+given ``src`` directory, with one BLAS thread, builds every case once and
+then times one case on request.  The two sides take turns case by case, the
+side that goes first switching from one case to the next and from one round
+to the next, so host drift over seconds to minutes falls on both alike.
+There are ``ROUNDS`` rounds; a side times a case ``REPEATS`` times
+(``LARGE_REPEATS`` at 9 qubits) with ``time.perf_counter`` after one
+warm-up call.  Inputs come from fixed seeds, so both sides time the same
+work.  The output lists, for each case, its name, layer and dims and, for
+each side, the median and interquartile range in milliseconds over all
+rounds, plus a machine note.
 
 The cases:
 
@@ -324,18 +326,34 @@ def _cases():
 
 
 def child(src: str) -> None:
-    """Time every case with the ``uuqc`` found in ``src``; print JSON."""
+    """Build every case with the ``uuqc`` found in ``src`` and print their
+    descriptions as one JSON line; then, for each case index read from
+    standard input, time that case and print its times in ms as one line."""
     sys.path.insert(0, os.path.abspath(src))
-    out = []
-    for name, layer, dims, call, repeats in _cases():
+    cases = _cases()
+    _reply([{"name": name, "layer": layer, "dims": dims} for name, layer, dims, _, _ in cases])
+    for line in sys.stdin:
+        _, _, _, call, repeats = cases[int(line)]
         call()
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
             call()
             times.append((time.perf_counter() - start) * 1e3)
-        out.append({"name": name, "layer": layer, "dims": dims, "ms": times})
-    print(json.dumps(out))
+        _reply(times)
+
+
+def _reply(obj) -> None:
+    sys.stdout.write(json.dumps(obj) + "\n")
+    sys.stdout.flush()
+
+
+def _next_reply(proc):
+    """A child's next one-line JSON reply."""
+    reply = proc.stdout.readline()
+    if not reply:
+        raise RuntimeError(f"child {proc.args[-1]} exited with {proc.wait()}")
+    return json.loads(reply)
 
 
 def _summary(times: list) -> dict:
@@ -366,24 +384,39 @@ def main(argv=None) -> int:
         parser.error("--before, --after and --out are required")
 
     sides = {"before": args.before, "after": args.after}
-    runs = {side: [] for side in sides}
+    described, times = None, None
     for r in range(ROUNDS):
-        for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
-            cmd = [sys.executable, os.path.abspath(__file__), "--child", sides[side]]
-            runs[side].append(json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout))
+        procs = {side: subprocess.Popen([sys.executable, os.path.abspath(__file__), "--child", src],
+                                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+                 for side, src in sides.items()}
+        try:
+            described = [_next_reply(proc) for proc in procs.values()][0]
+            if times is None:
+                times = {side: [[] for _ in described] for side in sides}
+            for i in range(len(described)):
+                for side in (("before", "after") if (r + i) % 2 == 0 else ("after", "before")):
+                    procs[side].stdin.write(f"{i}\n")
+                    procs[side].stdin.flush()
+                    times[side][i] += _next_reply(procs[side])
+        finally:
+            for proc in procs.values():
+                proc.stdin.close()
+                proc.wait()
 
     cases = []
-    for i, first in enumerate(runs["before"][0]):
+    for i, first in enumerate(described):
         entry = {"name": first["name"], "layer": first["layer"], "dims": first["dims"]}
         for side in sides:
-            entry[side] = _summary([t for run in runs[side] for t in run[i]["ms"]])
+            entry[side] = _summary(times[side][i])
         entry["after_over_before"] = round(entry["after"]["median_ms"] / entry["before"]["median_ms"], 3)
         cases.append(entry)
     doc = {
         "tool": "tools/layer_timings.py",
-        "method": (f"{ROUNDS} alternating rounds per side, each a fresh interpreter timing every case "
-                   f"{REPEATS} times ({LARGE_REPEATS} at 9 qubits) with time.perf_counter after one "
-                   "warm-up call; medians and interquartile ranges over all rounds, in ms"),
+        "method": (f"{ROUNDS} rounds, each with one fresh interpreter per side that builds the cases "
+                   "once; the sides take turns case by case, the first side switching with each case "
+                   f"and round, and time a case {REPEATS} times ({LARGE_REPEATS} at 9 qubits and on "
+                   "Shor's code) with time.perf_counter after one warm-up call; medians and "
+                   "interquartile ranges over all rounds, in ms"),
         "machine": machine_note(),
         "cases": cases,
     }
