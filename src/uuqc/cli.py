@@ -208,11 +208,11 @@ def _run_check_uum(args):
 def _certified_channel(args) -> tuple:
     ch = doc_to_channel(load_json(args.channel, "channel"), "channel")
     v1, v2 = _load_subspaces(args, ch.in_dim, ch.out_dim)
-    return v1, v2, unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
+    return ch, v1, v2, unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
 
 
 def _run_check_uuqc(args):
-    _, _, cert = _certified_channel(args)
+    *_, cert = _certified_channel(args)
     report = {
         "command": "check-uuqc",
         "is_uuqc": bool(cert.is_uuqc),
@@ -228,7 +228,7 @@ def _run_check_uuqc(args):
 
 
 def _run_refine(args):
-    v1, v2, cert = _certified_channel(args)
+    ch, v1, v2, cert = _certified_channel(args)
     if not cert.is_uuqc:
         report = {
             "command": "refine",
@@ -236,8 +236,7 @@ def _run_refine(args):
             "total_probability": float(cert.total_probability),
         }
         return report, "refusal: channel did not certify", EXIT_NEGATIVE
-    bases = (np.eye(args.env_in, dtype=complex), np.eye(args.env_out, dtype=complex))
-    refined = unambiguous._refine_certified(cert, v1, v2, *bases, args.tol)
+    refined = unambiguous.refine(ch, v1, v2, args.env_in, args.env_out, tol=args.tol)
     # the report doubles as a channel document so it can feed the other
     # subcommands directly
     report = {
@@ -251,17 +250,13 @@ def _run_refine(args):
 
 
 def _run_to_ues(args):
-    _, _, cert = _certified_channel(args)
+    ch, v1, v2, cert = _certified_channel(args)
     if not cert.is_uuqc:
         report = {"command": "to-ues", "is_uuqc": False, "success_weight": None, "state": None}
         return report, "refusal: channel did not certify", EXIT_NEGATIVE
-    report = {
-        "command": "to-ues",
-        "is_uuqc": True,
-        "success_weight": float(cert.total_probability),
-        "state": ket_to_doc(entanglement._ues_ket(cert.unitary)),
-    }
-    return report, f"success weight {cert.total_probability:.9g}", EXIT_OK
+    weight, ket = entanglement.uuqc_to_ues(ch, v1, v2, args.env_in, args.env_out, args.tol)
+    report = {"command": "to-ues", "is_uuqc": True, "success_weight": float(weight), "state": ket_to_doc(ket)}
+    return report, f"success weight {weight:.9g}", EXIT_OK
 
 
 def _run_teleport(args):

@@ -179,7 +179,7 @@ def simulate(
     message, and binomial decoding mistakes among those successes, which
     should be zero for an unambiguous protocol.  The encoders must be
     ``D**2`` trace-non-increasing ``D x D`` matrices, as in
-    ``verify_protocol_bound``, and the filter a contraction.
+    ``verify_protocol_bound``, and the filter a ``D x D`` contraction.
     """
     # multinomial takes the count as a C long
     if not 1 <= trials < 2**63:
@@ -191,6 +191,8 @@ def simulate(
     if np.shape(basis) != (n_msg, n_msg):
         raise ValueError(f"discrimination basis must be {n_msg} x {n_msg}")
     filt = protocol.filter
+    if np.shape(filt) != (D, D):
+        raise ValueError(f"filter must be {D} x {D}, got shape {np.shape(filt)}")
     if not is_physical(KrausChannel((filt,))).physical:
         raise ValueError("filter must satisfy F^dag F <= I")
     # Column x is message x encoded on the shared ket, then filtered.

@@ -21,6 +21,7 @@ criterion exactly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +262,22 @@ def _definition_residual(restricted: np.ndarray, d: int, env_in: int, env_out: i
     return float((squared + np.vdot(gram, gram).real) ** 0.5)
 
 
+# The most recent certificates of ``certify_uuqc``, newest first, as
+# ``(weak references to (ch, v1, v2) or None, (env_in, env_out, tol),
+# certificate)``.  Two entries cover certify -> refine -> certify the
+# refined channel -> uuqc_to_ues on the original.  ``KrausChannel.stack``
+# and ``SubspaceIsometry.columns`` are read-only copies in frozen objects,
+# so identity pins down a certificate for as long as the objects live.
+_MEMO_SIZE = 2
+_memo: tuple = ()
+
+
+def _same(ref, obj) -> bool:
+    """Whether ``ref`` (a weak reference, or ``None`` for an omitted
+    subspace) refers to ``obj``; a dead reference matches nothing."""
+    return ref is None if obj is None else ref is not None and ref() is obj
+
+
 def certify_uuqc(
     ch: KrausChannel,
     v1: SubspaceIsometry | None = None,
@@ -280,7 +297,30 @@ def certify_uuqc(
     Choi matrix of the projected, environment-traced channel must lie within
     ``tol`` of ``q |U>><<U|``, which bounds the deviation from
     ``q U rho U^dag`` on every subspace state.  The check is deterministic.
+
+    The two most recent certificates are remembered, so ``refine`` and
+    ``uuqc_to_ues`` on a channel just certified do not certify it again.  A
+    call returns a remembered certificate when it passes the same channel
+    object and the same ``v1`` and ``v2`` objects (or ``None``) with equal
+    ``env_in``, ``env_out`` and ``tol``.  Channels and subspaces are held by
+    weak reference only.  Since one certificate may reach several callers,
+    its arrays are read-only.
     """
+    global _memo
+    objs, params = (ch, v1, v2), (env_in, env_out, tol)
+    for refs, entry_params, cert in _memo:
+        if entry_params == params and all(map(_same, refs, objs)):
+            return cert
+    cert = _certify_uuqc(ch, v1, v2, env_in, env_out, tol)
+    refs = tuple(None if obj is None else weakref.ref(obj) for obj in objs)
+    # One rebinding of a tuple: a thread that races this one can only miss.
+    _memo = ((refs, params, cert),) + _memo[: _MEMO_SIZE - 1]
+    return cert
+
+
+def _certify_uuqc(ch: KrausChannel, v1: SubspaceIsometry | None, v2: SubspaceIsometry | None,
+                  env_in: int, env_out: int, tol: float) -> UuqcCertificate:
+    """``certify_uuqc`` without the memo."""
     v1, v2, d = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
     restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
     per = _certify_restricted(restricted, d, env_in, env_out, tol)
@@ -300,6 +340,8 @@ def certify_uuqc(
     q = float(per.probability[contributing].sum())
     unitary = per.unitary[contributing[0]] if len(contributing) else np.eye(d, dtype=complex)
     residual = _definition_residual(restricted, d, env_in, env_out, q, unitary)
+    for array in (*vars(per).values(), unitary):
+        array.setflags(write=False)
     return UuqcCertificate(
         is_uuqc=ok and q > tol and residual <= tol,
         total_probability=q,
@@ -341,17 +383,12 @@ def refine(
     ``out_j``) default to the computational ones and must be unitary within
     ``VALIDATION_TOL``.
     """
-    v1, v2, _ = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
+    w1, w2, _ = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
     b_in, b_out = _env_basis(env_in_basis, env_in), _env_basis(env_out_basis, env_out)
+    # The caller's own v1 and v2, so a certificate remembered for them is found.
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
     if not cert.is_uuqc:
         raise ValueError("refinement requires a certified channel")
-    return _refine_certified(cert, v1, v2, b_in, b_out, tol)
-
-
-def _refine_certified(cert: UuqcCertificate, v1: SubspaceIsometry, v2: SubspaceIsometry,
-                      b_in: np.ndarray, b_out: np.ndarray, tol: float) -> KrausChannel:
-    """``refine`` of a channel certified as ``cert``, in the checked environment bases."""
     # Expansion coefficients of every contributing environment factor:
     # row j, column i holds <out_j| T_k |in_i>.
     factors = cert.per_element.env_factor[cert.per_element.probability > tol]
@@ -361,9 +398,9 @@ def _refine_certified(cert: UuqcCertificate, v1: SubspaceIsometry, v2: SubspaceI
     env_parts = np.einsum("ji,cj,ei->jice", weights, b_out, b_in.conj())[weights > tol]
     if len(env_parts) == 0:
         raise ValueError("refinement produced no elements")
-    embedded_u = v2.columns @ cert.unitary @ v1.columns.conj().T
+    embedded_u = w2.columns @ cert.unitary @ w1.columns.conj().T
     elements = embedded_u[None, :, None, :, None] * env_parts[:, None, :, None, :]
-    return KrausChannel(elements.reshape(len(env_parts), v2.ambient_dim * len(b_out), -1))
+    return KrausChannel(elements.reshape(len(env_parts), w2.ambient_dim * len(b_out), -1))
 
 
 def extend_by_identity(ch: KrausChannel, ancilla_dim: int) -> KrausChannel:

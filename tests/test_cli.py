@@ -495,15 +495,16 @@ def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch, message):
 
 @pytest.mark.parametrize("command", ["refine", "to-ues"])
 def test_refine_and_to_ues_certify_once(capsys, tmp_path, monkeypatch, command):
+    # The subcommand calls certify_uuqc and then refine or uuqc_to_ues; the
+    # certificate memo must let only the first of them certify.
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(command)
         return certify(*args, **kwargs)
 
-    certify = uuqc.unambiguous.certify_uuqc
-    for module in (uuqc.unambiguous, uuqc.entanglement):
-        monkeypatch.setattr(module, "certify_uuqc", counting)
+    certify = uuqc.unambiguous._certify_uuqc
+    monkeypatch.setattr(uuqc.unambiguous, "_certify_uuqc", counting)
     u = random_unitary(2, 9)
     ch = KrausChannel((tensor_product(u, np.eye(2) / 2), tensor_product(u, np.eye(2) / 2)))
     ch_file = write(tmp_path / "ch.json", channel_to_doc(ch))

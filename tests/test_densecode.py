@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -213,6 +215,16 @@ def test_simulate_rejects_a_basis_of_the_wrong_shape(shape):
     prot = optimal_protocol(state)
     odd = DenseCodingProtocol(prot.encoders, prot.filter, np.eye(*shape))
     with pytest.raises(ValueError, match="discrimination basis must be 4 x 4"):
+        simulate(state, odd)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3, 3)])
+def test_simulate_rejects_a_filter_of_the_wrong_shape(shape):
+    # an identity of the wrong shape passes the contraction check
+    state = SharedState.from_squares([0.8, 0.2])
+    prot = optimal_protocol(state)
+    odd = DenseCodingProtocol(prot.encoders, np.eye(*shape), prot.discrimination_basis)
+    with pytest.raises(ValueError, match=re.escape(f"filter must be 2 x 2, got shape {shape}")):
         simulate(state, odd)
 
 

@@ -1,13 +1,19 @@
 import dataclasses
+import gc
 import warnings
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uuqc import unambiguous
 from uuqc.channels import KrausChannel, apply, maximally_entangled_ket
+from uuqc.entanglement import _ues_ket, uuqc_to_ues
 from uuqc.linalg import (
+    DEFAULT_TOL,
     SubspaceIsometry,
     factor_as_tensor,
     partial_trace,
@@ -550,6 +556,114 @@ def test_refine_refuses_non_uuqc():
     ch = KrausChannel((np.diag([1.0, 0.5]).astype(complex),))
     with pytest.raises(ValueError):
         refine(ch)
+
+
+@pytest.mark.parametrize("subspaces", ["given", "omitted"])
+def test_chain_certifies_each_channel_once(subspaces):
+    rng = np.random.default_rng(31)
+    if subspaces == "given":
+        ch, _, _, v1, v2 = make_uuqc(rng, 2, 3, 4, 2, 3, [0.3, 0.2], with_noise=True)
+    else:
+        ch, v1, v2 = make_uuqc(rng, 2, 2, 2, 2, 3, [0.3, 0.2])[0], None, None
+    with mock.patch.object(unambiguous, "_certify_uuqc", wraps=unambiguous._certify_uuqc) as spy:
+        cert = certify_uuqc(ch, v1, v2, 2, 3)
+        refined = refine(ch, v1, v2, 2, 3)
+        recert = certify_uuqc(refined, v1, v2, 2, 3)
+        weight, _ = uuqc_to_ues(ch, v1, v2, 2, 3)
+    assert [call.args[0] for call in spy.call_args_list] == [ch, refined]
+    assert cert.is_uuqc and recert.is_uuqc and weight == cert.total_probability
+    assert certify_uuqc(ch, v1, v2, 2, 3) is cert
+
+
+def test_certificate_memo_misses_on_any_other_key():
+    rng = np.random.default_rng(32)
+    ch, _, _, v1, v2 = make_uuqc(rng, 2, 3, 4, 2, 3, [0.3, 0.2], with_noise=True)
+    full = KrausChannel((tensor_product(random_unitary(2, 33), np.eye(2) / 2),))
+    # (call that fills the memo, call that must certify anew)
+    pairs = [
+        ((ch, v1, v2, 2, 3), (KrausChannel(ch.stack), v1, v2, 2, 3)),
+        ((ch, v1, v2, 2, 3), (ch, SubspaceIsometry(v1.columns), v2, 2, 3)),
+        ((ch, v1, v2, 2, 3), (ch, v1, SubspaceIsometry(v2.columns), 2, 3)),
+        ((ch, v1, v2, 2, 3), (ch, v1, v2, 2, 3, 1e-7)),
+        ((full, None, None, 2, 2), (full, SubspaceIsometry.full(2), None, 2, 2)),
+        ((full, None, None, 2, 2), (full, None, SubspaceIsometry.full(2), 2, 2)),
+        ((full, None, None, 2, 2), (full, None, None, 1, 1)),
+    ]
+    for first, second in pairs:
+        certify_uuqc(*first)
+        with mock.patch.object(unambiguous, "_certify_uuqc", wraps=unambiguous._certify_uuqc) as spy:
+            certify_uuqc(*second)
+        assert spy.call_count == 1, second
+    # A leg that does not fit the channel is still refused after a certificate for the right one.
+    certify_uuqc(full, None, None, 2, 2)
+    for legs in ((2, 1), (1, 2)):
+        with pytest.raises(ValueError, match="subspace dimensions differ"):
+            certify_uuqc(full, None, None, *legs)
+    # Nor does a collected subspace stand for an omitted one.
+    certify_uuqc(full, SubspaceIsometry.full(2), None, 2, 2)
+    gc.collect()
+    with mock.patch.object(unambiguous, "_certify_uuqc", wraps=unambiguous._certify_uuqc) as spy:
+        certify_uuqc(full, None, None, 2, 2)
+    assert spy.call_count == 1
+
+
+def test_uuqc_certificate_arrays_are_read_only():
+    rng = np.random.default_rng(34)
+    ch, _, _, v1, v2 = make_uuqc(rng, 2, 3, 4, 2, 3, [0.3, 0.2], with_noise=True)
+    # the second channel has no contributing element, so its unitary is the identity
+    for cert in (certify_uuqc(ch, v1, v2, 2, 3), certify_uuqc(KrausChannel((np.zeros((2, 2)),)))):
+        for array in (cert.unitary, *vars(cert.per_element).values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_certificate_memo_keeps_no_object_alive():
+    rng = np.random.default_rng(35)
+    ch, _, _, v1, v2 = make_uuqc(rng, 2, 3, 4, 2, 3, [0.3, 0.2])
+    certify_uuqc(ch, v1, v2, 2, 3)
+    refs = [weakref.ref(obj) for obj in (ch, v1, v2)]
+    del ch, v1, v2
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    steps=st.lists(st.tuples(st.sampled_from(["certify", "refine", "to_ues"]), st.integers(0, 2)),
+                   min_size=1, max_size=10),
+)
+def test_memo_interleavings_match_fresh_certificates(seed, steps):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for d, dim1, dim2, env_in, env_out, probs in [(2, 3, 4, 2, 3, [0.3, 0.2]), (2, 2, 2, 1, 1, [0.6]),
+                                                  (3, 4, 3, 2, 1, [0.2, 0.1, 0.3])]:
+        ch, _, _, v1, v2 = make_uuqc(rng, d, dim1, dim2, env_in, env_out, probs, with_noise=True)
+        cases.append((ch, v1, v2, env_in, env_out))
+    # the third channel does not certify: one element implements another unitary
+    ch, v1, v2, env_in, env_out = cases[2]
+    stack = ch.stack.copy()
+    stack[0] = tensor_product(v2.columns @ random_unitary(3, rng) @ v1.columns.conj().T, [[0.4, 0.0]])
+    cases[2] = (KrausChannel(stack), v1, v2, env_in, env_out)
+
+    def same(cert, want):
+        assert cert.is_uuqc == want.is_uuqc and cert.total_probability == want.total_probability
+        np.testing.assert_array_equal(cert.unitary, want.unitary)
+
+    for call, i in steps:
+        args = cases[i]
+        fresh = unambiguous._certify_uuqc(*args, DEFAULT_TOL)
+        if call == "certify":
+            same(certify_uuqc(*args), fresh)
+        elif not fresh.is_uuqc:
+            with pytest.raises(ValueError):
+                (refine if call == "refine" else uuqc_to_ues)(*args)
+        elif call == "refine":
+            refined = refine(*args)
+            same(certify_uuqc(refined, *args[1:]), unambiguous._certify_uuqc(refined, *args[1:], DEFAULT_TOL))
+        else:
+            weight, ket = uuqc_to_ues(*args)
+            assert weight == fresh.total_probability
+            np.testing.assert_array_equal(ket, _ues_ket(fresh.unitary))
 
 
 def test_extend_by_identity_trivial_and_preserving():

@@ -22,7 +22,12 @@ The cases:
 
 - ``certify_uuqc``, ``restrict_operator``, ``refine``, ``uuqc_to_ues`` and
   ``is_physical`` on certifying channels of every ``CERTIFIED`` shape of the
-  benchmark's ``certify`` workload;
+  benchmark's ``certify`` workload, plus the ``certify_uuqc chain`` that
+  workload's certified jobs run: ``certify_uuqc``, ``refine``,
+  ``certify_uuqc`` of the refined channel and ``uuqc_to_ues``.  Every call
+  gets a fresh shallow copy of the channel (``copy.copy``, about 3 us), so
+  ``certify_uuqc``'s memo of recent certificates never carries over from
+  one timed call to the next; it hits only within one chain;
 - ``certify_uuqc(ues_to_uuqc(d))``, the teleportation path, at every
   ``TELEPORT_DIMS`` dimension;
 - ``KrausChannel`` built from a ``(K, out, in)`` array of each
@@ -67,6 +72,7 @@ This is a measuring tool: it is neither a test nor part of the benchmark.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import statistics
@@ -155,6 +161,15 @@ def _ec_prob_inputs() -> dict:
     return {"mixed": mixed, "pure": pure}
 
 
+def _chain(uuqc, ch, v1, v2, env_in, env_out):
+    """The library calls of the ``certify`` workload's certified job, less
+    ``is_physical`` and ``choi_state``."""
+    uuqc.certify_uuqc(ch, v1, v2, env_in, env_out)
+    refined = uuqc.refine(ch, v1, v2, env_in, env_out)
+    uuqc.certify_uuqc(refined, v1, v2, env_in, env_out)
+    return uuqc.uuqc_to_ues(ch, v1, v2, env_in, env_out)
+
+
 def _cases():
     """``(name, layer, dims, call, repeats)`` for every timed case."""
     import numpy as np
@@ -192,16 +207,18 @@ def _cases():
         ch = uuqc.KrausChannel(tuple(elems))
         sub1, sub2 = uuqc.SubspaceIsometry(v1), uuqc.SubspaceIsometry(v2)
         dims = {"d": d, "ambient_in": a_in, "ambient_out": a_out, "env_in": e_in, "env_out": e_out, "K": k}
+        args = (ch, sub1, sub2, e_in, e_out)
         cases.append(("certify_uuqc", "unambiguous", dims,
-                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.certify_uuqc(ch, s1, s2, *e),
-                      REPEATS))
+                      lambda a=args: uuqc.certify_uuqc(copy.copy(a[0]), *a[1:]), REPEATS))
         cases.append(("restrict_operator", "unambiguous", dims,
                       lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.restrict_operator(ch.stack, s1, s2, *e),
                       REPEATS))
         cases.append(("refine", "unambiguous", dims,
-                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.refine(ch, s1, s2, *e), REPEATS))
+                      lambda a=args: uuqc.refine(copy.copy(a[0]), *a[1:]), REPEATS))
         cases.append(("uuqc_to_ues", "entanglement", dims,
-                      lambda ch=ch, s1=sub1, s2=sub2, e=(e_in, e_out): uuqc.uuqc_to_ues(ch, s1, s2, *e), REPEATS))
+                      lambda a=args: uuqc.uuqc_to_ues(copy.copy(a[0]), *a[1:]), REPEATS))
+        cases.append(("certify_uuqc chain", "unambiguous", dims,
+                      lambda a=args: _chain(uuqc, copy.copy(a[0]), *a[1:]), REPEATS))
         cases.append(("is_physical", "channels", dims, lambda ch=ch: uuqc.is_physical(ch), REPEATS))
 
     for d in TELEPORT_DIMS:
