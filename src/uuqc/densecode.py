@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, _choi_vectors, is_physical, povm_of
-from .linalg import DEFAULT_TOL, dagger, shift_clock_unitaries, tensor_product
+from .linalg import DEFAULT_TOL, VALIDATION_TOL, dagger, shift_clock_unitaries, tensor_product
 from .unambiguous import _phase_distance, certify_uum
 
 __all__ = [
@@ -54,7 +54,7 @@ class SharedState:
             raise ValueError("all Schmidt coefficients must be positive numbers")
         if not np.all(np.diff(lam) <= 0):
             raise ValueError("lambdas must be sorted descending")
-        if not abs(np.sum(lam**2) - 1.0) <= 1e-12:
+        if not abs(np.sum(lam**2) - 1.0) <= VALIDATION_TOL:
             raise ValueError("squared Schmidt coefficients must sum to one")
         lam = lam.copy()
         lam.setflags(write=False)

@@ -15,8 +15,10 @@ Knill-Laflamme-correctable noise.
 
 Every verdict reads the noise once, as the stacked blocks ``E_k C``
 (``_code_blocks``), and runs its steps on that one stack: the Knill-Laflamme
-pair loop (``_kl``) and the Choi eigen-branches (``_choi_branches``, one SVD),
-never the ``(d n) x (d n)`` Choi matrix ``noise_choi_state`` builds to inspect.
+pair loop (``_kl_step``, which ``kl_check`` and ``standard_recovery`` share
+through a memo of the two most recent steps) and the Choi eigen-branches
+(``_choi_branches``, one SVD), never the ``(d n) x (d n)`` Choi matrix
+``noise_choi_state`` builds to inspect.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .channels import KrausChannel, _choi_vectors, choi_state, compose
 from .entanglement import _is_flat, _vidal_optimum
 from .linalg import DEFAULT_TOL, SubspaceIsometry, dagger, frobenius
-from .unambiguous import UuqcCertificate, _phase_distance, certify_uuqc
+from .unambiguous import UuqcCertificate, _Memo, _phase_distance, certify_uuqc
 
 __all__ = [
     "CodeSpec",
@@ -76,8 +78,8 @@ class CodeSpec:
 
 @dataclass(frozen=True, eq=False)
 class KlReport:
-    """Knill-Laflamme verdict: the overlap matrix ``h`` and the worst
-    deviation of ``P E_j^dag E_i P`` from ``h_ji P``."""
+    """Knill-Laflamme verdict: the overlap matrix ``h`` (read-only) and the
+    worst deviation of ``P E_j^dag E_i P`` from ``h_ji P``."""
 
     correctable: bool
     h: np.ndarray
@@ -111,6 +113,10 @@ def _code_blocks(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     return noise.stack @ code.encoder
 
 
+# The two most recent Knill-Laflamme steps, for kl_check -> standard_recovery.
+_kl_steps = _Memo()
+
+
 def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> KlReport:
     """Test ``P E_j^dag E_i P = h_ji P`` on the code projector.
 
@@ -119,12 +125,20 @@ def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> 
     ``(E_j C)^dag E_i C`` (an isometry-invariant, hence identical, norm).
     ``h`` comes back Hermitian and positive semidefinite for correctable
     sets, with unit trace when the noise is trace-preserving.
+
+    The check is shared with ``standard_recovery``: the two most recent
+    checks are remembered, keyed by the identity of ``code`` and ``errors``
+    (held by weak reference only) and an equal ``tol``, so the recovery of
+    a set just checked does not check it again.  Since one report may reach
+    several callers, ``h`` is read-only.
     """
-    return _kl(_code_blocks(code, errors), tol)
+    return _kl_steps(_kl_step, (code, errors), (tol,))[1]
 
 
-def _kl(blocks: np.ndarray, tol: float) -> KlReport:
-    """``kl_check`` on the ``(K, out, d)`` stack ``E_k C``."""
+def _kl_step(code: CodeSpec, errors: KrausChannel, tol: float) -> tuple:
+    """The read-only ``(K, out, d)`` stack ``E_k C`` and its ``KlReport``,
+    from one pass over the pairs of blocks."""
+    blocks = _code_blocks(code, errors)
     n, _, d = blocks.shape
     h = np.zeros((n, n), dtype=complex)
     deviation = np.zeros((n, n))
@@ -137,7 +151,9 @@ def _kl(blocks: np.ndarray, tol: float) -> KlReport:
             deviation[j, i] = frobenius(block - hij * eye)
     # The array maximum, unlike the builtin one, keeps a NaN deviation.
     residual = float(deviation.max())
-    return KlReport(correctable=residual <= tol, h=h, residual=residual)
+    blocks.setflags(write=False)
+    h.setflags(write=False)
+    return blocks, KlReport(correctable=residual <= tol, h=h, residual=residual)
 
 
 def diagonalize_errors(report: KlReport, errors: KrausChannel) -> KrausChannel:
@@ -161,10 +177,11 @@ def standard_recovery(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT
     code space isometrically onto a mutually orthogonal corrupted space; the
     recovery elements project onto those spaces and rotate them back.  The
     result is trace-decreasing when the corrupted spaces do not fill the
-    noise's output space, which is fine for unambiguous bookkeeping.
+    noise's output space, which is fine for unambiguous bookkeeping.  The
+    Knill-Laflamme check and the blocks it ran on come from ``kl_check``'s
+    memo when the same ``code`` and ``errors`` were just checked at ``tol``.
     """
-    blocks = _code_blocks(code, errors)
-    report = _kl(blocks, tol)
+    blocks, report = _kl_steps(_kl_step, (code, errors), (tol,))
     if not report.correctable:
         raise ValueError("error set is not correctable on this code")
     blocks = diagonalize_errors(report, KrausChannel(blocks)).stack

@@ -96,18 +96,24 @@ def _check_env_dims(env_in: int, env_out: int):
         raise ValueError("environment dimensions must be >= 1")
 
 
-def _resolve_subspaces(v1, v2, shape, env_in: int, env_out: int) -> tuple:
-    """Default omitted subspaces to the full system spaces of operators of
-    shape ``(out, in)``; return ``(v1, v2, d)`` with ``d`` the shared
-    subspace dimension."""
+def _subspace_dim(v1, v2, shape, env_in: int, env_out: int) -> int:
+    """The subspace dimension ``d`` that ``v1`` and ``v2`` share, an omitted
+    one standing for the full system space of operators of shape
+    ``(out, in)``."""
     _check_env_dims(env_in, env_out)
-    if v1 is None:
-        v1 = SubspaceIsometry.full(shape[-1] // env_in)
-    if v2 is None:
-        v2 = SubspaceIsometry.full(shape[-2] // env_out)
-    if v1.sub_dim != v2.sub_dim:
-        raise ValueError(f"subspace dimensions differ: {v1.sub_dim} vs {v2.sub_dim}")
-    return v1, v2, v1.sub_dim
+    d1 = _sub_dim(v1, shape[-1] // env_in)
+    d2 = _sub_dim(v2, shape[-2] // env_out)
+    if d1 != d2:
+        raise ValueError(f"subspace dimensions differ: {d1} vs {d2}")
+    return d1
+
+
+def _sub_dim(v: SubspaceIsometry | None, full: int) -> int:
+    if v is not None:
+        return v.sub_dim
+    if full < 1:
+        raise ValueError(f"invalid subspace shape ({full}, {full})")
+    return full
 
 
 def restrict_operator(
@@ -125,18 +131,36 @@ def restrict_operator(
     """
     omega = np.asarray(omega, dtype=complex)
     _check_env_dims(env_in, env_out)
-    amb1, amb2, d1, d2 = v1.ambient_dim, v2.ambient_dim, v1.sub_dim, v2.sub_dim
+    return _restrict(omega, v1, v2, env_in, env_out)
+
+
+def _restrict(omega: np.ndarray, v1: SubspaceIsometry | None, v2: SubspaceIsometry | None,
+              env_in: int, env_out: int) -> np.ndarray:
+    """``restrict_operator`` where ``None`` stands for a full system space,
+    whose product with the identity is skipped.
+
+    A skipped product would have left every nonzero entry as it is, but
+    the certifying SVDs read the sign of a zero.  The output-side product
+    ends the chain; adding +0.0 in its place gives zeros the sign it gave
+    them on every input tried, so certificates stay bit-identical.
+    """
+    amb1 = omega.shape[-1] // env_in if v1 is None else v1.ambient_dim
+    amb2 = omega.shape[-2] // env_out if v2 is None else v2.ambient_dim
     if omega.shape[-2:] != (amb2 * env_out, amb1 * env_in):
         raise ValueError(
             f"operator shape {omega.shape} does not match "
             f"({amb2}*{env_out}, {amb1}*{env_in})"
         )
+    if v1 is None and v2 is None:
+        return omega + 0.0
     batch = omega.shape[:-2]
+    d1 = amb1 if v1 is None else v1.sub_dim
+    d2 = amb2 if v2 is None else v2.sub_dim
     # Move the input system leg last and contract it with V1 in one 2-D
     # product, then contract the output leg with V2^dag.
-    legs = omega.reshape(batch + (amb2, env_out, amb1, env_in)).swapaxes(-1, -2)
-    right = (legs.reshape(-1, amb1) @ v1.columns).reshape(batch + (amb2, -1))
-    both = dagger(v2.columns) @ right
+    legs = omega.reshape(batch + (amb2, env_out, amb1, env_in)).swapaxes(-1, -2).reshape(-1, amb1)
+    right = (legs if v1 is None else legs @ v1.columns).reshape(batch + (amb2, -1))
+    both = right + 0.0 if v2 is None else dagger(v2.columns) @ right
     out = both.reshape(batch + (d2, env_out, env_in, d1)).swapaxes(-1, -2)
     return out.reshape(batch + (d2 * env_out, d1 * env_in))
 
@@ -182,8 +206,8 @@ def certify_uum(
     the declared environment legs).
     """
     omega = np.asarray(omega, dtype=complex)
-    v1, v2, d = _resolve_subspaces(v1, v2, omega.shape, env_in, env_out)
-    restricted = restrict_operator(omega[None], v1, v2, env_in, env_out)
+    d = _subspace_dim(v1, v2, omega.shape, env_in, env_out)
+    restricted = _restrict(omega[None], v1, v2, env_in, env_out)
     stacked = _certify_restricted(restricted, d, env_in, env_out, tol)
     return UumCertificate(*(v[0].item() if v.ndim == 1 else v[0] for v in vars(stacked).values()))
 
@@ -211,8 +235,8 @@ def probability_profile(
     positive semidefinite, unit trace) within ``VALIDATION_TOL``.
     """
     omega = np.asarray(omega, dtype=complex)
-    v1, v2, d = _resolve_subspaces(v1, v2, omega.shape, env_in, env_out)
-    restricted = restrict_operator(omega, v1, v2, env_in, env_out)
+    d = _subspace_dim(v1, v2, omega.shape, env_in, env_out)
+    restricted = _restrict(omega, v1, v2, env_in, env_out)
 
     if env_state is None:
         env_block = np.eye(env_in)
@@ -262,20 +286,46 @@ def _definition_residual(restricted: np.ndarray, d: int, env_in: int, env_out: i
     return float((squared + np.vdot(gram, gram).real) ** 0.5)
 
 
-# The most recent certificates of ``certify_uuqc``, newest first, as
-# ``(weak references to (ch, v1, v2) or None, (env_in, env_out, tol),
-# certificate)``.  Two entries cover certify -> refine -> certify the
-# refined channel -> uuqc_to_ues on the original.  ``KrausChannel.stack``
-# and ``SubspaceIsometry.columns`` are read-only copies in frozen objects,
-# so identity pins down a certificate for as long as the objects live.
 _MEMO_SIZE = 2
-_memo: tuple = ()
 
 
 def _same(ref, obj) -> bool:
     """Whether ``ref`` (a weak reference, or ``None`` for an omitted
-    subspace) refers to ``obj``; a dead reference matches nothing."""
+    argument) refers to ``obj``; a dead reference matches nothing."""
     return ref is None if obj is None else ref is not None and ref() is obj
+
+
+class _Memo:
+    """The ``_MEMO_SIZE`` newest results of a computation, newest first.
+
+    A call ``memo(compute, objs, params)`` returns ``compute(*objs,
+    *params)``, or the result remembered for the same ``objs`` (compared by
+    identity, held by weak reference, ``None`` matching only ``None``) with
+    equal ``params``.  The inputs it serves are frozen objects holding
+    read-only arrays, so identity pins down a result for as long as the
+    objects live; a result may reach several callers, so its arrays must be
+    read-only.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries = ()
+
+    def __call__(self, compute, objs: tuple, params: tuple):
+        for refs, entry_params, result in self._entries:
+            if entry_params == params and all(map(_same, refs, objs)):
+                return result
+        result = compute(*objs, *params)
+        refs = tuple(None if obj is None else weakref.ref(obj) for obj in objs)
+        # One rebinding of a tuple: a thread that races this one can only miss.
+        self._entries = ((refs, params, result),) + self._entries[: _MEMO_SIZE - 1]
+        return result
+
+
+# Two certificates cover certify -> refine -> certify the refined channel ->
+# uuqc_to_ues on the original.
+_certificates = _Memo()
 
 
 def certify_uuqc(
@@ -306,23 +356,14 @@ def certify_uuqc(
     weak reference only.  Since one certificate may reach several callers,
     its arrays are read-only.
     """
-    global _memo
-    objs, params = (ch, v1, v2), (env_in, env_out, tol)
-    for refs, entry_params, cert in _memo:
-        if entry_params == params and all(map(_same, refs, objs)):
-            return cert
-    cert = _certify_uuqc(ch, v1, v2, env_in, env_out, tol)
-    refs = tuple(None if obj is None else weakref.ref(obj) for obj in objs)
-    # One rebinding of a tuple: a thread that races this one can only miss.
-    _memo = ((refs, params, cert),) + _memo[: _MEMO_SIZE - 1]
-    return cert
+    return _certificates(_certify_uuqc, (ch, v1, v2), (env_in, env_out, tol))
 
 
 def _certify_uuqc(ch: KrausChannel, v1: SubspaceIsometry | None, v2: SubspaceIsometry | None,
                   env_in: int, env_out: int, tol: float) -> UuqcCertificate:
     """``certify_uuqc`` without the memo."""
-    v1, v2, d = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
-    restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
+    d = _subspace_dim(v1, v2, ch.stack.shape, env_in, env_out)
+    restricted = _restrict(ch.stack, v1, v2, env_in, env_out)
     per = _certify_restricted(restricted, d, env_in, env_out, tol)
     contributing = (per.probability > tol).nonzero()[0]
 
@@ -383,7 +424,8 @@ def refine(
     ``out_j``) default to the computational ones and must be unitary within
     ``VALIDATION_TOL``.
     """
-    w1, w2, _ = _resolve_subspaces(v1, v2, ch.stack.shape, env_in, env_out)
+    d = _subspace_dim(v1, v2, ch.stack.shape, env_in, env_out)
+    w1, w2 = (SubspaceIsometry.full(d) if v is None else v for v in (v1, v2))
     b_in, b_out = _env_basis(env_in_basis, env_in), _env_basis(env_out_basis, env_out)
     # The caller's own v1 and v2, so a certificate remembered for them is found.
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)

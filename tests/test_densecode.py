@@ -54,6 +54,17 @@ def test_shared_state_validation():
     np.testing.assert_allclose(state.ket(), [np.sqrt(0.8), 0, 0, np.sqrt(0.2)])
 
 
+@pytest.mark.parametrize("excess, accepted", [(5e-9, True), (-5e-9, True), (1e-7, False), (-1e-7, False)])
+def test_shared_state_normalisation_within_validation_tol(excess, accepted):
+    # Normalisation is an input check, so it uses VALIDATION_TOL (1e-8) like the others.
+    lambdas = np.sqrt(np.array([0.8, 0.2]) * (1.0 + excess))
+    if accepted:
+        np.testing.assert_array_equal(SharedState(lambdas).lambdas, lambdas)
+    else:
+        with pytest.raises(ValueError, match="sum to one"):
+            SharedState(lambdas)
+
+
 @pytest.mark.parametrize("lambdas", [[np.nan, np.nan], [np.nan], [1.0, np.nan], [np.nan, 0.5]])
 def test_shared_state_rejects_nan(lambdas):
     # NaN fails every comparison, so no check may pass it by not failing.

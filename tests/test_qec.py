@@ -1,3 +1,5 @@
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -509,6 +511,78 @@ def test_recovery_matches_two_pass_oracle(seed, shape, m, extra, degenerate, wei
     got = standard_recovery(code, noise)
     assert len(got.stack) == len(want)
     np.testing.assert_allclose(got.stack, want, atol=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(3, 8, 2), (0, 8, 2), (0, 12, 3)]),
+    m=st.integers(2, 4),
+    extra=st.integers(0, 2),
+    correctable=st.booleans(),
+)
+def test_check_then_recover_matches_fresh_objects(seed, shape, m, extra, correctable):
+    code, noise = _correctable_noise(seed, shape, m, extra, False, 1.0)
+    if not correctable:
+        stray = rand_complex(np.random.default_rng(seed), (1,) + noise.stack.shape[1:]) / 8
+        noise = KrausChannel(np.concatenate([noise.stack, stray]))
+
+    def fresh():
+        return CodeSpec(code.encoder), KrausChannel(noise.stack)
+
+    report, want = kl_check(code, noise), kl_check(*fresh())
+    assert (report.correctable, report.residual) == (want.correctable, want.residual)
+    assert report.h.tobytes() == want.h.tobytes()
+    assert report.correctable == correctable
+    if correctable:
+        assert standard_recovery(code, noise).stack.tobytes() == standard_recovery(*fresh()).stack.tobytes()
+    else:
+        for args in ((code, noise), fresh()):
+            with pytest.raises(ValueError, match="^error set is not correctable on this code$"):
+                standard_recovery(*args)
+
+
+def _counting_kl_steps():
+    return mock.patch.object(uuqc.qec, "_kl_step", wraps=uuqc.qec._kl_step)
+
+
+def test_check_then_recover_runs_one_kl_step():
+    code, noise = repetition_code(), bit_flip_errors()
+    with _counting_kl_steps() as step:
+        report = kl_check(code, noise)
+        standard_recovery(code, noise)
+        assert kl_check(code, noise) is report
+    assert step.call_count == 1
+    with pytest.raises(ValueError, match="read-only"):
+        report.h[0, 0] = 0
+    # An uncorrectable set raises on a memo hit too.
+    phase = phase_errors()
+    assert not kl_check(code, phase).correctable
+    with _counting_kl_steps() as step:
+        with pytest.raises(ValueError, match="^error set is not correctable on this code$"):
+            standard_recovery(code, phase)
+    assert step.call_count == 0
+
+
+def test_kl_step_memo_misses_on_any_other_key():
+    code, noise = repetition_code(), bit_flip_errors()
+    kl_check(code, noise)
+    for args in ((code, noise, 1e-7), (repetition_code(), noise), (code, bit_flip_errors())):
+        with _counting_kl_steps() as step:
+            standard_recovery(*args)
+        assert step.call_count == 1, args
+
+
+def test_kl_step_memo_keeps_no_object_alive():
+    code, noise = repetition_code(), bit_flip_errors()
+    kl_check(code, noise)
+    refs = [weakref.ref(code), weakref.ref(noise)]
+    del code, noise
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    # A dead reference matches nothing, even for objects that reuse an id.
+    with _counting_kl_steps() as step:
+        kl_check(repetition_code(), bit_flip_errors())
+    assert step.call_count == 1
 
 
 def depolarizing_on_qubit():

@@ -709,6 +709,40 @@ def test_dimension_errors():
         restrict_operator(np.eye(4), SubspaceIsometry.full(2), SubspaceIsometry.full(2), 3, 2)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    env=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    k=st.integers(1, 3),
+    omitted=st.sampled_from(["both", "v1", "v2"]),
+    zeros=st.booleans(),
+)
+def test_omitted_subspaces_certify_as_the_full_spaces(seed, d, env, k, omitted, zeros):
+    # Bit for bit, also on exact zeros of either sign, whose sign the SVDs read.
+    rng = np.random.default_rng(seed)
+    (env_in, env_out), full = env, SubspaceIsometry.full(d)
+    given_sub = random_subspace(rng, d + 1, d)
+    v1 = None if omitted != "v2" else given_sub
+    v2 = None if omitted != "v1" else given_sub
+    amb = [d if v is None else d + 1 for v in (v1, v2)]
+    stack = rand_complex(rng, (k, amb[1] * env_out, amb[0] * env_in))
+    if zeros:
+        stack.real *= rng.uniform(size=stack.shape) < 0.5
+        stack.imag *= rng.uniform(size=stack.shape) < 0.5
+        stack *= rng.choice([-1.0, 1.0], size=stack.shape)
+    ch = KrausChannel(stack)
+    with mock.patch.object(SubspaceIsometry, "full", side_effect=AssertionError("built a full subspace")):
+        got = certify_uuqc(ch, v1, v2, env_in, env_out)
+        got_uum = certify_uum(stack[0], v1, v2, env_in, env_out)
+    w1, w2 = (full if v is None else v for v in (v1, v2))
+    want = unambiguous._certify_uuqc(ch, w1, w2, env_in, env_out, DEFAULT_TOL)
+    want_uum = certify_uum(stack[0], w1, w2, env_in, env_out)
+    for a, b in ((got, want), (got.per_element, want.per_element), (got_uum, want_uum)):
+        for field, value in vars(b).items():
+            if field != "per_element":
+                assert np.asarray(getattr(a, field)).tobytes() == np.asarray(value).tobytes(), field
+
+
 def _unit(m, *against):
     """``m`` with its components along the unit-norm ``against`` removed,
     scaled to unit Frobenius norm."""

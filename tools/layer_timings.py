@@ -14,9 +14,11 @@ to the next, so host drift over seconds to minutes falls on both alike.
 There are ``ROUNDS`` rounds; a side times a case ``REPEATS`` times
 (``LARGE_REPEATS`` at 9 qubits) with ``time.perf_counter`` after one
 warm-up call.  Inputs come from fixed seeds, so both sides time the same
-work.  The output lists, for each case, its name, layer and dims and, for
+work.  The output lists, for each case, its name, layer and dims; for
 each side, the median and interquartile range in milliseconds over all
-rounds, plus a machine note.
+rounds; and the quartiles over rounds of the paired ratio, the after
+side's median in a round over the before side's median in the same round
+(``paired_ratio_quartiles``), plus a machine note.
 
 The cases:
 
@@ -41,6 +43,9 @@ The cases:
 - ``kl_check``, ``standard_recovery`` and ``verify_correction_uuqc``
   (with that recovery) on the 3-, 5- and 7-qubit repetition codes under
   ``0.7 I`` plus single bit flips that share the remaining 0.3;
+  ``kl_check`` and ``standard_recovery`` get fresh shallow copies of the
+  code and the noise on every call, so the memo of recent Knill-Laflamme
+  steps never carries over from one timed call to the next;
 - ``unambiguous_correction_probability`` and ``meets_certainty_condition``
   on the same codes and noise at 3, 5, 7 and 9 qubits, and on the two
   ``_ec_prob_inputs``: the ``qec`` workload's mixed-noise shape and a
@@ -51,7 +56,10 @@ The cases:
   ``unambiguous_correction_probability`` on Shor's code (``LARGE_REPEATS``;
   its 28-element noise stack holds about 117 MB), both under
   ``sqrt(0.7) I`` plus every single-qubit Pauli, built by
-  ``tests/builders.py``;
+  ``tests/builders.py``, plus on both codes the ``check then recover``
+  chain that the ``qec`` workload's correctable jobs run: ``kl_check``,
+  ``standard_recovery`` and ``verify_correction_uuqc`` with that recovery,
+  on fresh copies as above (the memo hits only within one chain);
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
   (6 x 48 x 48), and ``channel_to_doc`` plus ``dump_json`` of its
   refinement (16 x 48 x 48), the ``refine`` report's payload;
@@ -170,6 +178,19 @@ def _chain(uuqc, ch, v1, v2, env_in, env_out):
     return uuqc.uuqc_to_ues(ch, v1, v2, env_in, env_out)
 
 
+def _fresh(*objs) -> tuple:
+    """Shallow copies (about 3 us each), so no memo of recent results keyed
+    by object identity carries over from one timed call to the next."""
+    return tuple(copy.copy(obj) for obj in objs)
+
+
+def _check_then_recover(uuqc, code, noise):
+    """The library calls of the ``qec`` workload's correctable job."""
+    uuqc.kl_check(code, noise)
+    recovery = uuqc.standard_recovery(code, noise)
+    return uuqc.verify_correction_uuqc(code, noise, recovery)
+
+
 def _cases():
     """``(name, layer, dims, call, repeats)`` for every timed case."""
     import numpy as np
@@ -257,9 +278,9 @@ def _cases():
         if n in REPETITION_QUBITS:
             recovery = uuqc.standard_recovery(code, noise)
             cases.append(("kl_check", "qec", dims,
-                          lambda code=code, noise=noise: uuqc.kl_check(code, noise), REPEATS))
+                          lambda code=code, noise=noise: uuqc.kl_check(*_fresh(code, noise)), REPEATS))
             cases.append(("standard_recovery", "qec", dims,
-                          lambda code=code, noise=noise: uuqc.standard_recovery(code, noise), REPEATS))
+                          lambda code=code, noise=noise: uuqc.standard_recovery(*_fresh(code, noise)), REPEATS))
             cases.append(("verify_correction_uuqc", "qec", dims,
                           lambda code=code, noise=noise, r=recovery: uuqc.verify_correction_uuqc(code, noise, r),
                           REPEATS))
@@ -276,14 +297,17 @@ def _cases():
         code, noise = build(), pauli_noise(n, 0.3)
         dims = {"code": name, "n_phys": 2**n, "K": len(noise.stack)}
         repeats = REPEATS if n == 5 else LARGE_REPEATS
-        cases.append(("kl_check", "qec", dims, lambda code=code, noise=noise: uuqc.kl_check(code, noise), repeats))
+        cases.append(("kl_check", "qec", dims,
+                      lambda code=code, noise=noise: uuqc.kl_check(*_fresh(code, noise)), repeats))
         cases.append(("standard_recovery", "qec", dims,
-                      lambda code=code, noise=noise: uuqc.standard_recovery(code, noise), repeats))
+                      lambda code=code, noise=noise: uuqc.standard_recovery(*_fresh(code, noise)), repeats))
         if n == 5:
             recovery = uuqc.standard_recovery(code, noise)
             cases.append(("verify_correction_uuqc", "qec", dims,
                           lambda code=code, noise=noise, r=recovery: uuqc.verify_correction_uuqc(code, noise, r),
                           repeats))
+        cases.append(("check then recover", "qec", dims,
+                      lambda code=code, noise=noise: _check_then_recover(uuqc, *_fresh(code, noise)), repeats))
         cases.append(("unambiguous_correction_probability", "qec", dims,
                       lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), repeats))
 
@@ -414,7 +438,7 @@ def main(argv=None) -> int:
                 for side in (("before", "after") if (r + i) % 2 == 0 else ("after", "before")):
                     procs[side].stdin.write(f"{i}\n")
                     procs[side].stdin.flush()
-                    times[side][i] += _next_reply(procs[side])
+                    times[side][i].append(_next_reply(procs[side]))
         finally:
             for proc in procs.values():
                 proc.stdin.close()
@@ -424,8 +448,12 @@ def main(argv=None) -> int:
     for i, first in enumerate(described):
         entry = {"name": first["name"], "layer": first["layer"], "dims": first["dims"]}
         for side in sides:
-            entry[side] = _summary(times[side][i])
+            entry[side] = _summary([t for round_times in times[side][i] for t in round_times])
         entry["after_over_before"] = round(entry["after"]["median_ms"] / entry["before"]["median_ms"], 3)
+        # The two sides time a case back to back within a round, so the
+        # per-round ratio of their medians cancels drift between rounds.
+        ratios = [statistics.median(a) / statistics.median(b) for a, b in zip(times["after"][i], times["before"][i])]
+        entry["paired_ratio_quartiles"] = [round(q, 3) for q in statistics.quantiles(ratios, n=4, method="inclusive")]
         cases.append(entry)
     doc = {
         "tool": "tools/layer_timings.py",
@@ -433,7 +461,8 @@ def main(argv=None) -> int:
                    "once; the sides take turns case by case, the first side switching with each case "
                    f"and round, and time a case {REPEATS} times ({LARGE_REPEATS} at 9 qubits and on "
                    "Shor's code) with time.perf_counter after one warm-up call; medians and "
-                   "interquartile ranges over all rounds, in ms"),
+                   "interquartile ranges over all rounds, in ms; paired_ratio_quartiles are the "
+                   "quartiles over rounds of the after/before ratio of the two sides' per-round medians"),
         "machine": machine_note(),
         "cases": cases,
     }
@@ -441,8 +470,9 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for c in cases:
+        q1, _, q3 = c["paired_ratio_quartiles"]
         print(f"{c['name']:34s} {json.dumps(c['dims']):70s} {c['before']['median_ms']:9.3f} -> "
-              f"{c['after']['median_ms']:9.3f} ms  x{c['after_over_before']}")
+              f"{c['after']['median_ms']:9.3f} ms  x{c['after_over_before']} [{q1}, {q3}]")
     return 0
 
 
