@@ -147,9 +147,9 @@ def _parse_lambdas2(text: str, D: int | None = None) -> densecode.SharedState:
         raise FormatError(f"--lambdas2: {exc}") from exc
 
 
-def _load_isometry(path: str | None, ambient: int, field: str) -> SubspaceIsometry:
+def _load_isometry(path: str | None, field: str) -> SubspaceIsometry | None:
     if path is None:
-        return SubspaceIsometry.full(ambient)
+        return None
     cols = doc_to_matrix(load_json(path, field), field)
     try:
         return SubspaceIsometry(cols)
@@ -162,9 +162,7 @@ def _load_subspaces(args, ch_in: int, ch_out: int):
         raise FormatError("--env-in/--env-out: must be >= 1")
     if ch_in % args.env_in or ch_out % args.env_out:
         raise FormatError("--env-in/--env-out: do not divide the operator dimensions")
-    v1 = _load_isometry(args.v1, ch_in // args.env_in, "--v1")
-    v2 = _load_isometry(args.v2, ch_out // args.env_out, "--v2")
-    return v1, v2
+    return _load_isometry(args.v1, "--v1"), _load_isometry(args.v2, "--v2")
 
 
 def _uum_doc(cert: unambiguous.UumCertificate) -> dict:

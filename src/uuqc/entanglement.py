@@ -230,7 +230,11 @@ def check_mixed_nonzero(
         raise ValueError(f"witness subspaces must have dimension {d}")
     if va.ambient_dim != dim_a or vb.ambient_dim != dim_b:
         raise ValueError("witness subspaces do not live on the state factors")
+    return _witness_certificate(rho, d, va, vb, tol)
 
+
+def _witness_certificate(rho: np.ndarray, d: int, va: SubspaceIsometry, vb: SubspaceIsometry, tol: float):
+    """``check_mixed_nonzero`` on a validated density matrix ``rho`` and witness pair."""
     restrict = tensor_product(va.columns, vb.columns)
     block = dagger(restrict) @ rho @ restrict
     weight = float(np.trace(block).real)
@@ -257,7 +261,7 @@ def search_mixed_nonzero(
     runs over its basis subsets (of a factor of dimension at most 4), so
     the decision is exact when that factor has dimension ``d``.  The first
     ``W`` where ``_identity_filters`` solves for ``B``, and the support of
-    ``B``, go to ``check_mixed_nonzero`` for the certificate.
+    ``B``, go to ``check_mixed_nonzero``'s step for the certificate.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -278,4 +282,4 @@ def search_mixed_nonzero(
     # The swept subset, and the support of the filter on the other factor.
     pair = (SubspaceIsometry.from_indices(small, subsets[w]),
             SubspaceIsometry(np.linalg.svd(filters[w])[2][:d].conj().T))
-    return check_mixed_nonzero(rho, dim_a, dim_b, d, *(pair[::-1] if swap else pair), tol)
+    return _witness_certificate(rho, d, *(pair[::-1] if swap else pair), tol)

@@ -14,11 +14,10 @@ and distils each at the pure-state optimum; the bound is exact on
 Knill-Laflamme-correctable noise.
 
 Every verdict reads the noise once, as the stacked blocks ``E_k C``
-(``_code_blocks``), and runs its steps on that one stack: the Knill-Laflamme
-pair loop (``_kl_step``, which ``kl_check`` and ``standard_recovery`` share
-through a memo of the two most recent steps) and the Choi eigen-branches
-(``_choi_branches``, one SVD), never the ``(d n) x (d n)`` Choi matrix
-``noise_choi_state`` builds to inspect.
+(``_code_blocks``), and none builds the ``(d n) x (d n)`` Choi matrix that
+``noise_choi_state`` shows.  ``kl_check`` and ``standard_recovery`` share one
+remembered Knill-Laflamme step (``_kl_step``), and the probability and the
+certainty condition one remembered Choi eigen-branch step (``_ec_step``).
 """
 
 from __future__ import annotations
@@ -113,8 +112,9 @@ def _code_blocks(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     return noise.stack @ code.encoder
 
 
-# The two most recent Knill-Laflamme steps, for kl_check -> standard_recovery.
-_kl_steps = _Memo()
+# The two most recent steps of each kind, for kl_check -> standard_recovery
+# and for the ec-prob probability -> certainty condition.
+_kl_steps, _ec_steps = _Memo(), _Memo()
 
 
 def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> KlReport:
@@ -224,41 +224,25 @@ def noise_choi_state(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     return choi_state(KrausChannel(_code_blocks(code, noise)))
 
 
-def _choi_branches(blocks: np.ndarray, tol: float) -> tuple:
-    """Purity flag, weights above ``tol`` (a pure state is one branch of the
-    whole weight) and ``d x out`` kets of the Choi state's eigen-branches,
-    from one SVD of ``V = _choi_vectors(blocks)`` for the ``(K, out, d)``
-    blocks ``E_k C``; the Choi state is ``V^T V^* / d``."""
-    _, out, d = blocks.shape
-    _, svals, vh = np.linalg.svd(_choi_vectors(blocks), full_matrices=False)
-    evals = svals**2 / d
-    weight = float(evals.sum())
-    pure = weight - float(evals[0]) <= tol
-    weights = np.array([weight]) if pure else evals
-    weights = weights[weights > tol]
-    return pure, weights, vh[: len(weights)].reshape(-1, d, out)
-
-
 def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     """Necessary condition for correction with certainty: the normalized
     Choi state of encode-then-noise is a rank-``d`` uniformly entangled ket.
 
     Meaningful as stated for pure Choi states (isometric or filtered noise);
-    a mixed Choi state fails the check outright, before any Schmidt SVD.
+    a mixed Choi state fails it.  It shares the probability's remembered step.
     """
-    pure, weights, kets = _choi_branches(_code_blocks(code, noise), tol)
-    return pure and len(weights) == 1 and _is_flat(np.linalg.svd(kets, full_matrices=False)[1][0],
-                                                   code.logical_dim, tol)
+    return _ec_steps(_ec_step, (code, noise), (tol,))[2]
 
 
 def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL):
     """Probability that the noise on this code is unambiguously correctable.
 
     Reads the unnormalized Choi state of encode-then-noise as its
-    eigen-branches (``_choi_branches``).  A branch converts to the canonical
-    entangled ket with Vidal's optimum of its Schmidt values, 0 if its
-    ``d``-th is at most ``tol``; a pure state's weight times it is exact,
-    method ``"pure-exact"``.
+    eigen-branches.  A branch converts to the canonical entangled ket with
+    Vidal's optimum of its Schmidt values, 0 if its ``d``-th is at most
+    ``tol``; a pure state's weight times it is exact, method
+    ``"pure-exact"``.  It shares one step with ``meets_certainty_condition``,
+    remembered as ``kl_check`` remembers its check (see there).
 
     A mixed state ``sum_m lambda_m |v_m><v_m|`` gets a deterministic lower
     bound, method ``"filter-lower-bound"``, from an instrument on the noisy
@@ -279,8 +263,21 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
     maximally entangled and the bound equals ``Tr h``, the standard-recovery
     probability.
     """
-    pure, weights, kets = _choi_branches(_code_blocks(code, noise), tol)
-    _, values, ranges = np.linalg.svd(kets, full_matrices=False)
+    return _ec_steps(_ec_step, (code, noise), (tol,))[:2]
+
+
+def _ec_step(code: CodeSpec, noise: KrausChannel, tol: float) -> tuple:
+    """``(probability, method, certain)`` from one SVD of ``_choi_vectors(E_k C)`` (the Choi
+    eigen-branches, a pure state being one branch of the whole weight) and one of the branch kets."""
+    blocks = _code_blocks(code, noise)
+    _, out, d = blocks.shape
+    _, svals, vh = np.linalg.svd(_choi_vectors(blocks), full_matrices=False)
+    evals = svals**2 / d
+    weight = float(evals.sum())
+    pure = weight - float(evals[0]) <= tol
+    weights = np.array([weight]) if pure else evals
+    weights = weights[weights > tol]
+    _, values, ranges = np.linalg.svd(vh[: len(weights)].reshape(-1, d, out), full_matrices=False)
     support = values > tol
     # A branch scores when its last Schmidt value is supported (with fewer
     # than d values its optimum is 0) and it is separated, as a lone branch is.
@@ -292,5 +289,6 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
         cross = np.abs(np.einsum("air,bjr->abij", ranges.conj(), ranges))
         cross.reshape(-1, *cross.shape[2:])[:: len(weights) + 1] = 0.0
         keep &= cross.max(axis=(1, 2, 3)) <= tol
-    prob = weights * _vidal_optimum(values, code.logical_dim) * keep
-    return float(prob.sum()), "pure-exact" if pure else "filter-lower-bound"
+    prob = weights * _vidal_optimum(values, d) * keep
+    certain = pure and len(weights) == 1 and _is_flat(values[0], d, tol)
+    return float(prob.sum()), "pure-exact" if pure else "filter-lower-bound", certain

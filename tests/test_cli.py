@@ -411,6 +411,44 @@ def test_verify_dc_documents_fail_in_one_line(documents):
     assert bool(out.getvalue()) == (code in (0, 3))
 
 
+@st.composite
+def _code_and_noise_documents(draw):
+    """``(command, code document, noise)`` for ``kl-check`` or ``ec-prob``:
+    an encoder with orthonormal columns or not, its logical dimension
+    declared right or off by one, and noise on the physical space or on one
+    dimension more or fewer, encoder and noise each scaled by a drawn factor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, n))
+    orthonormal = draw(st.sampled_from([True, True, False]))
+    encoder = random_unitary(n, rng)[:, :d] if orthonormal else rand_complex(rng, (n, d))
+    logical_dim = d + draw(st.sampled_from([0, 0, -1, 1]))
+    in_dim = max(1, n + draw(st.sampled_from([0, 0, -1, 1])))
+    k = draw(st.integers(1, 4))
+    noise = rand_complex(rng, (k, draw(st.integers(1, n + 2)), in_dim)) / np.sqrt(2 * k * in_dim)
+    scales = st.sampled_from([1.0, 1.0, 1.0, 0.0, 1e-300, 1e200])
+    code = {"logical_dim": logical_dim, "encoder": matrix_to_doc(draw(scales) * encoder)}
+    return draw(st.sampled_from(["kl-check", "ec-prob"])), code, draw(scales) * noise
+
+
+@given(_code_and_noise_documents())
+def test_code_and_noise_documents_fail_in_one_line(documents):
+    command, code, noise = documents
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, write(Path(tmp) / "code.json", code),
+                write(Path(tmp) / "noise.json", channel_to_doc(KrausChannel(noise)))]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            exit_code = dispatch(argv)
+    assert exit_code in (0, 1, 2, 3)
+    assert not caught
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1
+    assert bool(out.getvalue()) == (exit_code in (0, 3))
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_tol_must_be_finite_and_nonnegative(capsys, tmp_path, tol):
     # a phase flip the repetition code cannot correct: tol = inf called it
@@ -513,6 +551,33 @@ def test_refine_and_to_ues_certify_once(capsys, tmp_path, monkeypatch, command):
     bad = write(tmp_path / "bad.json", channel_to_doc(KrausChannel((np.diag([1.0, 0.5]),))))
     code, report, _ = run(capsys, [command, bad])
     assert code == 3 and not report["is_uuqc"] and len(calls) == 2
+
+
+def _subspace_cases():
+    """``(elements, env_in, env_out)``: a channel that certifies on its
+    environment legs, one that does not, and a unitary with signed zeros."""
+    u = random_unitary(2, 9)
+    t2 = np.array([[0.1, 0.5], [0.3, 0.2]])
+    env = (np.sqrt(0.3) * np.eye(2) / np.sqrt(2), np.sqrt(0.5) * t2 / np.linalg.norm(t2))
+    signed = np.array([[0.0, -1.0], [1.0, -0.0]]) + np.array([[-0.0, 0.0], [-0.0, 0.0]]) * 1j
+    return [([tensor_product(u, t) for t in env], 2, 2),
+            (list(rand_complex(np.random.default_rng(4), (2, 3, 3)) / 3), 1, 1),
+            ([signed], 1, 1)]
+
+
+@pytest.mark.parametrize("command", ["check-uum", "check-uuqc", "refine", "to-ues"])
+def test_omitted_subspaces_match_identity_documents(capsys, tmp_path, command):
+    for i, (elements, env_in, env_out) in enumerate(_subspace_cases()):
+        doc = matrix_to_doc(elements[0]) if command == "check-uum" else channel_to_doc(KrausChannel(elements))
+        argv = [command, write(tmp_path / f"in{i}.json", doc), f"--env-in={env_in}", f"--env-out={env_out}"]
+        out_dim, in_dim = elements[0].shape
+        eye1 = write(tmp_path / f"v1_{i}.json", matrix_to_doc(np.eye(in_dim // env_in)))
+        eye2 = write(tmp_path / f"v2_{i}.json", matrix_to_doc(np.eye(out_dim // env_out)))
+        outputs = []
+        for flags in ([], ["--v1", eye1], ["--v2", eye2], ["--v1", eye1, "--v2", eye2]):
+            code = dispatch(argv + flags)
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[1:] == outputs[:1] * 3, (command, i)
 
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1" + "0" * 400],

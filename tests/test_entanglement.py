@@ -558,10 +558,14 @@ def _faint_witness(rng):
     (lambda rng: _shared_state(rng, 4, 4, 2, "pure"), 1),
 ])
 def test_sweep_certifies_only_the_first_passing_pair(make, calls):
-    # only the first subset with a filter solution reaches check_mixed_nonzero
+    # only the first subset with a filter solution reaches check_mixed_nonzero's
+    # step, and the state is validated once, by the search
     rho = make(np.random.default_rng(8))
-    with mock.patch.object(entanglement, "check_mixed_nonzero",
-                           wraps=entanglement.check_mixed_nonzero) as check:
+    with mock.patch.object(entanglement, "_witness_certificate",
+                           wraps=entanglement._witness_certificate) as check, \
+            mock.patch.object(entanglement, "check_mixed_nonzero") as public, \
+            mock.patch.object(entanglement, "_density_eigh", wraps=entanglement._density_eigh) as validate:
         cert = search_mixed_nonzero(rho, 4, 4, 2)
+    assert public.call_count == 0 and validate.call_count == 1
     assert check.call_count == calls
     assert (cert.probability > 0.0) == (calls == 1)

@@ -781,3 +781,81 @@ def test_correction_verdicts_build_no_choi_matrix(monkeypatch):
     assert [c for _, _, c in want] == [False, False, False, True, False]
     with pytest.raises(AssertionError, match="Choi matrix"):
         noise_choi_state(*cases[0])
+
+
+def _counting_ec_steps():
+    return mock.patch.object(uuqc.qec, "_ec_step", wraps=uuqc.qec._ec_step)
+
+
+def _ec_answers(code, noise, certainty_first):
+    """``(probability, method, certain)`` from the two public calls on the
+    same objects, in either order; the probability's float as bytes."""
+    if certainty_first:
+        certain = meets_certainty_condition(code, noise)
+        prob, method = unambiguous_correction_probability(code, noise)
+    else:
+        prob, method = unambiguous_correction_probability(code, noise)
+        certain = meets_certainty_condition(code, noise)
+    assert type(prob) is float and type(certain) is bool
+    return np.float64(prob).tobytes(), method, certain
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(3, 2), (4, 2), (6, 2), (6, 3), (8, 2)]),
+    branches=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    separated=st.booleans(),
+    trace_preserving=st.booleans(),
+    certainty_first=st.booleans(),
+)
+def test_ec_answers_match_fresh_objects_in_either_order(
+    seed, dims, branches, extra, separated, trace_preserving, certainty_first
+):
+    code, noise = _noise_with_branches(seed, dims, branches, extra, separated, trace_preserving)
+    fresh = [(CodeSpec(code.encoder), KrausChannel(noise.stack)) for _ in range(2)]
+    (prob, method), certain = unambiguous_correction_probability(*fresh[0]), meets_certainty_condition(*fresh[1])
+    assert _ec_answers(code, noise, certainty_first) == (np.float64(prob).tobytes(), method, certain)
+
+
+@pytest.mark.parametrize("certainty_first", [False, True], ids=["probability-first", "certainty-first"])
+def test_probability_then_certainty_runs_one_ec_step(certainty_first):
+    code, noise = repetition_code(), bit_flip_errors()
+    with _counting_ec_steps() as step, \
+            mock.patch.object(uuqc.qec, "_code_blocks", wraps=uuqc.qec._code_blocks) as read:
+        answers = _ec_answers(code, noise, certainty_first)
+        assert _ec_answers(code, noise, not certainty_first) == answers
+    assert step.call_count == 1 and read.call_count == 1
+
+
+def test_ec_step_memo_misses_on_any_other_key():
+    code, noise = repetition_code(), bit_flip_errors()
+    unambiguous_correction_probability(code, noise)
+    for args in ((code, noise, 1e-7), (repetition_code(), noise), (code, bit_flip_errors())):
+        with _counting_ec_steps() as step:
+            meets_certainty_condition(*args)
+        assert step.call_count == 1, args
+
+
+def test_ec_step_memo_keeps_no_object_alive():
+    code, noise = repetition_code(), bit_flip_errors()
+    meets_certainty_condition(code, noise)
+    refs = [weakref.ref(code), weakref.ref(noise)]
+    del code, noise
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    # A dead reference matches nothing, even for objects that reuse an id.
+    with _counting_ec_steps() as step:
+        unambiguous_correction_probability(repetition_code(), bit_flip_errors())
+    assert step.call_count == 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("certainty_first", [False, True], ids=["probability-first", "certainty-first"])
+def test_ec_prob_with_fewer_outputs_than_logical_dims(k, certainty_first):
+    # out = 2 < d = 3: each branch ket is 3 x 2, so the batched Schmidt SVD
+    # has min(d, out) = 2 values per branch and no branch reaches rank d.
+    rng = np.random.default_rng(k)
+    code = CodeSpec(random_unitary(4, rng)[:, :3])
+    noise = KrausChannel(rand_complex(rng, (k, 2, 4)) / 4)
+    assert _ec_answers(code, noise, certainty_first) == (np.float64(0.0).tobytes(), "filter-lower-bound", False)

@@ -16,9 +16,12 @@ There are ``ROUNDS`` rounds; a side times a case ``REPEATS`` times
 warm-up call.  Inputs come from fixed seeds, so both sides time the same
 work.  The output lists, for each case, its name, layer and dims; for
 each side, the median and interquartile range in milliseconds over all
-rounds; and the quartiles over rounds of the paired ratio, the after
-side's median in a round over the before side's median in the same round
-(``paired_ratio_quartiles``), plus a machine note.
+rounds; and the paired ratio, the after side's median in a round over the
+before side's median in the same round: its median over rounds is the
+headline (``paired_ratio_median``), with its quartiles
+(``paired_ratio_quartiles``); plus a machine note.  The ratio of the two
+sides' medians pooled over all rounds is not reported, since host drift
+between rounds can move it away from every per-round ratio.
 
 The cases:
 
@@ -49,17 +52,23 @@ The cases:
 - ``unambiguous_correction_probability`` and ``meets_certainty_condition``
   on the same codes and noise at 3, 5, 7 and 9 qubits, and on the two
   ``_ec_prob_inputs``: the ``qec`` workload's mixed-noise shape and a
-  three-element noise with a pure Choi state;
+  three-element noise with a pure Choi state; on all of these also the
+  ``probability then certainty`` chain that ``uuqc ec-prob`` and the ``qec``
+  workload's ``ec-prob`` jobs run.  Every call in these cases and in the
+  chain gets fresh shallow copies of the code and the noise, so the memo
+  of recent ``ec-prob`` steps never carries over from one timed call to the
+  next; it hits only within one chain;
 - ``kl_check``, ``standard_recovery``, ``verify_correction_uuqc`` (with
-  that recovery) and ``unambiguous_correction_probability`` on the
-  five-qubit code, and ``kl_check``, ``standard_recovery`` and
-  ``unambiguous_correction_probability`` on Shor's code (``LARGE_REPEATS``;
+  that recovery), ``unambiguous_correction_probability`` and
+  ``meets_certainty_condition`` on the five-qubit code, and the same but
+  ``verify_correction_uuqc`` on Shor's code (``LARGE_REPEATS``;
   its 28-element noise stack holds about 117 MB), both under
   ``sqrt(0.7) I`` plus every single-qubit Pauli, built by
   ``tests/builders.py``, plus on both codes the ``check then recover``
   chain that the ``qec`` workload's correctable jobs run: ``kl_check``,
   ``standard_recovery`` and ``verify_correction_uuqc`` with that recovery,
-  on fresh copies as above (the memo hits only within one chain);
+  and the ``probability then certainty`` chain, all on fresh copies as
+  above (the memos hit only within one chain);
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
   (6 x 48 x 48), and ``channel_to_doc`` plus ``dump_json`` of its
   refinement (16 x 48 x 48), the ``refine`` report's payload;
@@ -191,6 +200,11 @@ def _check_then_recover(uuqc, code, noise):
     return uuqc.verify_correction_uuqc(code, noise, recovery)
 
 
+def _probability_then_certainty(uuqc, code, noise):
+    """The library calls of ``uuqc ec-prob`` and the ``qec`` workload's ``ec-prob`` jobs."""
+    return uuqc.unambiguous_correction_probability(code, noise), uuqc.meets_certainty_condition(code, noise)
+
+
 def _cases():
     """``(name, layer, dims, call, repeats)`` for every timed case."""
     import numpy as np
@@ -285,10 +299,7 @@ def _cases():
                           lambda code=code, noise=noise, r=recovery: uuqc.verify_correction_uuqc(code, noise, r),
                           REPEATS))
         repeats = REPEATS if n in REPETITION_QUBITS else LARGE_REPEATS
-        cases.append(("unambiguous_correction_probability", "qec", dims,
-                      lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), repeats))
-        cases.append(("meets_certainty_condition", "qec", dims,
-                      lambda code=code, noise=noise: uuqc.meets_certainty_condition(code, noise), repeats))
+        cases += _ec_prob_cases(uuqc, code, noise, dims, repeats)
 
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     from builders import five_qubit_code, pauli_noise, shor_code
@@ -308,15 +319,11 @@ def _cases():
                           repeats))
         cases.append(("check then recover", "qec", dims,
                       lambda code=code, noise=noise: _check_then_recover(uuqc, *_fresh(code, noise)), repeats))
-        cases.append(("unambiguous_correction_probability", "qec", dims,
-                      lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), repeats))
+        cases += _ec_prob_cases(uuqc, code, noise, dims, repeats)
 
     for kind, (code, noise) in _ec_prob_inputs().items():
         dims = {"n_phys": code.physical_dim, "d": code.logical_dim, "K": len(noise.stack), "noise": kind}
-        cases.append(("unambiguous_correction_probability", "qec", dims,
-                      lambda code=code, noise=noise: uuqc.unambiguous_correction_probability(code, noise), REPEATS))
-        cases.append(("meets_certainty_condition", "qec", dims,
-                      lambda code=code, noise=noise: uuqc.meets_certainty_condition(code, noise), REPEATS))
+        cases += _ec_prob_cases(uuqc, code, noise, dims, REPEATS)
 
     d, e, k = LARGE
     elems, _, _ = _channel(rng, d, d, d, e, e, random_split(rng, 0.7, k), [random_unitary(rng, d)] * k)
@@ -362,8 +369,19 @@ def _cases():
     code = uuqc.CodeSpec(np.linalg.qr(vidal_rng.standard_normal((16, 8)))[0])
     noise = uuqc.KrausChannel((vidal_rng.standard_normal((16, 16)) / 8,))
     cases.append(("unambiguous_correction_probability", "qec", {"n_phys": 16, "d": 8, "K": 1, "noise": "pure"},
-                  lambda: uuqc.unambiguous_correction_probability(code, noise), REPEATS))
+                  lambda: uuqc.unambiguous_correction_probability(*_fresh(code, noise)), REPEATS))
     return cases
+
+
+def _ec_prob_cases(uuqc, code, noise, dims, repeats):
+    """The probability and the certainty condition, each alone and the two
+    in a row, on fresh copies of the code and the noise."""
+    return [("unambiguous_correction_probability", "qec", dims,
+             lambda: uuqc.unambiguous_correction_probability(*_fresh(code, noise)), repeats),
+            ("meets_certainty_condition", "qec", dims,
+             lambda: uuqc.meets_certainty_condition(*_fresh(code, noise)), repeats),
+            ("probability then certainty", "qec", dims,
+             lambda: _probability_then_certainty(uuqc, *_fresh(code, noise)), repeats)]
 
 
 def child(src: str) -> None:
@@ -449,11 +467,12 @@ def main(argv=None) -> int:
         entry = {"name": first["name"], "layer": first["layer"], "dims": first["dims"]}
         for side in sides:
             entry[side] = _summary([t for round_times in times[side][i] for t in round_times])
-        entry["after_over_before"] = round(entry["after"]["median_ms"] / entry["before"]["median_ms"], 3)
         # The two sides time a case back to back within a round, so the
         # per-round ratio of their medians cancels drift between rounds.
         ratios = [statistics.median(a) / statistics.median(b) for a, b in zip(times["after"][i], times["before"][i])]
-        entry["paired_ratio_quartiles"] = [round(q, 3) for q in statistics.quantiles(ratios, n=4, method="inclusive")]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        entry["paired_ratio_median"] = round(median, 3)
+        entry["paired_ratio_quartiles"] = [round(q1, 3), round(q3, 3)]
         cases.append(entry)
     doc = {
         "tool": "tools/layer_timings.py",
@@ -461,8 +480,9 @@ def main(argv=None) -> int:
                    "once; the sides take turns case by case, the first side switching with each case "
                    f"and round, and time a case {REPEATS} times ({LARGE_REPEATS} at 9 qubits and on "
                    "Shor's code) with time.perf_counter after one warm-up call; medians and "
-                   "interquartile ranges over all rounds, in ms; paired_ratio_quartiles are the "
-                   "quartiles over rounds of the after/before ratio of the two sides' per-round medians"),
+                   "interquartile ranges over all rounds, in ms; paired_ratio_median (the headline) "
+                   "and paired_ratio_quartiles are the median and quartiles over rounds of the "
+                   "after/before ratio of the two sides' per-round medians"),
         "machine": machine_note(),
         "cases": cases,
     }
@@ -470,9 +490,9 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for c in cases:
-        q1, _, q3 = c["paired_ratio_quartiles"]
+        q1, q3 = c["paired_ratio_quartiles"]
         print(f"{c['name']:34s} {json.dumps(c['dims']):70s} {c['before']['median_ms']:9.3f} -> "
-              f"{c['after']['median_ms']:9.3f} ms  x{c['after_over_before']} [{q1}, {q3}]")
+              f"{c['after']['median_ms']:9.3f} ms  x{c['paired_ratio_median']} [{q1}, {q3}]")
     return 0
 
 
