@@ -101,17 +101,6 @@ class SubspaceIsometry:
         return SubspaceIsometry(np.kron(np.eye(ancilla_dim), self.columns))
 
     @classmethod
-    def full(cls, dim: int) -> "SubspaceIsometry":
-        """The whole ``dim``-dimensional space; an identity needs no Gram check."""
-        if dim < 1:
-            raise ValueError(f"invalid subspace shape ({dim}, {dim})")
-        cols = np.eye(dim, dtype=complex)
-        cols.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "columns", cols)
-        return out
-
-    @classmethod
     def from_indices(cls, ambient_dim: int, indices) -> "SubspaceIsometry":
         """Span of the given computational-basis states."""
         cols = np.asarray(indices, dtype=int)

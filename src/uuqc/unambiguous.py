@@ -424,8 +424,7 @@ def refine(
     ``out_j``) default to the computational ones and must be unitary within
     ``VALIDATION_TOL``.
     """
-    d = _subspace_dim(v1, v2, ch.stack.shape, env_in, env_out)
-    w1, w2 = (SubspaceIsometry.full(d) if v is None else v for v in (v1, v2))
+    _subspace_dim(v1, v2, ch.stack.shape, env_in, env_out)  # before the bases are checked
     b_in, b_out = _env_basis(env_in_basis, env_in), _env_basis(env_out_basis, env_out)
     # The caller's own v1 and v2, so a certificate remembered for them is found.
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
@@ -440,9 +439,13 @@ def refine(
     env_parts = np.einsum("ji,cj,ei->jice", weights, b_out, b_in.conj())[weights > tol]
     if len(env_parts) == 0:
         raise ValueError("refinement produced no elements")
-    embedded_u = w2.columns @ cert.unitary @ w1.columns.conj().T
+    # V2 U V1^dag, an omitted side's identity product skipped.  +0.0 in its
+    # place turns -0.0 into +0.0, as that product nearly always does; only
+    # an exact zero of U itself may leave a BLAS identity product as -0.0.
+    left = cert.unitary + 0.0 if v2 is None else v2.columns @ cert.unitary
+    embedded_u = left + 0.0 if v1 is None else left @ v1.columns.conj().T
     elements = embedded_u[None, :, None, :, None] * env_parts[:, None, :, None, :]
-    return KrausChannel(elements.reshape(len(env_parts), w2.ambient_dim * len(b_out), -1))
+    return KrausChannel(elements.reshape(len(env_parts), len(embedded_u) * env_out, -1))
 
 
 def extend_by_identity(ch: KrausChannel, ancilla_dim: int) -> KrausChannel:

@@ -285,7 +285,7 @@ def _state():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: SubspaceIsometry.full(2),
+    lambda: SubspaceIsometry(np.eye(2)),
     lambda: factor_as_tensor(np.eye(4), 2, 2, 2, 2),
     lambda: KrausChannel((np.eye(2), PAULI_X)),
     lambda: certify_uum(np.eye(2)),

@@ -27,7 +27,16 @@ from uuqc.formats import (
 from uuqc.linalg import random_unitary, tensor_product
 from uuqc.qec import CodeSpec
 
-from builders import PAULI_X, flagged_erasure, leung_code, rand_complex, repetition_code, single_qubit_on
+from builders import (
+    PAULI_X,
+    flagged_erasure,
+    leung_code,
+    make_uuqc,
+    rand_complex,
+    random_subspace,
+    repetition_code,
+    single_qubit_on,
+)
 
 
 def write(path, doc):
@@ -355,8 +364,10 @@ def _dense_code_argv(draw):
     return ["dense-code", f"--D={d}", f"--lambdas2={lambdas2}", f"--trials={trials}", f"--seed={seed}"]
 
 
-@given(_dense_code_argv())
-def test_dense_code_flags_fail_in_one_line(argv):
+def _fails_in_one_line(argv, report_exits=(0, 3)):
+    """Run ``argv`` in-process and check the CLI contract: an exit code in
+    {0, 1, 2, 3}, no warning, no traceback, exactly one stderr line, and a
+    report on standard output exactly for the exit codes in ``report_exits``."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -366,7 +377,12 @@ def test_dense_code_flags_fail_in_one_line(argv):
     assert not caught
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) == 1
-    assert bool(out.getvalue()) == (code == 0)
+    assert bool(out.getvalue()) == (code in report_exits)
+
+
+@given(_dense_code_argv())
+def test_dense_code_flags_fail_in_one_line(argv):
+    _fails_in_one_line(argv, report_exits=(0,))
 
 
 @st.composite
@@ -397,18 +413,8 @@ def _verify_dc_documents(draw):
 def test_verify_dc_documents_fail_in_one_line(documents):
     encoders, bob, lambdas2 = documents
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["verify-dc", write(Path(tmp) / "enc.json", channel_to_doc(KrausChannel(encoders))),
-                write(Path(tmp) / "bob.json", matrix_to_doc(bob)), f"--lambdas2={lambdas2}"]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = dispatch(argv)
-    assert code in (0, 1, 2, 3)
-    assert not caught
-    assert "Traceback" not in err.getvalue()
-    assert len(err.getvalue().splitlines()) == 1
-    assert bool(out.getvalue()) == (code in (0, 3))
+        _fails_in_one_line(["verify-dc", write(Path(tmp) / "enc.json", channel_to_doc(KrausChannel(encoders))),
+                            write(Path(tmp) / "bob.json", matrix_to_doc(bob)), f"--lambdas2={lambdas2}"])
 
 
 @st.composite
@@ -435,18 +441,84 @@ def _code_and_noise_documents(draw):
 def test_code_and_noise_documents_fail_in_one_line(documents):
     command, code, noise = documents
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [command, write(Path(tmp) / "code.json", code),
-                write(Path(tmp) / "noise.json", channel_to_doc(KrausChannel(noise)))]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            exit_code = dispatch(argv)
-    assert exit_code in (0, 1, 2, 3)
-    assert not caught
-    assert "Traceback" not in err.getvalue()
-    assert len(err.getvalue().splitlines()) == 1
-    assert bool(out.getvalue()) == (exit_code in (0, 3))
+        _fails_in_one_line([command, write(Path(tmp) / "code.json", code),
+                            write(Path(tmp) / "noise.json", channel_to_doc(KrausChannel(noise)))])
+
+
+_SCALES = st.sampled_from([1.0, 1.0, 0.0, 1e-300, 1e200])
+
+
+@st.composite
+def _subspace_documents(draw):
+    """``(command, operator document, v1, v2, env_in, env_out)`` for
+    ``check-uum``, ``check-uuqc``, ``refine`` or ``to-ues``: a channel that
+    certifies between random subspaces, or a random one, scaled by a drawn
+    factor (its first element for ``check-uum``), with the right subspaces
+    and legs, each subspace given or omitted; then at most one of them
+    spoiled: a subspace made non-orthonormal, mis-shaped or absent, or a
+    leg drawn from {0, 1, 2, 3}."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    legs = [draw(st.integers(1, 3)), draw(st.integers(1, 3))]
+    # an omitted subspace stands for the whole system space, of dimension d
+    omitted = draw(st.sampled_from([(), (0,), (1,), (0, 1)]))
+    dims = [d if side in omitted else d + draw(st.integers(0, 2)) for side in (0, 1)]
+    if draw(st.booleans()):
+        ch, _, _, v1, v2 = make_uuqc(rng, d, *dims, *legs, [0.8 / k] * k, with_noise=draw(st.booleans()))
+        stack = ch.stack
+    else:
+        v1, v2 = (random_subspace(rng, dim, d) for dim in dims)
+        stack = rand_complex(rng, (k, dims[1] * legs[1], dims[0] * legs[0])) / (3 * d * legs[0])
+    subspaces = [None if side in omitted else v.columns for side, v in enumerate((v1, v2))]
+    fault = draw(st.sampled_from([None, None, "subspace", "leg"]))
+    side = draw(st.sampled_from([0, 1]))
+    if fault == "subspace":
+        v, dim = (v1, v2)[side], dims[side]
+        subspaces[side] = draw(st.sampled_from([
+            None, 1.5 * v.columns, rand_complex(rng, (dim, d)), random_unitary(dim + 1, rng)[:, :d],
+            rand_complex(rng, (d, d + 1)), np.zeros((dim, 0))]))
+    elif fault == "leg":
+        legs[side] = draw(st.sampled_from([0, 1, 2, 3]))
+    command = draw(st.sampled_from(["check-uum", "check-uuqc", "refine", "to-ues"]))
+    scaled = draw(_SCALES) * stack
+    doc = matrix_to_doc(scaled[0]) if command == "check-uum" else channel_to_doc(KrausChannel(scaled))
+    return (command, doc, *subspaces, *legs)
+
+
+@given(_subspace_documents())
+def test_subspace_documents_fail_in_one_line(documents):
+    command, doc, v1, v2, env_in, env_out = documents
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, write(Path(tmp) / "op.json", doc), f"--env-in={env_in}", f"--env-out={env_out}"]
+        for flag, v in (("--v1", v1), ("--v2", v2)):
+            if v is not None:
+                argv += [flag, write(Path(tmp) / f"{flag[2:]}.json", matrix_to_doc(v))]
+        _fails_in_one_line(argv)
+
+
+@st.composite
+def _ket_documents(draw):
+    """``(command, flags, ket)`` for ``schmidt`` or ``teleport``: a unit ket
+    on drawn factors, product or entangled, scaled by a drawn factor;
+    ``--dims`` right, swapped or wrong, and ``teleport``'s ``--d`` from 0 to 4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeff = rand_complex(rng, (a, b))
+    if draw(st.booleans()):
+        coeff = np.outer(coeff[:, 0], coeff[0])
+    ket = draw(_SCALES) * coeff.reshape(-1) / np.linalg.norm(coeff)
+    dims = draw(st.sampled_from([f"{a},{b}"] * 4 + [f"{b},{a}", f"{a},{b + 1}", "0,4", "-1,2", "2",
+                                                    "2,2,2", "x,2", ""]))
+    command = draw(st.sampled_from(["schmidt", "teleport"]))
+    flags = [f"--dims={dims}"] + ([f"--d={draw(st.integers(0, 4))}"] if command == "teleport" else [])
+    return command, flags, ket
+
+
+@given(_ket_documents())
+def test_ket_documents_fail_in_one_line(documents):
+    command, flags, ket = documents
+    with tempfile.TemporaryDirectory() as tmp:
+        _fails_in_one_line([command, write(Path(tmp) / "ket.json", ket_to_doc(ket)), *flags])
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

@@ -297,7 +297,7 @@ def test_check_mixed_nonzero_pure_entangled():
     phi = maximally_entangled_ket(2)
     rho = np.outer(phi, phi.conj())
     cert = check_mixed_nonzero(
-        rho, 2, 2, 2, SubspaceIsometry.full(2), SubspaceIsometry.full(2)
+        rho, 2, 2, 2, SubspaceIsometry(np.eye(2)), SubspaceIsometry(np.eye(2))
     )
     assert cert.probability == pytest.approx(1.0, abs=1e-9)
     assert cert.witness_subspaces is not None
@@ -327,7 +327,7 @@ def test_check_mixed_nonzero_rejects_wrong_ranks():
     with pytest.raises(ValueError):
         check_mixed_nonzero(
             np.eye(4) / 4, 2, 2, 2,
-            SubspaceIsometry.from_indices(2, (0,)), SubspaceIsometry.full(2),
+            SubspaceIsometry.from_indices(2, (0,)), SubspaceIsometry(np.eye(2)),
         )
 
 
@@ -455,7 +455,7 @@ def test_qubit_product_beyond_four_levels_has_no_witness():
 def test_check_mixed_nonzero_refuses_a_pure_product_projection():
     rho = np.zeros((4, 4))
     rho[0, 0] = 1.0
-    cert = check_mixed_nonzero(rho, 2, 2, 2, SubspaceIsometry.full(2), SubspaceIsometry.full(2))
+    cert = check_mixed_nonzero(rho, 2, 2, 2, SubspaceIsometry(np.eye(2)), SubspaceIsometry(np.eye(2)))
     assert cert.probability == 0.0
     assert cert.witness_subspaces is None
 
@@ -514,7 +514,7 @@ def test_mixed_checks_reject_empty_targets(d):
     with pytest.raises(ValueError, match="d must be >= 1"):
         search_mixed_nonzero(rho, 2, 2, d)
     with pytest.raises(ValueError, match="d must be >= 1"):
-        check_mixed_nonzero(rho, 2, 2, d, SubspaceIsometry.full(2), SubspaceIsometry.full(2))
+        check_mixed_nonzero(rho, 2, 2, d, SubspaceIsometry(np.eye(2)), SubspaceIsometry(np.eye(2)))
 
 
 @pytest.mark.parametrize("d", [0, -1])

@@ -243,16 +243,10 @@ def test_basis_subspace_rejects_repeated_indices():
 
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_full_subspace_is_a_read_only_complex_identity(d):
-    iso = SubspaceIsometry.full(d)
+    iso = SubspaceIsometry(np.eye(d))
     assert iso.columns.dtype == complex
     np.testing.assert_array_equal(iso.columns, np.eye(d))
     assert not iso.columns.flags.writeable
     with pytest.raises(ValueError):
         iso.columns[0, 0] = 2
     assert iso.ambient_dim == iso.sub_dim == d
-
-
-@pytest.mark.parametrize("d", [0, -1])
-def test_full_subspace_rejects_empty_dimensions(d):
-    with pytest.raises(ValueError, match="invalid subspace shape"):
-        SubspaceIsometry.full(d)

@@ -122,7 +122,7 @@ def test_profile_matches_per_ket_evaluation():
     # every ket drawn from one generator, in the order of one-by-one draws
     rng = np.random.default_rng(26)
     omega = rand_complex(rng, (4 * 3, 3 * 2))
-    v1, v2 = SubspaceIsometry.full(3), random_subspace(rng, 4, 3)
+    v1, v2 = SubspaceIsometry(np.eye(3)), random_subspace(rng, 4, 3)
     prof = probability_profile(omega, v1, v2, 2, 3, samples=20, seed=9)
     draws = np.random.default_rng(9)
     restricted = restrict_by_kron(omega, v1.columns, v2.columns, 2, 3)
@@ -295,7 +295,7 @@ def test_uuqc_names_unitaries_1e6_apart_as_mismatched():
 
 def _non_certifying_channels():
     rng = np.random.default_rng(25)
-    full2 = SubspaceIsometry.full(2)
+    full2 = SubspaceIsometry(np.eye(2))
     mismatched = KrausChannel((np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, 1j])))
     yield mismatched, full2, full2, 1, 1
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -585,8 +585,8 @@ def test_certificate_memo_misses_on_any_other_key():
         ((ch, v1, v2, 2, 3), (ch, SubspaceIsometry(v1.columns), v2, 2, 3)),
         ((ch, v1, v2, 2, 3), (ch, v1, SubspaceIsometry(v2.columns), 2, 3)),
         ((ch, v1, v2, 2, 3), (ch, v1, v2, 2, 3, 1e-7)),
-        ((full, None, None, 2, 2), (full, SubspaceIsometry.full(2), None, 2, 2)),
-        ((full, None, None, 2, 2), (full, None, SubspaceIsometry.full(2), 2, 2)),
+        ((full, None, None, 2, 2), (full, SubspaceIsometry(np.eye(2)), None, 2, 2)),
+        ((full, None, None, 2, 2), (full, None, SubspaceIsometry(np.eye(2)), 2, 2)),
         ((full, None, None, 2, 2), (full, None, None, 1, 1)),
     ]
     for first, second in pairs:
@@ -600,7 +600,7 @@ def test_certificate_memo_misses_on_any_other_key():
         with pytest.raises(ValueError, match="subspace dimensions differ"):
             certify_uuqc(full, None, None, *legs)
     # Nor does a collected subspace stand for an omitted one.
-    certify_uuqc(full, SubspaceIsometry.full(2), None, 2, 2)
+    certify_uuqc(full, SubspaceIsometry(np.eye(2)), None, 2, 2)
     gc.collect()
     with mock.patch.object(unambiguous, "_certify_uuqc", wraps=unambiguous._certify_uuqc) as spy:
         certify_uuqc(full, None, None, 2, 2)
@@ -702,11 +702,23 @@ def test_extend_applied_to_entangled_input():
 
 def test_dimension_errors():
     with pytest.raises(ValueError):
-        certify_uum(np.eye(4), SubspaceIsometry.full(3), SubspaceIsometry.full(4))
+        certify_uum(np.eye(4), SubspaceIsometry(np.eye(3)), SubspaceIsometry(np.eye(4)))
     with pytest.raises(ValueError):
-        certify_uum(np.eye(4), SubspaceIsometry.full(4), SubspaceIsometry.full(3))
+        certify_uum(np.eye(4), SubspaceIsometry(np.eye(4)), SubspaceIsometry(np.eye(3)))
     with pytest.raises(ValueError):
-        restrict_operator(np.eye(4), SubspaceIsometry.full(2), SubspaceIsometry.full(2), 3, 2)
+        restrict_operator(np.eye(4), SubspaceIsometry(np.eye(2)), SubspaceIsometry(np.eye(2)), 3, 2)
+
+
+def test_omitted_subspaces_reject_empty_system_spaces():
+    # Environment legs larger than the operator leave a system space of dimension 0.
+    ch = KrausChannel((np.eye(2),))
+    for call in (lambda: certify_uum(np.eye(2), None, None, 4, 1), lambda: certify_uuqc(ch, None, None, 1, 4),
+                 lambda: refine(ch, None, None, 4, 4), lambda: uuqc_to_ues(ch, None, None, 4, 1),
+                 lambda: probability_profile(np.eye(2), None, None, 1, 4)):
+        with pytest.raises(ValueError, match=r"invalid subspace shape \(0, 0\)"):
+            call()
+    with pytest.raises(ValueError, match=r"invalid subspace shape \(0, 0\)"):
+        SubspaceIsometry(np.eye(0))
 
 
 @given(
@@ -720,7 +732,7 @@ def test_dimension_errors():
 def test_omitted_subspaces_certify_as_the_full_spaces(seed, d, env, k, omitted, zeros):
     # Bit for bit, also on exact zeros of either sign, whose sign the SVDs read.
     rng = np.random.default_rng(seed)
-    (env_in, env_out), full = env, SubspaceIsometry.full(d)
+    (env_in, env_out), full = env, SubspaceIsometry(np.eye(d))
     given_sub = random_subspace(rng, d + 1, d)
     v1 = None if omitted != "v2" else given_sub
     v2 = None if omitted != "v1" else given_sub
@@ -731,9 +743,25 @@ def test_omitted_subspaces_certify_as_the_full_spaces(seed, d, env, k, omitted, 
         stack.imag *= rng.uniform(size=stack.shape) < 0.5
         stack *= rng.choice([-1.0, 1.0], size=stack.shape)
     ch = KrausChannel(stack)
-    with mock.patch.object(SubspaceIsometry, "full", side_effect=AssertionError("built a full subspace")):
+    # A certified channel for refine: a Haar unitary, or with zeros a signed
+    # permutation times phases, and environment factors with signed zeros.
+    thetas = rand_complex(rng, (k, env_out, env_in))
+    if zeros:
+        thetas.real *= rng.uniform(size=thetas.shape) < 0.5
+        thetas *= rng.choice([-1.0, 1.0], size=thetas.shape)
+        embedded = np.eye(d)[rng.permutation(d)] * rng.choice([1, -1, 1j, -1j], size=d)
+    else:
+        embedded = random_unitary(d, rng)
+    thetas[:, 0, 0] += 1.0
+    if v1 is not None:
+        embedded = embedded @ v1.columns.conj().T
+    if v2 is not None:
+        embedded = v2.columns @ embedded
+    certified = KrausChannel([tensor_product(embedded, t / np.linalg.norm(t) / k) for t in thetas])
+    with mock.patch.object(SubspaceIsometry, "__post_init__", side_effect=AssertionError("built a subspace")):
         got = certify_uuqc(ch, v1, v2, env_in, env_out)
         got_uum = certify_uum(stack[0], v1, v2, env_in, env_out)
+        got_refined = refine(certified, v1, v2, env_in, env_out)
     w1, w2 = (full if v is None else v for v in (v1, v2))
     want = unambiguous._certify_uuqc(ch, w1, w2, env_in, env_out, DEFAULT_TOL)
     want_uum = certify_uum(stack[0], w1, w2, env_in, env_out)
@@ -741,6 +769,14 @@ def test_omitted_subspaces_certify_as_the_full_spaces(seed, d, env, k, omitted, 
         for field, value in vars(b).items():
             if field != "per_element":
                 assert np.asarray(getattr(a, field)).tobytes() == np.asarray(value).tobytes(), field
+    want_refined = refine(certified, w1, w2, env_in, env_out).stack
+    if zeros:
+        # An exact zero of the certified unitary takes its sign in the identity
+        # product from the BLAS kernel, so these compare by value.
+        np.testing.assert_array_equal(got_refined.stack, want_refined)
+    else:
+        # Bit for bit, the signed zeros of the environment parts included.
+        assert got_refined.stack.tobytes() == want_refined.tobytes()
 
 
 def _unit(m, *against):

@@ -19,9 +19,15 @@ each side, the median and interquartile range in milliseconds over all
 rounds; and the paired ratio, the after side's median in a round over the
 before side's median in the same round: its median over rounds is the
 headline (``paired_ratio_median``), with its quartiles
-(``paired_ratio_quartiles``); plus a machine note.  The ratio of the two
-sides' medians pooled over all rounds is not reported, since host drift
-between rounds can move it away from every per-round ratio.
+(``paired_ratio_quartiles``) and a seeded bootstrap 95% interval of that
+median (``paired_ratio_interval``, ``BOOTSTRAP`` resamples of the rounds);
+a case whose interval contains 1 reads "no change", otherwise "faster" or
+"slower" (``reads``).  The document also holds the median width of the
+intervals over all cases (``median_interval_width``) and a machine note.
+The ratio of the two sides' medians pooled over all rounds is not reported,
+since host drift between rounds can move it away from every per-round ratio.
+With the same tree on both sides (an A/A run) about 95% of the intervals
+contain 1, and their median width is the resolution of a run.
 
 The cases:
 
@@ -70,14 +76,15 @@ The cases:
   and the ``probability then certainty`` chain, all on fresh copies as
   above (the memos hit only within one chain);
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
-  (6 x 48 x 48), and ``channel_to_doc`` plus ``dump_json`` of its
+  (6 x 48 x 48), ``refine`` of that channel with its subspaces omitted, as
+  the ``cli`` workload's ``refine`` job runs it (a fresh shallow copy per
+  call, as above), and ``channel_to_doc`` plus ``dump_json`` of its
   refinement (16 x 48 x 48), the ``refine`` report's payload;
 - ``simulate`` of the optimal dense-coding protocol at D = 8 with every
   ``SIMULATE_TRIALS`` count (10^6 is the ``cli`` workload's ``dense-code``
   job), and
   ``verify_protocol_bound`` of the optimal protocol with its optimal
   receiver at every ``VERIFY_D`` rank (D = 8 on that same protocol);
-- ``SubspaceIsometry.full`` at every ``FULL_DIMS`` dimension;
 - ``conversion_probability`` at every ``CONVERSION_DIMS`` ``(d, rank)``,
   on a random spectrum of that rank, and
   ``unambiguous_correction_probability`` on pure noise, one random operator
@@ -92,6 +99,7 @@ import argparse
 import copy
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -104,6 +112,9 @@ REPEATS = 15
 # when they built the 1024 x 1024 Choi matrix, and of Shor's code, whose
 # kl_check took about 1.1 s when it multiplied four matrices per pair.
 LARGE_REPEATS = 3
+# Resamples of the rounds behind each paired_ratio_interval, from a fixed seed.
+BOOTSTRAP = 2000
+BOOTSTRAP_SEED = 8
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
@@ -117,7 +128,6 @@ STACK_SHAPES = [(64, 8, 8), (16, 64, 64)]
 SWEEP_DIMS = [(3, 4), (4, 4)]
 TELEPORT_DIMS = [2, 4, 8]
 VERIFY_D = [2, 4, 8]
-FULL_DIMS = [2, 8, 64]
 CONVERSION_DIMS = [(2, 3), (4, 5), (8, 9)]
 SIMULATE_TRIALS = [10**4, 10**5, 10**6]
 
@@ -331,8 +341,10 @@ def _cases():
     doc = json.loads(json.dumps(formats.channel_to_doc(large)))
     cases.append(("doc_to_channel", "formats", {"K": k, "out_dim": d * e, "in_dim": d * e},
                   lambda doc=doc: formats.doc_to_channel(doc), REPEATS))
-    full = uuqc.SubspaceIsometry.full(d)
-    refined = uuqc.refine(large, full, full, e, e)
+    dims = {"d": d, "env_in": e, "env_out": e, "K": k, "subspaces": "omitted"}
+    cases.append(("refine", "unambiguous", dims,
+                  lambda ch=large, e=e: uuqc.refine(copy.copy(ch), None, None, e, e), REPEATS))
+    refined = uuqc.refine(large, None, None, e, e)
     cases.append(("dump_json(channel_to_doc)", "formats",
                   {"K": len(refined.stack), "out_dim": d * e, "in_dim": d * e},
                   lambda ch=refined: formats.dump_json(formats.channel_to_doc(ch)), REPEATS))
@@ -354,10 +366,6 @@ def _cases():
         cases.append(("verify_protocol_bound", "densecode", {"D": D},
                       lambda s=states[D], p=prot, b=uuqc.optimal_receiver(prot):
                       uuqc.verify_protocol_bound(s, p.encoders, b), REPEATS))
-
-    for d in FULL_DIMS:
-        cases.append(("SubspaceIsometry.full", "linalg", {"d": d},
-                      lambda d=d: uuqc.SubspaceIsometry.full(d), REPEATS))
 
     # Vidal's optimum, from its own seed, so the inputs above stay put.
     vidal_rng = np.random.default_rng(16)
@@ -421,6 +429,15 @@ def _summary(times: list) -> dict:
             "quartiles_ms": [round(q1, 4), round(q3, 4)], "samples": len(times)}
 
 
+def paired_ratio_interval(ratios: list) -> list:
+    """Bootstrap 95% interval of the median of the per-round ``ratios``:
+    the 2.5th and 97.5th percentiles of the medians of ``BOOTSTRAP``
+    resamples of the rounds, drawn with replacement from ``BOOTSTRAP_SEED``."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP))
+    return [medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]]
+
+
 def machine_note() -> str:
     import numpy as np
 
@@ -471,9 +488,13 @@ def main(argv=None) -> int:
         # per-round ratio of their medians cancels drift between rounds.
         ratios = [statistics.median(a) / statistics.median(b) for a, b in zip(times["after"][i], times["before"][i])]
         q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        low, high = (round(r, 3) for r in paired_ratio_interval(ratios))
         entry["paired_ratio_median"] = round(median, 3)
         entry["paired_ratio_quartiles"] = [round(q1, 3), round(q3, 3)]
+        entry["paired_ratio_interval"] = [low, high]
+        entry["reads"] = "no change" if low <= 1.0 <= high else ("faster" if high < 1.0 else "slower")
         cases.append(entry)
+    widths = [high - low for low, high in (c["paired_ratio_interval"] for c in cases)]
     doc = {
         "tool": "tools/layer_timings.py",
         "method": (f"{ROUNDS} rounds, each with one fresh interpreter per side that builds the cases "
@@ -482,17 +503,21 @@ def main(argv=None) -> int:
                    "Shor's code) with time.perf_counter after one warm-up call; medians and "
                    "interquartile ranges over all rounds, in ms; paired_ratio_median (the headline) "
                    "and paired_ratio_quartiles are the median and quartiles over rounds of the "
-                   "after/before ratio of the two sides' per-round medians"),
+                   "after/before ratio of the two sides' per-round medians; paired_ratio_interval "
+                   f"is a bootstrap 95% interval of that median ({BOOTSTRAP} resamples of the rounds, "
+                   f"seed {BOOTSTRAP_SEED}), and a case whose interval contains 1 reads \"no change\""),
         "machine": machine_note(),
+        "median_interval_width": round(statistics.median(widths), 3),
         "cases": cases,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for c in cases:
-        q1, q3 = c["paired_ratio_quartiles"]
+        low, high = c["paired_ratio_interval"]
         print(f"{c['name']:34s} {json.dumps(c['dims']):70s} {c['before']['median_ms']:9.3f} -> "
-              f"{c['after']['median_ms']:9.3f} ms  x{c['paired_ratio_median']} [{q1}, {q3}]")
+              f"{c['after']['median_ms']:9.3f} ms  x{c['paired_ratio_median']} [{low}, {high}] {c['reads']}")
+    print(f"median interval width {doc['median_interval_width']}")
     return 0
 
 
