@@ -11,6 +11,7 @@ from uuqc.linalg import (
     svd,
     tensor_product,
 )
+from uuqc.unambiguous import _sub_dim
 
 from builders import rand_complex
 from oracles import kron_entry, partial_trace_sum, shift_clock_by_powers
@@ -250,3 +251,10 @@ def test_full_subspace_is_a_read_only_complex_identity(d):
     with pytest.raises(ValueError):
         iso.columns[0, 0] = 2
     assert iso.ambient_dim == iso.sub_dim == d
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_full_subspace_rejects_empty_dimensions(d):
+    # An omitted subspace stands for the full system space, which must not be empty.
+    with pytest.raises(ValueError, match=rf"invalid subspace shape \({d}, {d}\)"):
+        _sub_dim(None, d)
