@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import densecode, entanglement, qec, unambiguous
 from .formats import (
     FormatError,
     channel_to_doc,
@@ -29,6 +29,11 @@ from .formats import (
     dump_json,
 )
 from .linalg import DEFAULT_TOL, SubspaceIsometry
+
+# Each runner imports the library modules it calls, so a command loads only
+# what it runs; these two serve the annotations alone.
+if TYPE_CHECKING:
+    from . import densecode, unambiguous
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -135,6 +140,7 @@ def _parse_dims(text: str) -> tuple:
 
 
 def _parse_lambdas2(text: str, D: int | None = None) -> densecode.SharedState:
+    from . import densecode
     try:
         values = [float(x) for x in text.split(",")]
     except ValueError as exc:
@@ -178,6 +184,7 @@ def _uum_doc(cert: unambiguous.UumCertificate) -> dict:
 
 
 def _run_schmidt(args):
+    from . import entanglement
     psi = doc_to_ket(load_json(args.state, "state"), "state")
     dims = _parse_dims(args.dims)
     form = entanglement.schmidt(psi, dims[0], dims[1], args.tol)
@@ -193,6 +200,7 @@ def _run_schmidt(args):
 
 
 def _run_check_uum(args):
+    from . import unambiguous
     omega = doc_to_matrix(load_json(args.omega, "omega"), "omega")
     v1, v2 = _load_subspaces(args, omega.shape[1], omega.shape[0])
     cert = unambiguous.certify_uum(omega, v1, v2, args.env_in, args.env_out, args.tol)
@@ -204,6 +212,7 @@ def _run_check_uum(args):
 
 
 def _certified_channel(args) -> tuple:
+    from . import unambiguous
     ch = doc_to_channel(load_json(args.channel, "channel"), "channel")
     v1, v2 = _load_subspaces(args, ch.in_dim, ch.out_dim)
     return ch, v1, v2, unambiguous.certify_uuqc(ch, v1, v2, args.env_in, args.env_out, args.tol)
@@ -226,6 +235,7 @@ def _run_check_uuqc(args):
 
 
 def _run_refine(args):
+    from . import unambiguous
     ch, v1, v2, cert = _certified_channel(args)
     if not cert.is_uuqc:
         report = {
@@ -248,6 +258,7 @@ def _run_refine(args):
 
 
 def _run_to_ues(args):
+    from . import entanglement
     ch, v1, v2, cert = _certified_channel(args)
     if not cert.is_uuqc:
         report = {"command": "to-ues", "is_uuqc": False, "success_weight": None, "state": None}
@@ -258,6 +269,7 @@ def _run_to_ues(args):
 
 
 def _run_teleport(args):
+    from . import entanglement
     psi = doc_to_ket(load_json(args.state, "state"), "state")
     dims = _parse_dims(args.dims)
     cert = entanglement.teleport_probability_pure(psi, dims[0], dims[1], args.d)
@@ -270,6 +282,7 @@ def _run_teleport(args):
 
 
 def _run_kl_check(args):
+    from . import qec
     code = doc_to_code(load_json(args.code, "code"), "code")
     errors = doc_to_channel(load_json(args.errors, "errors"), "errors")
     report_obj = qec.kl_check(code, errors, args.tol)
@@ -285,6 +298,7 @@ def _run_kl_check(args):
 
 
 def _run_ec_prob(args):
+    from . import qec
     code = doc_to_code(load_json(args.code, "code"), "code")
     noise = doc_to_channel(load_json(args.noise, "noise"), "noise")
     prob, method = qec.unambiguous_correction_probability(code, noise, args.tol)
@@ -299,6 +313,7 @@ def _run_ec_prob(args):
 
 
 def _run_dense_code(args):
+    from . import densecode
     if args.D < 2:
         raise FormatError("dense coding needs D >= 2")
     state = _parse_lambdas2(args.lambdas2, args.D)
@@ -332,6 +347,7 @@ def _run_dense_code(args):
 
 
 def _run_verify_dc(args):
+    from . import densecode
     encoders = doc_to_channel(load_json(args.encoders, "encoders"), "encoders")
     bob = doc_to_matrix(load_json(args.bob, "bob"), "bob")
     state = _parse_lambdas2(args.lambdas2)

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import KrausChannel
-from .qec import CodeSpec
+
+if TYPE_CHECKING:
+    from .qec import CodeSpec
 
 __all__ = [
     "FormatError",
@@ -144,6 +147,7 @@ def code_to_doc(code: CodeSpec) -> dict:
 
 
 def doc_to_code(doc, field: str = "code") -> CodeSpec:
+    from .qec import CodeSpec
     if not isinstance(doc, dict):
         raise FormatError(f"{field}: expected an object")
     for key in ("logical_dim", "encoder"):

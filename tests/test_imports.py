@@ -1,18 +1,53 @@
-"""Every name a library module imports is used there, or its line says why not.
+"""Import contracts of the package.
 
-No linter ships with the project, so this is its unused-import check: a
-name imported in ``src/uuqc/*.py`` (``__init__.py`` re-exports, so it is
-left out) must be read somewhere in the module, unless the import's line
-carries ``# noqa``.
+- Every name a library module imports is used there, or its line says why
+  not.  No linter ships with the project, so this is its unused-import
+  check: a name imported in ``src/uuqc/*.py`` must be read somewhere in the
+  module, unless the import's line carries ``# noqa``.
+- ``uuqc`` is a lazy namespace: ``import uuqc`` loads no submodule, and each
+  exported name resolves, on first access, to the very object of its home
+  module.
+- ``python -m uuqc <cmd>`` loads only the modules that command runs, so a
+  stray top-level import cannot quietly bring back the start-up cost of the
+  others.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import uuqc
+from uuqc.channels import KrausChannel, maximally_entangled_ket
+from uuqc.formats import channel_to_doc, code_to_doc, dump_json, ket_to_doc
+from uuqc.qec import CodeSpec
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "uuqc"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
+
+# The public names of the package root, by home module.
+EXPORTS = {
+    "channels": ["KrausChannel", "PhysicalityReport", "apply", "choi_state", "compose", "identity_channel",
+                 "is_physical", "maximally_entangled_ket", "povm_of"],
+    "densecode": ["BoundReport", "DenseCodingProtocol", "SharedState", "SimulationResult", "capacity",
+                  "optimal_protocol", "optimal_receiver", "simulate", "verify_protocol_bound", "weyl_operators"],
+    "entanglement": ["SchmidtForm", "TeleportCertificate", "check_mixed_nonzero", "conversion_probability",
+                     "is_rank_d_ues", "schmidt", "search_mixed_nonzero", "teleport_probability_pure",
+                     "teleportation_parts", "ues_to_uuqc", "uuqc_to_ues"],
+    "linalg": ["DEFAULT_TOL", "FactoredPair", "SubspaceIsometry", "factor_as_tensor", "partial_trace",
+               "random_ket", "random_unitary", "shift_clock_unitaries", "svd", "tensor_product"],
+    "qec": ["CodeSpec", "CorrectionReport", "KlReport", "diagonalize_errors", "encoding_channel", "kl_check",
+            "meets_certainty_condition", "noise_choi_state", "standard_recovery",
+            "unambiguous_correction_probability", "verify_correction_uuqc"],
+    "unambiguous": ["UumCertificate", "UuqcCertificate", "certify_uum", "certify_uuqc", "extend_by_identity",
+                    "probability_profile", "refine", "restrict_operator"],
+}
 
 
 def _unused_imports(path: Path) -> list:
@@ -35,3 +70,92 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _fresh_modules(code: str, *argv: str) -> list:
+    """Run ``code`` in a fresh interpreter that imports ``uuqc`` from this
+    tree; return the JSON value its last stdout line prints."""
+    src = str(SRC.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_root_exports_todays_names():
+    assert len(uuqc.__all__) == len(set(uuqc.__all__)) == 59
+    assert set(uuqc.__all__) == {name for names in EXPORTS.values() for name in names}
+
+
+@pytest.mark.parametrize("module", EXPORTS)
+def test_names_resolve_to_their_home_objects(module):
+    home = importlib.import_module(f"uuqc.{module}")
+    assert uuqc.__getattr__(module) is home
+    assert getattr(uuqc, module) is home
+    for name in EXPORTS[module]:
+        assert uuqc.__getattr__(name) is getattr(home, name)
+        assert getattr(uuqc, name) is getattr(home, name)
+        # cached after the first access: later lookups are plain dict hits
+        assert vars(uuqc)[name] is getattr(home, name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from uuqc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(uuqc.__all__)
+    assert all(namespace[name] is getattr(uuqc, name) for name in uuqc.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'uuqc' has no attribute 'no_such_name'"):
+        uuqc.no_such_name
+    assert not hasattr(uuqc, "no_such_name")
+
+
+def test_dir_lists_names_and_submodules():
+    assert set(uuqc.__all__) | set(EXPORTS) | {"__version__"} <= set(dir(uuqc))
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    loaded = _fresh_modules("import json, sys, uuqc; print(json.dumps(sorted(sys.modules)))")
+    assert "uuqc" in loaded
+    assert [m for m in loaded if m.startswith("uuqc.") or m == "numpy"] == []
+
+
+# subcommand -> (modules it must load, modules it must not load)
+FOOTPRINTS = {
+    "schmidt": ({"uuqc.entanglement"}, {"uuqc.qec", "uuqc.densecode"}),
+    "check-uuqc": ({"uuqc.unambiguous"}, {"uuqc.qec", "uuqc.densecode", "uuqc.entanglement"}),
+    "dense-code": ({"uuqc.densecode"}, {"uuqc.qec", "uuqc.entanglement"}),
+    "kl-check": ({"uuqc.qec"}, {"uuqc.densecode"}),
+}
+
+
+def _tiny_argv(command: str, tmp_path) -> list:
+    def write(name, doc):
+        (tmp_path / name).write_text(dump_json(doc))
+        return str(tmp_path / name)
+
+    identity = write("identity.json", channel_to_doc(KrausChannel((np.eye(2, dtype=complex),))))
+    return {
+        "schmidt": [write("phi.json", ket_to_doc(maximally_entangled_ket(2))), "--dims", "2,2"],
+        "check-uuqc": [identity],
+        "dense-code": ["--D", "2", "--lambdas2", "0.5,0.5", "--trials", "10"],
+        "kl-check": [write("code.json", code_to_doc(CodeSpec(np.eye(2, dtype=complex)))), identity],
+    }[command]
+
+
+@pytest.mark.parametrize("command", FOOTPRINTS)
+def test_subcommand_loads_only_what_it_runs(command, tmp_path):
+    argv = [command, *_tiny_argv(command, tmp_path), "--out", str(tmp_path / "report.json")]
+    code, loaded = _fresh_modules(
+        "import json, sys\n"
+        "from uuqc.cli import dispatch\n"
+        "code = dispatch(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('uuqc.'))]))",
+        json.dumps(argv),
+    )
+    needed, excluded = FOOTPRINTS[command]
+    assert code == 0
+    assert needed <= set(loaded)
+    assert excluded.isdisjoint(loaded)

@@ -88,7 +88,15 @@ The cases:
 - ``conversion_probability`` at every ``CONVERSION_DIMS`` ``(d, rank)``,
   on a random spectrum of that rank, and
   ``unambiguous_correction_probability`` on pure noise, one random operator
-  on a random 8-dimensional code in C^16.
+  on a random 8-dimensional code in C^16;
+- ``cli <subcommand>``, end to end as a subprocess: one ``python -m uuqc``
+  child per call for each job of one round of the ``cli`` workload, its
+  documents written by ``wl_cli.build_round`` from ``CLI_SEED`` into a
+  temporary directory, and ``cli import uuqc.cli``, a fresh interpreter
+  that only imports the command line.  Each child imports ``uuqc`` from its
+  side's ``src`` (put first on ``PYTHONPATH``) and inherits the rest of the
+  environment, ``PYTHONDONTWRITEBYTECODE`` included, so start-up counts as
+  a user meets it.  A side times these ``CLI_REPEATS`` times per round.
 
 This is a measuring tool: it is neither a test nor part of the benchmark.
 """
@@ -103,6 +111,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 BLAS_THREADS = 1
@@ -130,6 +139,10 @@ TELEPORT_DIMS = [2, 4, 8]
 VERIFY_D = [2, 4, 8]
 CONVERSION_DIMS = [(2, 3), (4, 5), (8, 9)]
 SIMULATE_TRIALS = [10**4, 10**5, 10**6]
+# The subprocess cases: the seed of their cli workload round, and repeats
+# per round (each child takes about 0.15-0.3 s).
+CLI_SEED = 27
+CLI_REPEATS = 3
 
 
 def _witness_states() -> dict:
@@ -215,8 +228,9 @@ def _probability_then_certainty(uuqc, code, noise):
     return uuqc.unambiguous_correction_probability(code, noise), uuqc.meets_certainty_condition(code, noise)
 
 
-def _cases():
-    """``(name, layer, dims, call, repeats)`` for every timed case."""
+def _cases(workdir: str):
+    """``(name, layer, dims, call, repeats)`` for every timed case; the
+    subprocess cases write their documents under ``workdir``."""
     import numpy as np
 
     import uuqc
@@ -378,6 +392,32 @@ def _cases():
     noise = uuqc.KrausChannel((vidal_rng.standard_normal((16, 16)) / 8,))
     cases.append(("unambiguous_correction_probability", "qec", {"n_phys": 16, "d": 8, "K": 1, "noise": "pure"},
                   lambda: uuqc.unambiguous_correction_probability(*_fresh(code, noise)), REPEATS))
+    return cases + _cli_cases(os.path.dirname(os.path.dirname(uuqc.__file__)), workdir)
+
+
+def _cli_cases(src: str, workdir: str) -> list:
+    """A ``python -m uuqc`` child per job of one seeded ``cli`` workload
+    round, and a fresh ``import uuqc.cli``, each importing ``uuqc`` from ``src``."""
+    import numpy as np
+
+    import wl_cli
+
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def child(args):
+        code = subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode
+        # 0 and 3 are verdicts; 1 and 2 mean the documents or the tree are broken.
+        if code not in (0, 3):
+            raise RuntimeError(f"{' '.join(args[:3])} exited with {code}")
+        return code, None
+
+    rng = np.random.default_rng(CLI_SEED)
+    jobs = wl_cli.build_round(rng, workdir, "cli", lambda argv: child(["-m", "uuqc", *argv]))
+    cases = [(f"cli {job.kind}", "cli", {"seed": CLI_SEED, "job": i}, job.run, CLI_REPEATS)
+             for i, job in enumerate(jobs)]
+    cases.append(("cli import uuqc.cli", "cli", {}, lambda: child(["-c", "import uuqc.cli"]), CLI_REPEATS))
     return cases
 
 
@@ -397,17 +437,18 @@ def child(src: str) -> None:
     descriptions as one JSON line; then, for each case index read from
     standard input, time that case and print its times in ms as one line."""
     sys.path.insert(0, os.path.abspath(src))
-    cases = _cases()
-    _reply([{"name": name, "layer": layer, "dims": dims} for name, layer, dims, _, _ in cases])
-    for line in sys.stdin:
-        _, _, _, call, repeats = cases[int(line)]
-        call()
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        cases = _cases(workdir)
+        _reply([{"name": name, "layer": layer, "dims": dims} for name, layer, dims, _, _ in cases])
+        for line in sys.stdin:
+            _, _, _, call, repeats = cases[int(line)]
             call()
-            times.append((time.perf_counter() - start) * 1e3)
-        _reply(times)
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                call()
+                times.append((time.perf_counter() - start) * 1e3)
+            _reply(times)
 
 
 def _reply(obj) -> None:
@@ -500,7 +541,8 @@ def main(argv=None) -> int:
         "method": (f"{ROUNDS} rounds, each with one fresh interpreter per side that builds the cases "
                    "once; the sides take turns case by case, the first side switching with each case "
                    f"and round, and time a case {REPEATS} times ({LARGE_REPEATS} at 9 qubits and on "
-                   "Shor's code) with time.perf_counter after one warm-up call; medians and "
+                   f"Shor's code, {CLI_REPEATS} for the cli subprocess cases) with time.perf_counter "
+                   "after one warm-up call; medians and "
                    "interquartile ranges over all rounds, in ms; paired_ratio_median (the headline) "
                    "and paired_ratio_quartiles are the median and quartiles over rounds of the "
                    "after/before ratio of the two sides' per-round medians; paired_ratio_interval "
