@@ -421,11 +421,3 @@ def dispatch(argv) -> int:
         return EXIT_INVALID
     print(summary, file=sys.stderr)
     return code
-
-
-def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

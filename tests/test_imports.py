@@ -10,6 +10,10 @@
 - ``python -m uuqc <cmd>`` loads only the modules that command runs, so a
   stray top-level import cannot quietly bring back the start-up cost of the
   others.
+- ``uuqc.__main__.main`` is the one command-line entry point, and only it
+  switches off the cyclic garbage collector; ``python -m uuqc`` and the
+  script entry give the same report bytes, exit code and stderr as
+  ``uuqc.cli.dispatch``.
 """
 
 import ast
@@ -25,7 +29,9 @@ import pytest
 
 import uuqc
 from uuqc.channels import KrausChannel, maximally_entangled_ket
-from uuqc.formats import channel_to_doc, code_to_doc, dump_json, ket_to_doc
+from uuqc.cli import dispatch
+from uuqc.densecode import SharedState, optimal_protocol, optimal_receiver
+from uuqc.formats import channel_to_doc, code_to_doc, dump_json, ket_to_doc, matrix_to_doc
 from uuqc.qec import CodeSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "uuqc"
@@ -72,14 +78,18 @@ def test_every_imported_name_is_used(path):
     assert _unused_imports(path) == []
 
 
+def _child(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` that imports ``uuqc`` from this tree."""
+    src = str(SRC.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+                          **kwargs)
+
+
 def _fresh_modules(code: str, *argv: str) -> list:
     """Run ``code`` in a fresh interpreter that imports ``uuqc`` from this
     tree; return the JSON value its last stdout line prints."""
-    src = str(SRC.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env,
-                          timeout=120, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(_child("-c", code, *argv, check=True).stdout.splitlines()[-1])
 
 
 def test_root_exports_todays_names():
@@ -125,9 +135,15 @@ def test_import_loads_no_submodule_and_no_numpy():
 # subcommand -> (modules it must load, modules it must not load)
 FOOTPRINTS = {
     "schmidt": ({"uuqc.entanglement"}, {"uuqc.qec", "uuqc.densecode"}),
+    "check-uum": ({"uuqc.unambiguous"}, {"uuqc.qec", "uuqc.densecode", "uuqc.entanglement"}),
     "check-uuqc": ({"uuqc.unambiguous"}, {"uuqc.qec", "uuqc.densecode", "uuqc.entanglement"}),
-    "dense-code": ({"uuqc.densecode"}, {"uuqc.qec", "uuqc.entanglement"}),
+    "refine": ({"uuqc.unambiguous"}, {"uuqc.qec", "uuqc.densecode", "uuqc.entanglement"}),
+    "to-ues": ({"uuqc.entanglement"}, {"uuqc.qec", "uuqc.densecode"}),
+    "teleport": ({"uuqc.entanglement"}, {"uuqc.qec", "uuqc.densecode"}),
     "kl-check": ({"uuqc.qec"}, {"uuqc.densecode"}),
+    "ec-prob": ({"uuqc.qec"}, {"uuqc.densecode"}),
+    "dense-code": ({"uuqc.densecode"}, {"uuqc.qec", "uuqc.entanglement"}),
+    "verify-dc": ({"uuqc.densecode"}, {"uuqc.qec", "uuqc.entanglement"}),
 }
 
 
@@ -137,11 +153,21 @@ def _tiny_argv(command: str, tmp_path) -> list:
         return str(tmp_path / name)
 
     identity = write("identity.json", channel_to_doc(KrausChannel((np.eye(2, dtype=complex),))))
+    phi = [write("phi.json", ket_to_doc(maximally_entangled_ket(2))), "--dims", "2,2"]
+    code = write("code.json", code_to_doc(CodeSpec(np.eye(2, dtype=complex))))
+    protocol = optimal_protocol(SharedState.from_squares([0.5, 0.5]))
     return {
-        "schmidt": [write("phi.json", ket_to_doc(maximally_entangled_ket(2))), "--dims", "2,2"],
+        "schmidt": phi,
+        "check-uum": [write("omega.json", matrix_to_doc(np.eye(2, dtype=complex)))],
         "check-uuqc": [identity],
+        "refine": [identity],
+        "to-ues": [identity],
+        "teleport": [*phi, "--d", "2"],
+        "kl-check": [code, identity],
+        "ec-prob": [code, identity],
         "dense-code": ["--D", "2", "--lambdas2", "0.5,0.5", "--trials", "10"],
-        "kl-check": [write("code.json", code_to_doc(CodeSpec(np.eye(2, dtype=complex)))), identity],
+        "verify-dc": [write("encoders.json", channel_to_doc(KrausChannel(protocol.encoders))),
+                      write("bob.json", matrix_to_doc(optimal_receiver(protocol))), "--lambdas2", "0.5,0.5"],
     }[command]
 
 
@@ -159,3 +185,59 @@ def test_subcommand_loads_only_what_it_runs(command, tmp_path):
     assert code == 0
     assert needed <= set(loaded)
     assert excluded.isdisjoint(loaded)
+
+
+def _dispatched(capsys, argv: list, out) -> tuple:
+    """Exit code, stderr and report bytes of an in-process ``dispatch``."""
+    code = dispatch([*argv, "--out", str(out)])
+    return code, capsys.readouterr().err, out.read_bytes()
+
+
+@pytest.mark.parametrize("command", FOOTPRINTS)
+def test_python_m_uuqc_matches_dispatch(command, capsys, tmp_path):
+    argv = [command, *_tiny_argv(command, tmp_path)]
+    expected = _dispatched(capsys, argv, tmp_path / "dispatch.json")
+    proc = _child("-m", "uuqc", *argv, "--out", str(tmp_path / "child.json"))
+    assert proc.stdout == ""
+    assert (proc.returncode, proc.stderr, (tmp_path / "child.json").read_bytes()) == expected
+    assert expected[0] == 0 and len(expected[1].splitlines()) == 1
+
+
+def test_script_entry_matches_dispatch(capsys, tmp_path):
+    # the installed ``uuqc`` script calls ``uuqc.__main__:main``; it leaves
+    # the collector off and the heap frozen for the interpreter's exit
+    argv = ["check-uuqc", *_tiny_argv("check-uuqc", tmp_path)]
+    expected = _dispatched(capsys, argv, tmp_path / "dispatch.json")
+    proc = _child("-c",
+                  "import atexit, gc, json, sys\n"
+                  "atexit.register(lambda: print(json.dumps([gc.isenabled(), gc.get_freeze_count() > 0])))\n"
+                  "sys.argv = ['uuqc', *json.loads(sys.argv[1])]\n"
+                  "from uuqc.__main__ import main\n"
+                  "main()",
+                  json.dumps([*argv, "--out", str(tmp_path / "child.json")]))
+    assert (proc.returncode, proc.stderr, (tmp_path / "child.json").read_bytes()) == expected
+    assert json.loads(proc.stdout) == [False, True]
+
+
+def test_library_leaves_the_collector_alone(tmp_path):
+    # only ``main`` switches the collector off; importing the package, the
+    # command line or its entry module, and an in-process ``dispatch``, do not
+    argv = ["check-uuqc", *_tiny_argv("check-uuqc", tmp_path), "--out", str(tmp_path / "report.json")]
+    states = _fresh_modules(
+        "import gc, json, sys\n"
+        "states = []\n"
+        "def note():\n"
+        "    states.append([gc.isenabled(), gc.get_freeze_count()])\n"
+        "import uuqc; note()\n"
+        "import uuqc.cli; note()\n"
+        "import uuqc.__main__; note()\n"
+        "code = uuqc.cli.dispatch(json.loads(sys.argv[1])); note()\n"
+        "print(json.dumps([code, states]))",
+        json.dumps(argv),
+    )
+    assert states == [0, [[True, 0]] * 4]
+
+
+def test_importing_the_entry_module_runs_nothing():
+    proc = _child("-c", "import uuqc.__main__")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

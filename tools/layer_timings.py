@@ -8,26 +8,36 @@ against (``git clone`` or ``git archive``) in ``PARENT``:
 
 Each round starts one interpreter per side that imports ``uuqc`` from the
 given ``src`` directory, with one BLAS thread, builds every case once and
-then times one case on request.  The two sides take turns case by case, the
-side that goes first switching from one case to the next and from one round
-to the next, so host drift over seconds to minutes falls on both alike.
-There are ``ROUNDS`` rounds; a side times a case ``REPEATS`` times
-(``LARGE_REPEATS`` at 9 qubits) with ``time.perf_counter`` after one
-warm-up call.  Inputs come from fixed seeds, so both sides time the same
-work.  The output lists, for each case, its name, layer and dims; for
+then times one call of a case on request.  Per case, each side makes one
+warm-up call, and then the two sides take turns call by call (``ABBA...``),
+the side that goes first switching from one case to the next and from one
+round to the next, so host drift over milliseconds to minutes falls on both
+alike.  There are ``ROUNDS`` rounds; a side times a case ``REPEATS`` times
+(``LARGE_REPEATS`` at 9 qubits) with ``time.perf_counter``.  Inputs come
+from fixed seeds, so both sides time the same work.  The output lists, for each case, its name, layer and dims; for
 each side, the median and interquartile range in milliseconds over all
 rounds; and the paired ratio, the after side's median in a round over the
 before side's median in the same round: its median over rounds is the
 headline (``paired_ratio_median``), with its quartiles
-(``paired_ratio_quartiles``) and a seeded bootstrap 95% interval of that
-median (``paired_ratio_interval``, ``BOOTSTRAP`` resamples of the rounds);
-a case whose interval contains 1 reads "no change", otherwise "faster" or
-"slower" (``reads``).  The document also holds the median width of the
-intervals over all cases (``median_interval_width``) and a machine note.
-The ratio of the two sides' medians pooled over all rounds is not reported,
-since host drift between rounds can move it away from every per-round ratio.
-With the same tree on both sides (an A/A run) about 95% of the intervals
-contain 1, and their median width is the resolution of a run.
+(``paired_ratio_quartiles``) and a family-wise interval of that median
+(``paired_ratio_interval``); a case whose interval contains 1 reads "no
+change", otherwise "faster" or "slower" (``reads``).
+
+The interval is family-wise over the ``m`` cases: each case's interval has
+level ``1 - FAMILY_ALPHA / m`` (Bonferroni), so with the same tree on both
+sides (an A/A run) all ``m`` cases read "no change" with probability at
+least ``1 - FAMILY_ALPHA``.  It is the sign test's interval of a median,
+the ``k``-th smallest and ``k``-th largest of the ``ROUNDS`` ratios for the
+largest ``k`` whose binomial coverage reaches that level; it holds for any
+continuous distribution of the ratios and needs no resampling.  (A
+bootstrap of the median cannot resolve a tail of about 0.015% from ten
+rounds: the interval then ends at the one or two extreme rounds.)
+``ROUNDS`` = 18 gives ``k`` = 2 for up to 344 cases, so one outlying round
+alone cannot turn a reading.  The document also holds the level
+(``interval_level``), the median width of the intervals over all cases
+(``median_interval_width``) and a machine note.  The ratio of the two
+sides' medians pooled over all rounds is not reported, since host drift
+between rounds can move it away from every per-round ratio.
 
 The cases:
 
@@ -92,8 +102,9 @@ The cases:
 - ``cli <subcommand>``, end to end as a subprocess: one ``python -m uuqc``
   child per call for each job of one round of the ``cli`` workload, its
   documents written by ``wl_cli.build_round`` from ``CLI_SEED`` into a
-  temporary directory, and ``cli import uuqc.cli``, a fresh interpreter
-  that only imports the command line.  Each child imports ``uuqc`` from its
+  temporary directory; ``cli --help``, the start-up and exit that every
+  command pays; and ``cli import uuqc.cli``, a fresh interpreter that only
+  imports the command line.  Each child imports ``uuqc`` from its
   side's ``src`` (put first on ``PYTHONPATH``) and inherits the rest of the
   environment, ``PYTHONDONTWRITEBYTECODE`` included, so start-up counts as
   a user meets it.  A side times these ``CLI_REPEATS`` times per round.
@@ -106,8 +117,8 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
-import random
 import statistics
 import subprocess
 import sys
@@ -115,15 +126,14 @@ import tempfile
 import time
 
 BLAS_THREADS = 1
-ROUNDS = 10
+ROUNDS = 18
 REPEATS = 15
 # Repeats per round of the 9-qubit cases, which took about 0.5 s per call
 # when they built the 1024 x 1024 Choi matrix, and of Shor's code, whose
 # kl_check took about 1.1 s when it multiplied four matrices per pair.
 LARGE_REPEATS = 3
-# Resamples of the rounds behind each paired_ratio_interval, from a fixed seed.
-BOOTSTRAP = 2000
-BOOTSTRAP_SEED = 8
+# The chance that an A/A run reads any case as a change, at most.
+FAMILY_ALPHA = 0.05
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
@@ -140,9 +150,10 @@ VERIFY_D = [2, 4, 8]
 CONVERSION_DIMS = [(2, 3), (4, 5), (8, 9)]
 SIMULATE_TRIALS = [10**4, 10**5, 10**6]
 # The subprocess cases: the seed of their cli workload round, and repeats
-# per round (each child takes about 0.15-0.3 s).
+# per round (each child takes about 0.15-0.3 s, with an interquartile range
+# of about 30% on a shared 2-core host).
 CLI_SEED = 27
-CLI_REPEATS = 3
+CLI_REPEATS = 7
 
 
 def _witness_states() -> dict:
@@ -397,7 +408,8 @@ def _cases(workdir: str):
 
 def _cli_cases(src: str, workdir: str) -> list:
     """A ``python -m uuqc`` child per job of one seeded ``cli`` workload
-    round, and a fresh ``import uuqc.cli``, each importing ``uuqc`` from ``src``."""
+    round, ``python -m uuqc --help`` and a fresh ``import uuqc.cli``, each
+    importing ``uuqc`` from ``src``."""
     import numpy as np
 
     import wl_cli
@@ -417,6 +429,7 @@ def _cli_cases(src: str, workdir: str) -> list:
     jobs = wl_cli.build_round(rng, workdir, "cli", lambda argv: child(["-m", "uuqc", *argv]))
     cases = [(f"cli {job.kind}", "cli", {"seed": CLI_SEED, "job": i}, job.run, CLI_REPEATS)
              for i, job in enumerate(jobs)]
+    cases.append(("cli --help", "cli", {}, lambda: child(["-m", "uuqc", "--help"]), CLI_REPEATS))
     cases.append(("cli import uuqc.cli", "cli", {}, lambda: child(["-c", "import uuqc.cli"]), CLI_REPEATS))
     return cases
 
@@ -435,25 +448,29 @@ def _ec_prob_cases(uuqc, code, noise, dims, repeats):
 def child(src: str) -> None:
     """Build every case with the ``uuqc`` found in ``src`` and print their
     descriptions as one JSON line; then, for each case index read from
-    standard input, time that case and print its times in ms as one line."""
+    standard input, call that case once and print its time in ms as one line."""
     sys.path.insert(0, os.path.abspath(src))
     with tempfile.TemporaryDirectory() as workdir:
         cases = _cases(workdir)
-        _reply([{"name": name, "layer": layer, "dims": dims} for name, layer, dims, _, _ in cases])
+        _reply([{"name": name, "layer": layer, "dims": dims, "repeats": repeats}
+                for name, layer, dims, _, repeats in cases])
         for line in sys.stdin:
-            _, _, _, call, repeats = cases[int(line)]
+            call = cases[int(line)][3]
+            start = time.perf_counter()
             call()
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                call()
-                times.append((time.perf_counter() - start) * 1e3)
-            _reply(times)
+            _reply((time.perf_counter() - start) * 1e3)
 
 
 def _reply(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
     sys.stdout.flush()
+
+
+def _timed_call(proc, i: int) -> float:
+    """Time of one call of case ``i`` in a child, in ms."""
+    proc.stdin.write(f"{i}\n")
+    proc.stdin.flush()
+    return _next_reply(proc)
 
 
 def _next_reply(proc):
@@ -470,13 +487,24 @@ def _summary(times: list) -> dict:
             "quartiles_ms": [round(q1, 4), round(q3, 4)], "samples": len(times)}
 
 
-def paired_ratio_interval(ratios: list) -> list:
-    """Bootstrap 95% interval of the median of the per-round ``ratios``:
-    the 2.5th and 97.5th percentiles of the medians of ``BOOTSTRAP``
-    resamples of the rounds, drawn with replacement from ``BOOTSTRAP_SEED``."""
-    rng = random.Random(BOOTSTRAP_SEED)
-    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP))
-    return [medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]]
+def sign_test_rank(n: int, alpha: float) -> tuple:
+    """``(k, level)``: the largest ``k`` for which the ``k``-th smallest and
+    ``k``-th largest of ``n`` independent draws bracket their median with
+    probability ``level >= 1 - alpha``, that is ``2 P(Bin(n, 1/2) < k) <= alpha``."""
+    def miss(k):
+        return 2 * sum(math.comb(n, i) for i in range(k)) / 2**n
+
+    k = max((k for k in range(1, n // 2 + 1) if miss(k) <= alpha), default=0)
+    if not k:
+        raise ValueError(f"{n} rounds give no interval at level {1 - alpha:.6g}; raise ROUNDS")
+    return k, 1 - miss(k)
+
+
+def paired_ratio_interval(ratios: list, k: int) -> list:
+    """The sign test's interval of the median of the per-round ``ratios``:
+    their ``k``-th smallest and ``k``-th largest values."""
+    ranked = sorted(ratios)
+    return [ranked[k - 1], ranked[-k]]
 
 
 def machine_note() -> str:
@@ -510,11 +538,16 @@ def main(argv=None) -> int:
             described = [_next_reply(proc) for proc in procs.values()][0]
             if times is None:
                 times = {side: [[] for _ in described] for side in sides}
-            for i in range(len(described)):
-                for side in (("before", "after") if (r + i) % 2 == 0 else ("after", "before")):
-                    procs[side].stdin.write(f"{i}\n")
-                    procs[side].stdin.flush()
-                    times[side][i].append(_next_reply(procs[side]))
+                # raises before any timing when ROUNDS is too few for the cases
+                rank, level = sign_test_rank(ROUNDS, FAMILY_ALPHA / len(described))
+            for i, case in enumerate(described):
+                order = ("before", "after") if (r + i) % 2 == 0 else ("after", "before")
+                for side in order:
+                    _timed_call(procs[side], i)  # warm-up
+                    times[side][i].append([])
+                for j in range(case["repeats"]):
+                    for side in order[::1 if j % 2 == 0 else -1]:
+                        times[side][i][-1].append(_timed_call(procs[side], i))
         finally:
             for proc in procs.values():
                 proc.stdin.close()
@@ -529,7 +562,7 @@ def main(argv=None) -> int:
         # per-round ratio of their medians cancels drift between rounds.
         ratios = [statistics.median(a) / statistics.median(b) for a, b in zip(times["after"][i], times["before"][i])]
         q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-        low, high = (round(r, 3) for r in paired_ratio_interval(ratios))
+        low, high = (round(r, 3) for r in paired_ratio_interval(ratios, rank))
         entry["paired_ratio_median"] = round(median, 3)
         entry["paired_ratio_quartiles"] = [round(q1, 3), round(q3, 3)]
         entry["paired_ratio_interval"] = [low, high]
@@ -539,15 +572,19 @@ def main(argv=None) -> int:
     doc = {
         "tool": "tools/layer_timings.py",
         "method": (f"{ROUNDS} rounds, each with one fresh interpreter per side that builds the cases "
-                   "once; the sides take turns case by case, the first side switching with each case "
-                   f"and round, and time a case {REPEATS} times ({LARGE_REPEATS} at 9 qubits and on "
-                   f"Shor's code, {CLI_REPEATS} for the cli subprocess cases) with time.perf_counter "
-                   "after one warm-up call; medians and "
-                   "interquartile ranges over all rounds, in ms; paired_ratio_median (the headline) "
+                   "once; per case each side makes one warm-up call, then the sides take turns call by "
+                   "call (ABBA...), the first side switching with each case and round, and time a case "
+                   f"{REPEATS} times ({LARGE_REPEATS} at 9 qubits and on "
+                   f"Shor's code, {CLI_REPEATS} for the cli subprocess cases) with time.perf_counter; "
+                   "medians and interquartile ranges over all rounds, in ms; paired_ratio_median (the headline) "
                    "and paired_ratio_quartiles are the median and quartiles over rounds of the "
                    "after/before ratio of the two sides' per-round medians; paired_ratio_interval "
-                   f"is a bootstrap 95% interval of that median ({BOOTSTRAP} resamples of the rounds, "
-                   f"seed {BOOTSTRAP_SEED}), and a case whose interval contains 1 reads \"no change\""),
+                   f"is the sign test's interval of that median, the k-th smallest and largest of "
+                   f"the {ROUNDS} per-round ratios with k = {rank}, at level >= 1 - {FAMILY_ALPHA}/{len(cases)} "
+                   f"(Bonferroni over the {len(cases)} cases, so an A/A run reads any case as a "
+                   f"change with probability <= {FAMILY_ALPHA}), and a case whose interval contains "
+                   "1 reads \"no change\""),
+        "interval_level": round(level, 6),
         "machine": machine_note(),
         "median_interval_width": round(statistics.median(widths), 3),
         "cases": cases,
@@ -559,7 +596,7 @@ def main(argv=None) -> int:
         low, high = c["paired_ratio_interval"]
         print(f"{c['name']:34s} {json.dumps(c['dims']):70s} {c['before']['median_ms']:9.3f} -> "
               f"{c['after']['median_ms']:9.3f} ms  x{c['paired_ratio_median']} [{low}, {high}] {c['reads']}")
-    print(f"median interval width {doc['median_interval_width']}")
+    print(f"interval level {doc['interval_level']}, median interval width {doc['median_interval_width']}")
     return 0
 
 
