@@ -388,6 +388,9 @@ _RUNNERS = {
 def _emit(report: dict, out_path: str | None):
     text = dump_json(report)
     if out_path is None:
+        # Python sets sys.stdout to None when it starts with file descriptor 1 closed.
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:

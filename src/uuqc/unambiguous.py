@@ -96,71 +96,53 @@ def _check_env_dims(env_in: int, env_out: int):
         raise ValueError("environment dimensions must be >= 1")
 
 
-def _subspace_dim(v1, v2, shape, env_in: int, env_out: int) -> int:
-    """The subspace dimension ``d`` that ``v1`` and ``v2`` share, an omitted
-    one standing for the full system space of operators of shape
-    ``(out, in)``."""
+def _subspace_columns(v1, v2, shape, env_in: int, env_out: int) -> tuple:
+    """The column arrays of ``v1`` and ``v2``, which must span subspaces of
+    one dimension, for operators of shape ``(out, in)``; an omitted one is
+    the identity on the full system space."""
     _check_env_dims(env_in, env_out)
-    d1 = _sub_dim(v1, shape[-1] // env_in)
-    d2 = _sub_dim(v2, shape[-2] // env_out)
+    cols = []
+    for v, full in ((v1, shape[-1] // env_in), (v2, shape[-2] // env_out)):
+        if v is None and full < 1:
+            raise ValueError(f"invalid subspace shape ({full}, {full})")
+        cols.append(np.eye(full, dtype=complex) if v is None else v.columns)
+    d1, d2 = (c.shape[1] for c in cols)
     if d1 != d2:
         raise ValueError(f"subspace dimensions differ: {d1} vs {d2}")
-    return d1
-
-
-def _sub_dim(v: SubspaceIsometry | None, full: int) -> int:
-    if v is not None:
-        return v.sub_dim
-    if full < 1:
-        raise ValueError(f"invalid subspace shape ({full}, {full})")
-    return full
+    return tuple(cols)
 
 
 def restrict_operator(
     omega: np.ndarray,
-    v1: SubspaceIsometry,
-    v2: SubspaceIsometry,
+    v1: SubspaceIsometry | None,
+    v2: SubspaceIsometry | None,
     env_in: int = 1,
     env_out: int = 1,
 ) -> np.ndarray:
     """Compress the system legs of ``omega`` onto the chosen subspaces.
 
     Returns ``(V2^dag (x) I) omega (V1 (x) I)`` of shape
-    ``(d * env_out, d * env_in)``.  A stack of operators (leading batch
-    axes, such as ``KrausChannel.stack``) is compressed in one pass.
+    ``(d * env_out, d * env_in)``; an omitted ``v1`` or ``v2`` (``None``)
+    is the full system space.  A stack of operators (leading batch axes,
+    such as ``KrausChannel.stack``) is compressed in one pass.
     """
     omega = np.asarray(omega, dtype=complex)
-    _check_env_dims(env_in, env_out)
-    return _restrict(omega, v1, v2, env_in, env_out)
+    return _restrict(omega, *_subspace_columns(v1, v2, omega.shape, env_in, env_out), env_in, env_out)
 
 
-def _restrict(omega: np.ndarray, v1: SubspaceIsometry | None, v2: SubspaceIsometry | None,
-              env_in: int, env_out: int) -> np.ndarray:
-    """``restrict_operator`` where ``None`` stands for a full system space,
-    whose product with the identity is skipped.
-
-    A skipped product would have left every nonzero entry as it is, but
-    the certifying SVDs read the sign of a zero.  The output-side product
-    ends the chain; adding +0.0 in its place gives zeros the sign it gave
-    them on every input tried, so certificates stay bit-identical.
-    """
-    amb1 = omega.shape[-1] // env_in if v1 is None else v1.ambient_dim
-    amb2 = omega.shape[-2] // env_out if v2 is None else v2.ambient_dim
+def _restrict(omega: np.ndarray, c1: np.ndarray, c2: np.ndarray, env_in: int, env_out: int) -> np.ndarray:
+    """``restrict_operator`` on the subspaces' column arrays."""
+    (amb1, d1), (amb2, d2) = c1.shape, c2.shape
     if omega.shape[-2:] != (amb2 * env_out, amb1 * env_in):
         raise ValueError(
             f"operator shape {omega.shape} does not match "
             f"({amb2}*{env_out}, {amb1}*{env_in})"
         )
-    if v1 is None and v2 is None:
-        return omega + 0.0
     batch = omega.shape[:-2]
-    d1 = amb1 if v1 is None else v1.sub_dim
-    d2 = amb2 if v2 is None else v2.sub_dim
     # Move the input system leg last and contract it with V1 in one 2-D
     # product, then contract the output leg with V2^dag.
     legs = omega.reshape(batch + (amb2, env_out, amb1, env_in)).swapaxes(-1, -2).reshape(-1, amb1)
-    right = (legs if v1 is None else legs @ v1.columns).reshape(batch + (amb2, -1))
-    both = right + 0.0 if v2 is None else dagger(v2.columns) @ right
+    both = dagger(c2) @ (legs @ c1).reshape(batch + (amb2, -1))
     out = both.reshape(batch + (d2, env_out, env_in, d1)).swapaxes(-1, -2)
     return out.reshape(batch + (d2 * env_out, d1 * env_in))
 
@@ -206,9 +188,9 @@ def certify_uum(
     the declared environment legs).
     """
     omega = np.asarray(omega, dtype=complex)
-    d = _subspace_dim(v1, v2, omega.shape, env_in, env_out)
-    restricted = _restrict(omega[None], v1, v2, env_in, env_out)
-    stacked = _certify_restricted(restricted, d, env_in, env_out, tol)
+    c1, c2 = _subspace_columns(v1, v2, omega.shape, env_in, env_out)
+    restricted = _restrict(omega[None], c1, c2, env_in, env_out)
+    stacked = _certify_restricted(restricted, c1.shape[1], env_in, env_out, tol)
     return UumCertificate(*(v[0].item() if v.ndim == 1 else v[0] for v in vars(stacked).values()))
 
 
@@ -235,8 +217,9 @@ def probability_profile(
     positive semidefinite, unit trace) within ``VALIDATION_TOL``.
     """
     omega = np.asarray(omega, dtype=complex)
-    d = _subspace_dim(v1, v2, omega.shape, env_in, env_out)
-    restricted = _restrict(omega, v1, v2, env_in, env_out)
+    c1, c2 = _subspace_columns(v1, v2, omega.shape, env_in, env_out)
+    d = c1.shape[1]
+    restricted = _restrict(omega, c1, c2, env_in, env_out)
 
     if env_state is None:
         env_block = np.eye(env_in)
@@ -362,8 +345,9 @@ def certify_uuqc(
 def _certify_uuqc(ch: KrausChannel, v1: SubspaceIsometry | None, v2: SubspaceIsometry | None,
                   env_in: int, env_out: int, tol: float) -> UuqcCertificate:
     """``certify_uuqc`` without the memo."""
-    d = _subspace_dim(v1, v2, ch.stack.shape, env_in, env_out)
-    restricted = _restrict(ch.stack, v1, v2, env_in, env_out)
+    c1, c2 = _subspace_columns(v1, v2, ch.stack.shape, env_in, env_out)
+    d = c1.shape[1]
+    restricted = _restrict(ch.stack, c1, c2, env_in, env_out)
     per = _certify_restricted(restricted, d, env_in, env_out, tol)
     contributing = (per.probability > tol).nonzero()[0]
 
@@ -424,7 +408,7 @@ def refine(
     ``out_j``) default to the computational ones and must be unitary within
     ``VALIDATION_TOL``.
     """
-    _subspace_dim(v1, v2, ch.stack.shape, env_in, env_out)  # before the bases are checked
+    c1, c2 = _subspace_columns(v1, v2, ch.stack.shape, env_in, env_out)  # before the bases are checked
     b_in, b_out = _env_basis(env_in_basis, env_in), _env_basis(env_out_basis, env_out)
     # The caller's own v1 and v2, so a certificate remembered for them is found.
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
@@ -439,11 +423,7 @@ def refine(
     env_parts = np.einsum("ji,cj,ei->jice", weights, b_out, b_in.conj())[weights > tol]
     if len(env_parts) == 0:
         raise ValueError("refinement produced no elements")
-    # V2 U V1^dag, an omitted side's identity product skipped.  +0.0 in its
-    # place turns -0.0 into +0.0, as that product nearly always does; only
-    # an exact zero of U itself may leave a BLAS identity product as -0.0.
-    left = cert.unitary + 0.0 if v2 is None else v2.columns @ cert.unitary
-    embedded_u = left + 0.0 if v1 is None else left @ v1.columns.conj().T
+    embedded_u = c2 @ cert.unitary @ dagger(c1)
     elements = embedded_u[None, :, None, :, None] * env_parts[:, None, :, None, :]
     return KrausChannel(elements.reshape(len(env_parts), len(embedded_u) * env_out, -1))
 

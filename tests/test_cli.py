@@ -627,14 +627,17 @@ def test_refine_and_to_ues_certify_once(capsys, tmp_path, monkeypatch, command):
 
 def _subspace_cases():
     """``(elements, env_in, env_out)``: a channel that certifies on its
-    environment legs, one that does not, and a unitary with signed zeros."""
+    environment legs, one that does not, a unitary with signed zeros, and a
+    phased permutation with signed zeros on environment legs (3, 1)."""
     u = random_unitary(2, 9)
     t2 = np.array([[0.1, 0.5], [0.3, 0.2]])
     env = (np.sqrt(0.3) * np.eye(2) / np.sqrt(2), np.sqrt(0.5) * t2 / np.linalg.norm(t2))
     signed = np.array([[0.0, -1.0], [1.0, -0.0]]) + np.array([[-0.0, 0.0], [-0.0, 0.0]]) * 1j
+    phased = np.eye(3) * np.array([1j, -1j, -1])
     return [([tensor_product(u, t) for t in env], 2, 2),
             (list(rand_complex(np.random.default_rng(4), (2, 3, 3)) / 3), 1, 1),
-            ([signed], 1, 1)]
+            ([signed], 1, 1),
+            ([tensor_product(phased, np.array([[4.0, 1.0, 1.0]]) / np.sqrt(18))], 3, 1)]
 
 
 @pytest.mark.parametrize("command", ["check-uum", "check-uuqc", "refine", "to-ues"])
@@ -676,6 +679,18 @@ def test_huge_integer_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "omega.data[0]" in proc.stderr
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    path = write(tmp_path / "state.json", ket_to_doc(np.eye(20)[0]))
+    src = os.path.dirname(os.path.dirname(uuqc.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # The child starts with file descriptor 1 closed.
+    proc = subprocess.run([sys.executable, "-m", "uuqc", "schmidt", path, "--dims", "4,5"],
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write report: standard output is closed\n"
 
 
 def test_json_booleans_exit_one(capsys, tmp_path):

@@ -11,7 +11,7 @@ from uuqc.linalg import (
     svd,
     tensor_product,
 )
-from uuqc.unambiguous import _sub_dim
+from uuqc.unambiguous import _subspace_columns
 
 from builders import rand_complex
 from oracles import kron_entry, partial_trace_sum, shift_clock_by_powers
@@ -255,6 +255,6 @@ def test_full_subspace_is_a_read_only_complex_identity(d):
 
 @pytest.mark.parametrize("d", [0, -1])
 def test_full_subspace_rejects_empty_dimensions(d):
-    # An omitted subspace stands for the full system space, which must not be empty.
+    # An omitted subspace is the identity on the full system space, which must not be empty.
     with pytest.raises(ValueError, match=rf"invalid subspace shape \({d}, {d}\)"):
-        _sub_dim(None, d)
+        _subspace_columns(None, None, (d, d), 1, 1)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from uuqc import unambiguous
@@ -707,6 +707,8 @@ def test_dimension_errors():
         certify_uum(np.eye(4), SubspaceIsometry(np.eye(4)), SubspaceIsometry(np.eye(3)))
     with pytest.raises(ValueError):
         restrict_operator(np.eye(4), SubspaceIsometry(np.eye(2)), SubspaceIsometry(np.eye(2)), 3, 2)
+    with pytest.raises(ValueError, match="subspace dimensions differ: 2 vs 3"):
+        restrict_operator(np.eye(4), SubspaceIsometry(np.eye(4)[:, :2]), SubspaceIsometry(np.eye(4)[:, :3]))
 
 
 def test_omitted_subspaces_reject_empty_system_spaces():
@@ -714,7 +716,8 @@ def test_omitted_subspaces_reject_empty_system_spaces():
     ch = KrausChannel((np.eye(2),))
     for call in (lambda: certify_uum(np.eye(2), None, None, 4, 1), lambda: certify_uuqc(ch, None, None, 1, 4),
                  lambda: refine(ch, None, None, 4, 4), lambda: uuqc_to_ues(ch, None, None, 4, 1),
-                 lambda: probability_profile(np.eye(2), None, None, 1, 4)):
+                 lambda: probability_profile(np.eye(2), None, None, 1, 4),
+                 lambda: restrict_operator(np.eye(2), None, None, 4, 1)):
         with pytest.raises(ValueError, match=r"invalid subspace shape \(0, 0\)"):
             call()
     with pytest.raises(ValueError, match=r"invalid subspace shape \(0, 0\)"):
@@ -729,6 +732,9 @@ def test_omitted_subspaces_reject_empty_system_spaces():
     omitted=st.sampled_from(["both", "v1", "v2"]),
     zeros=st.booleans(),
 )
+# A phased permutation with exact zeros, whose signs the BLAS identity
+# products set: omitted and identity subspaces must agree on every one.
+@example(seed=0, d=3, env=(2, 2), k=2, omitted="both", zeros=True)
 def test_omitted_subspaces_certify_as_the_full_spaces(seed, d, env, k, omitted, zeros):
     # Bit for bit, also on exact zeros of either sign, whose sign the SVDs read.
     rng = np.random.default_rng(seed)
@@ -762,21 +768,17 @@ def test_omitted_subspaces_certify_as_the_full_spaces(seed, d, env, k, omitted, 
         got = certify_uuqc(ch, v1, v2, env_in, env_out)
         got_uum = certify_uum(stack[0], v1, v2, env_in, env_out)
         got_refined = refine(certified, v1, v2, env_in, env_out)
+        got_restricted = restrict_operator(stack, v1, v2, env_in, env_out)
     w1, w2 = (full if v is None else v for v in (v1, v2))
+    assert got_restricted.tobytes() == restrict_operator(stack, w1, w2, env_in, env_out).tobytes()
     want = unambiguous._certify_uuqc(ch, w1, w2, env_in, env_out, DEFAULT_TOL)
     want_uum = certify_uum(stack[0], w1, w2, env_in, env_out)
     for a, b in ((got, want), (got.per_element, want.per_element), (got_uum, want_uum)):
         for field, value in vars(b).items():
             if field != "per_element":
                 assert np.asarray(getattr(a, field)).tobytes() == np.asarray(value).tobytes(), field
-    want_refined = refine(certified, w1, w2, env_in, env_out).stack
-    if zeros:
-        # An exact zero of the certified unitary takes its sign in the identity
-        # product from the BLAS kernel, so these compare by value.
-        np.testing.assert_array_equal(got_refined.stack, want_refined)
-    else:
-        # Bit for bit, the signed zeros of the environment parts included.
-        assert got_refined.stack.tobytes() == want_refined.tobytes()
+    # Bit for bit, the signed zeros of the unitary and the environment parts included.
+    assert got_refined.stack.tobytes() == refine(certified, w1, w2, env_in, env_out).stack.tobytes()
 
 
 def _unit(m, *against):

@@ -32,10 +32,10 @@ largest ``k`` whose binomial coverage reaches that level; it holds for any
 continuous distribution of the ratios and needs no resampling.  (A
 bootstrap of the median cannot resolve a tail of about 0.015% from ten
 rounds: the interval then ends at the one or two extreme rounds.)
-``ROUNDS`` = 18 gives ``k`` = 2 for up to 344 cases, so one outlying round
-alone cannot turn a reading.  The document also holds the level
-(``interval_level``), the median width of the intervals over all cases
-(``median_interval_width``) and a machine note.  The ratio of the two
+``ROUNDS`` = 21 gives ``k`` = 3 for up to 225 cases, so neither one nor
+two outlying rounds alone can turn a reading.  The document also holds the
+level (``interval_level``), the median width of the intervals over all
+cases (``median_interval_width``) and a machine note.  The ratio of the two
 sides' medians pooled over all rounds is not reported, since host drift
 between rounds can move it away from every per-round ratio.
 
@@ -86,10 +86,11 @@ The cases:
   and the ``probability then certainty`` chain, all on fresh copies as
   above (the memos hit only within one chain);
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
-  (6 x 48 x 48), ``refine`` of that channel with its subspaces omitted, as
-  the ``cli`` workload's ``refine`` job runs it (a fresh shallow copy per
-  call, as above), and ``channel_to_doc`` plus ``dump_json`` of its
-  refinement (16 x 48 x 48), the ``refine`` report's payload;
+  (6 x 48 x 48), ``certify_uuqc`` and ``refine`` of that channel with its
+  subspaces omitted, as the ``cli`` workload's ``check-uuqc`` and
+  ``refine`` jobs run them (a fresh shallow copy per call, as above), and
+  ``channel_to_doc`` plus ``dump_json`` of its refinement (16 x 48 x 48),
+  the ``refine`` report's payload;
 - ``simulate`` of the optimal dense-coding protocol at D = 8 with every
   ``SIMULATE_TRIALS`` count (10^6 is the ``cli`` workload's ``dense-code``
   job), and
@@ -126,7 +127,7 @@ import tempfile
 import time
 
 BLAS_THREADS = 1
-ROUNDS = 18
+ROUNDS = 21
 REPEATS = 15
 # Repeats per round of the 9-qubit cases, which took about 0.5 s per call
 # when they built the 1024 x 1024 Choi matrix, and of Shor's code, whose
@@ -367,6 +368,8 @@ def _cases(workdir: str):
     cases.append(("doc_to_channel", "formats", {"K": k, "out_dim": d * e, "in_dim": d * e},
                   lambda doc=doc: formats.doc_to_channel(doc), REPEATS))
     dims = {"d": d, "env_in": e, "env_out": e, "K": k, "subspaces": "omitted"}
+    cases.append(("certify_uuqc", "unambiguous", dims,
+                  lambda ch=large, e=e: uuqc.certify_uuqc(copy.copy(ch), None, None, e, e), REPEATS))
     cases.append(("refine", "unambiguous", dims,
                   lambda ch=large, e=e: uuqc.refine(copy.copy(ch), None, None, e, e), REPEATS))
     refined = uuqc.refine(large, None, None, e, e)
