@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, _choi_vectors, is_physical, povm_of
-from .linalg import DEFAULT_TOL, VALIDATION_TOL, dagger, shift_clock_unitaries, tensor_product
-from .unambiguous import _phase_distance, certify_uum
+from .linalg import DEFAULT_TOL, VALIDATION_TOL, SubspaceIsometry, dagger, shift_clock_unitaries, tensor_product
+from .unambiguous import _certify_restricted, _phase_distance
 
 __all__ = [
     "SharedState",
@@ -179,7 +179,8 @@ def simulate(
     message, and binomial decoding mistakes among those successes, which
     should be zero for an unambiguous protocol.  The encoders must be
     ``D**2`` trace-non-increasing ``D x D`` matrices, as in
-    ``verify_protocol_bound``, and the filter a ``D x D`` contraction.
+    ``verify_protocol_bound``, the filter a ``D x D`` contraction and the
+    discrimination basis unitary within ``VALIDATION_TOL``.
     """
     # multinomial takes the count as a C long
     if not 1 <= trials < 2**63:
@@ -187,9 +188,9 @@ def simulate(
     D = state.rank
     n_msg = D * D
     encoders = _encoder_channel(protocol.encoders, D, DEFAULT_TOL)
-    basis = protocol.discrimination_basis
-    if np.shape(basis) != (n_msg, n_msg):
+    if np.shape(protocol.discrimination_basis) != (n_msg, n_msg):
         raise ValueError(f"discrimination basis must be {n_msg} x {n_msg}")
+    basis = SubspaceIsometry(protocol.discrimination_basis).columns
     filt = protocol.filter
     if np.shape(filt) != (D, D):
         raise ValueError(f"filter must be {D} x {D}, got shape {np.shape(filt)}")
@@ -221,13 +222,13 @@ def verify_protocol_bound(
 
     Stacks the vectorized encoders (retained-side index slow) into columns,
     applies the shared-state diagonal on the retained slot and the receiver
-    operator, and certifies the product with ``certify_uum``: the form
-    ``r I`` holds when it is an unambiguous unitary map whose unitary is the
-    identity up to a phase, the rule of ``verify_correction_uuqc``.  Then
-    ``|r|**2`` is the protocol's equal success probability and must respect
-    ``D * lambda_D**2``.  The trace condition on the stacked encoders' Gram
-    operator is verified alongside; it holds whenever every encoder is
-    trace-non-increasing.
+    operator, and certifies the product as ``certify_uum`` does on the full
+    space: the form ``r I`` holds when it is an unambiguous unitary map
+    whose unitary is the identity up to a phase, the rule of
+    ``verify_correction_uuqc``.  Then ``|r|**2`` is the protocol's equal
+    success probability and must respect ``D * lambda_D**2``.  The trace
+    condition on the stacked encoders' Gram operator is verified alongside;
+    it holds whenever every encoder is trace-non-increasing.
     """
     D = state.rank
     n_msg = D * D
@@ -239,8 +240,8 @@ def verify_protocol_bound(
         raise ValueError("receiver operator must satisfy B^dag B <= I")
 
     product = bob @ (np.repeat(state.lambdas, D)[:, None] * _choi_vectors(encoders.stack).T)
-    cert = certify_uum(product, tol=tol)
-    form_residual = float(_phase_distance(cert.unitary[None], np.eye(n_msg))[0])
+    cert = _certify_restricted(product[None], n_msg, 1, 1, tol)
+    form_residual = float(_phase_distance(cert.unitary, np.eye(n_msg))[0])
     r = complex(np.trace(product) / n_msg)
     bound = capacity(state)
     success = float(abs(r) ** 2)
@@ -250,7 +251,7 @@ def verify_protocol_bound(
     return BoundReport(
         r=r,
         form_residual=form_residual,
-        form_holds=cert.is_uum and form_residual <= tol,
+        form_holds=bool(cert.is_uum[0]) and form_residual <= tol,
         success_probability=success,
         bound=bound,
         bound_satisfied=success <= bound + tol,

@@ -16,20 +16,20 @@ Knill-Laflamme-correctable noise.
 Every verdict reads the noise once, as the stacked blocks ``E_k C``
 (``_code_blocks``), and none builds the ``(d n) x (d n)`` Choi matrix that
 ``noise_choi_state`` shows.  ``kl_check`` and ``standard_recovery`` share one
-remembered Knill-Laflamme step (``_kl_step``), and the probability and the
-certainty condition one remembered Choi eigen-branch step (``_ec_step``).
+remembered Knill-Laflamme step (``_kl_step``); the probability and the
+certainty condition each run the Choi eigen-branch step (``_ec_step``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _choi_vectors, choi_state, compose
+from .channels import KrausChannel, _choi_vectors, choi_state
 from .entanglement import _is_flat, _vidal_optimum
 from .linalg import DEFAULT_TOL, SubspaceIsometry, dagger, frobenius
-from .unambiguous import UuqcCertificate, _Memo, _phase_distance, certify_uuqc
+from .unambiguous import UuqcCertificate, _certify_uuqc, _Memo, _phase_distance
 
 __all__ = [
     "CodeSpec",
@@ -51,14 +51,10 @@ class CodeSpec:
     """A code given by its encoding isometry ``encoder`` (n_phys x d)."""
 
     encoder: np.ndarray
-    _subspace: SubspaceIsometry = field(init=False, repr=False)
 
     def __post_init__(self):
-        # The isometry checks the shape and orthonormality once and keeps a
-        # read-only copy, which ``subspace()`` hands out without re-checking.
-        subspace = SubspaceIsometry(self.encoder)
-        object.__setattr__(self, "_subspace", subspace)
-        object.__setattr__(self, "encoder", subspace.columns)
+        # The isometry checks the shape and orthonormality and keeps a read-only copy.
+        object.__setattr__(self, "encoder", SubspaceIsometry(self.encoder).columns)
 
     @property
     def logical_dim(self) -> int:
@@ -67,12 +63,6 @@ class CodeSpec:
     @property
     def physical_dim(self) -> int:
         return self.encoder.shape[0]
-
-    def code_projector(self) -> np.ndarray:
-        return self.encoder @ dagger(self.encoder)
-
-    def subspace(self) -> SubspaceIsometry:
-        return self._subspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +79,12 @@ class KlReport:
 class CorrectionReport:
     """Certification of a recover-after-noise composite on the code space.
 
-    ``identity_probability`` counts only the weight of Kraus elements whose
-    extracted unitary ``U`` satisfies ``min_phi ||U - e^{i phi} I||_F <= tol``;
-    it is the probability that the composite provably acts as the logical
-    identity, and ``fully_corrected`` that it is within ``tol`` of one on a
-    certified composite, whose certificate is kept alongside for inspection.
+    ``identity_probability`` counts the weight of the Kraus elements, of any
+    probability, that factor within ``tol`` with a unitary ``U`` satisfying
+    ``min_phi ||U - e^{i phi} I||_F <= tol``; it is the probability that the
+    composite provably acts as the logical identity, and ``fully_corrected``
+    that it is within ``tol`` of one on a certified composite, whose
+    certificate is kept alongside for inspection.
     """
 
     certificate: UuqcCertificate
@@ -112,9 +103,8 @@ def _code_blocks(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     return noise.stack @ code.encoder
 
 
-# The two most recent steps of each kind, for kl_check -> standard_recovery
-# and for the ec-prob probability -> certainty condition.
-_kl_steps, _ec_steps = _Memo(), _Memo()
+# The two most recent Knill-Laflamme steps, for kl_check -> standard_recovery.
+_kl_steps = _Memo()
 
 
 def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> KlReport:
@@ -203,18 +193,25 @@ def verify_correction_uuqc(
 ) -> CorrectionReport:
     """Certify encode-noise-recover as a probabilistic logical identity.
 
-    The composite maps the logical space into the physical space; it is
-    certified with the full logical space as input subspace and the code
-    space as output subspace.  The identity-consistent probability is one
-    exactly when the recovery corrects the noise completely.
+    The composite is read on the code space only, as the ``d x d`` blocks
+    ``C^dag R_m E_k C`` (noise index slow) of a channel on the logical
+    space.  The identity-consistent probability is one exactly when the
+    recovery corrects the noise completely.
     """
     if recovery.out_dim != code.physical_dim:
         raise ValueError("recovery must map back into the physical space")
-    total = compose(KrausChannel(_code_blocks(code, errors)), recovery)
-    cert = certify_uuqc(total, v2=code.subspace(), tol=tol)
+    blocks = _code_blocks(code, errors)
+    if recovery.in_dim != errors.out_dim:
+        raise ValueError(f"recovery input dimension {recovery.in_dim} differs from "
+                         f"the noise output dimension {errors.out_dim}")
+    d = code.logical_dim
+    logical = (dagger(code.encoder) @ recovery.stack)[None] @ blocks[:, None]
+    # Not the remembering certify_uuqc: a composite built here is never certified twice.
+    cert = _certify_uuqc(KrausChannel(logical.reshape(-1, d, d)), None, None, 1, 1, tol)
     per = cert.per_element
-    dist = _phase_distance(per.unitary, np.eye(code.logical_dim))
-    q_id = float(np.sum(per.probability[per.is_uum & (dist <= tol)]))
+    # Elements that factorize with U = I count at any probability, as in certify_uuqc.
+    counted = (per.residual <= tol) & (per.unitarity_deviation <= tol)
+    q_id = float(np.sum(per.probability[counted & (_phase_distance(per.unitary, np.eye(d)) <= tol)]))
     return CorrectionReport(cert, q_id, cert.is_uuqc and abs(q_id - 1.0) <= tol)
 
 
@@ -229,9 +226,9 @@ def meets_certainty_condition(code: CodeSpec, noise: KrausChannel, tol: float = 
     Choi state of encode-then-noise is a rank-``d`` uniformly entangled ket.
 
     Meaningful as stated for pure Choi states (isometric or filtered noise);
-    a mixed Choi state fails it.  It shares the probability's remembered step.
+    a mixed Choi state fails it.  It runs the probability's step.
     """
-    return _ec_steps(_ec_step, (code, noise), (tol,))[2]
+    return _ec_step(code, noise, tol)[2]
 
 
 def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol: float = DEFAULT_TOL):
@@ -241,8 +238,7 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
     eigen-branches.  A branch converts to the canonical entangled ket with
     Vidal's optimum of its Schmidt values, 0 if its ``d``-th is at most
     ``tol``; a pure state's weight times it is exact, method
-    ``"pure-exact"``.  It shares one step with ``meets_certainty_condition``,
-    remembered as ``kl_check`` remembers its check (see there).
+    ``"pure-exact"``.  ``meets_certainty_condition`` runs the same step.
 
     A mixed state ``sum_m lambda_m |v_m><v_m|`` gets a deterministic lower
     bound, method ``"filter-lower-bound"``, from an instrument on the noisy
@@ -263,7 +259,7 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
     maximally entangled and the bound equals ``Tr h``, the standard-recovery
     probability.
     """
-    return _ec_steps(_ec_step, (code, noise), (tol,))[:2]
+    return _ec_step(code, noise, tol)[:2]
 
 
 def _ec_step(code: CodeSpec, noise: KrausChannel, tol: float) -> tuple:

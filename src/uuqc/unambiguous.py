@@ -73,8 +73,8 @@ class UuqcCertificate:
     """Verdict for a channel: per-element data plus the shared unitary.
 
     ``per_element`` is one ``UumCertificate`` whose fields are indexed by
-    Kraus element first.  ``total_probability`` is the sum of contributing
-    per-element probabilities.  ``definition_residual`` is the exact Frobenius distance
+    Kraus element first.  ``total_probability`` is ``q``, the summed
+    probability ``certify_uuqc`` counts.  ``definition_residual`` is the exact Frobenius distance
     ``||J - q |U>><<U|||`` between the unnormalized Choi matrix ``J`` of the
     projected, environment-traced channel and that of ``q U . U^dag``; it
     bounds ``||Phi(rho) - q U rho U^dag||_F`` for every density operator
@@ -91,20 +91,19 @@ class UuqcCertificate:
     mismatched_pair: tuple | None
 
 
-def _check_env_dims(env_in: int, env_out: int):
-    if env_in < 1 or env_out < 1:
-        raise ValueError("environment dimensions must be >= 1")
-
-
 def _subspace_columns(v1, v2, shape, env_in: int, env_out: int) -> tuple:
     """The column arrays of ``v1`` and ``v2``, which must span subspaces of
     one dimension, for operators of shape ``(out, in)``; an omitted one is
     the identity on the full system space."""
-    _check_env_dims(env_in, env_out)
+    if env_in < 1 or env_out < 1:
+        raise ValueError("environment dimensions must be >= 1")
     cols = []
-    for v, full in ((v1, shape[-1] // env_in), (v2, shape[-2] // env_out)):
+    for v, dim, env, leg in ((v1, shape[-1], env_in, "env_in"), (v2, shape[-2], env_out, "env_out")):
+        full = dim // env
         if v is None and full < 1:
             raise ValueError(f"invalid subspace shape ({full}, {full})")
+        if dim % env:
+            raise ValueError(f"{leg}={env} does not divide the operator dimension {dim}")
         cols.append(np.eye(full, dtype=complex) if v is None else v.columns)
     d1, d2 = (c.shape[1] for c in cols)
     if d1 != d2:
@@ -322,12 +321,12 @@ def certify_uuqc(
     """Certify a channel as a probabilistic unitary between the subspaces.
 
     Every Kraus element is certified on its own.  Elements whose implied
-    probability is at most ``tol`` feed only the failure branch and may take
-    any form; every other element must factorize, and every extracted
-    unitary must lie within ``tol`` of the first one in the phase-minimised
-    Frobenius distance ``||U_a - e^{i phi} U_b||``.  The summed probability
-    ``q`` is then checked exactly against the defining channel identity: the
-    Choi matrix of the projected, environment-traced channel must lie within
+    probability exceeds ``tol`` must factorize, with unitaries within ``tol``
+    of the first one's in the phase-minimised Frobenius distance
+    ``||U_a - e^{i phi} U_b||``; the rest may take any form, and add their
+    probability to ``q`` when they factorize with that unitary.  ``q`` is
+    then checked exactly against the defining channel identity: the Choi
+    matrix of the projected, environment-traced channel must lie within
     ``tol`` of ``q |U>><<U|``, which bounds the deviation from
     ``q U rho U^dag`` on every subspace state.  The check is deterministic.
 
@@ -349,26 +348,28 @@ def _certify_uuqc(ch: KrausChannel, v1: SubspaceIsometry | None, v2: SubspaceIso
     d = c1.shape[1]
     restricted = _restrict(ch.stack, c1, c2, env_in, env_out)
     per = _certify_restricted(restricted, d, env_in, env_out, tol)
-    contributing = (per.probability > tol).nonzero()[0]
+    contributing = per.probability > tol
+    first = contributing.argmax()
+    # With no contributing element, q = 0 is measured against the identity.
+    unitary = per.unitary[first] if contributing[first] else np.eye(d, dtype=complex)
 
     # Only contributing elements can pass, so counting them settles whether all do.
-    ok = np.count_nonzero(per.is_uum) == len(contributing)
-    mismatched = None
-    if ok and len(contributing) > 1:
-        us = per.unitary[contributing]
-        far = (_phase_distance(us, us[0]) > tol).nonzero()[0]
-        if len(far):
-            ok = False
-            mismatched = (int(contributing[0]), int(contributing[far[0]]))
-
-    # With no contributing element, q = 0 is measured against the identity.
-    q = float(per.probability[contributing].sum())
-    unitary = per.unitary[contributing[0]] if len(contributing) else np.eye(d, dtype=complex)
+    ok = np.count_nonzero(per.is_uum) == np.count_nonzero(contributing)
+    counted, mismatched = contributing, None
+    # Nothing to compare with no contributing element or in a one-element channel.
+    if contributing[first] and len(contributing) > 1:
+        near = _phase_distance(per.unitary, unitary) <= tol
+        far = (contributing & ~near).nonzero()[0]
+        mismatched = (int(first), int(far[0])) if ok and len(far) else None
+        # An element at or below tol that factorizes with the certified unitary
+        # adds its weight too, as it does to the definition residual.
+        counted = contributing | near & (per.residual <= tol) & (per.unitarity_deviation <= tol)
+    q = float(per.probability[counted].sum())
     residual = _definition_residual(restricted, d, env_in, env_out, q, unitary)
     for array in (*vars(per).values(), unitary):
         array.setflags(write=False)
     return UuqcCertificate(
-        is_uuqc=ok and q > tol and residual <= tol,
+        is_uuqc=ok and mismatched is None and q > tol and residual <= tol,
         total_probability=q,
         per_element=per,
         unitary=unitary,

@@ -229,6 +229,15 @@ def test_simulate_rejects_a_basis_of_the_wrong_shape(shape):
         simulate(state, odd)
 
 
+def test_simulate_rejects_a_basis_that_is_not_orthonormal():
+    # basis + 0.3 I read pooled_rate 0.799 with 38 decode errors in 1000 trials
+    state = SharedState.from_squares([0.6, 0.4])
+    prot = optimal_protocol(state)
+    skewed = DenseCodingProtocol(prot.encoders, prot.filter, prot.discrimination_basis + 0.3 * np.eye(4))
+    with pytest.raises(ValueError, match="columns are not orthonormal"):
+        simulate(state, skewed, 1000, 1)
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3, 3)])
 def test_simulate_rejects_a_filter_of_the_wrong_shape(shape):
     # an identity of the wrong shape passes the contraction check

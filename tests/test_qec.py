@@ -70,8 +70,6 @@ def test_code_spec_validates_once_and_keeps_its_subspace():
     with pytest.raises(ValueError, match="shape"):
         CodeSpec(np.eye(2, 3))
     code = repetition_code()
-    assert code.subspace() is code.subspace()
-    assert code.subspace().columns is code.encoder
     assert not code.encoder.flags.writeable
 
 
@@ -215,7 +213,7 @@ def test_constructed_recovery_corrects_bit_flips():
 
 def test_majority_vote_recovery_explicit():
     code = repetition_code()
-    proj = code.code_projector()
+    proj = code.encoder @ code.encoder.conj().T
     majority = KrausChannel(
         (
             proj,
@@ -387,6 +385,15 @@ def test_recovery_must_map_back_into_the_physical_space():
         verify_correction_uuqc(code, bit_flip_errors(), KrausChannel((np.eye(4, 8),)))
 
 
+@pytest.mark.parametrize("noise_out, recovery_in", [(8, 4), (16, 8)])
+def test_recovery_must_read_the_noise_output(noise_out, recovery_in):
+    noise = KrausChannel((np.eye(noise_out, 8),))
+    recovery = KrausChannel((np.eye(8, recovery_in),))
+    with pytest.raises(ValueError, match=f"^recovery input dimension {recovery_in} differs from "
+                                         f"the noise output dimension {noise_out}$"):
+        verify_correction_uuqc(repetition_code(), noise, recovery)
+
+
 @pytest.mark.parametrize("verdict", [
     kl_check,
     standard_recovery,
@@ -429,7 +436,7 @@ def test_kl_check_matches_projector_oracle(seed, n, d, k, grow, correctable):
     if correctable:
         # E_k C = c_k W for one isometry W: correctable, h = c_j^* c_i
         image = random_unitary(out, rng)[:, :d] @ code.encoder.conj().T
-        elems = elems @ (np.eye(n) - code.code_projector()) + rand_complex(rng, (k, 1, 1)) / k * image
+        elems = elems @ (np.eye(n) - code.encoder @ code.encoder.conj().T) + rand_complex(rng, (k, 1, 1)) / k * image
     h, residual = kl_by_projector(code.encoder, elems)
     report = kl_check(code, KrausChannel(elems))
     np.testing.assert_allclose(report.h, h, rtol=0, atol=1e-12)
@@ -453,7 +460,7 @@ def _syndromes(rng, code, m, n_qubits):
     basis = random_unitary(n, rng)
     basis[:, :d] = enc
     basis, _ = np.linalg.qr(basis)
-    outside = np.eye(n) - code.code_projector()
+    outside = np.eye(n) - enc @ enc.conj().T
     return [basis[:, j * d:(j + 1) * d] @ random_unitary(d, rng) @ enc.conj().T
             + 0.2 * rand_complex(rng, (n, n)) @ outside for j in range(m)]
 
@@ -820,34 +827,14 @@ def test_ec_answers_match_fresh_objects_in_either_order(
 
 @pytest.mark.parametrize("certainty_first", [False, True], ids=["probability-first", "certainty-first"])
 def test_probability_then_certainty_runs_one_ec_step(certainty_first):
+    # No step is remembered: each public call runs one step on one read of the noise.
     code, noise = repetition_code(), bit_flip_errors()
     with _counting_ec_steps() as step, \
             mock.patch.object(uuqc.qec, "_code_blocks", wraps=uuqc.qec._code_blocks) as read:
         answers = _ec_answers(code, noise, certainty_first)
+        assert step.call_count == 2 and read.call_count == 2
         assert _ec_answers(code, noise, not certainty_first) == answers
-    assert step.call_count == 1 and read.call_count == 1
-
-
-def test_ec_step_memo_misses_on_any_other_key():
-    code, noise = repetition_code(), bit_flip_errors()
-    unambiguous_correction_probability(code, noise)
-    for args in ((code, noise, 1e-7), (repetition_code(), noise), (code, bit_flip_errors())):
-        with _counting_ec_steps() as step:
-            meets_certainty_condition(*args)
-        assert step.call_count == 1, args
-
-
-def test_ec_step_memo_keeps_no_object_alive():
-    code, noise = repetition_code(), bit_flip_errors()
-    meets_certainty_condition(code, noise)
-    refs = [weakref.ref(code), weakref.ref(noise)]
-    del code, noise
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None]
-    # A dead reference matches nothing, even for objects that reuse an id.
-    with _counting_ec_steps() as step:
-        unambiguous_correction_probability(repetition_code(), bit_flip_errors())
-    assert step.call_count == 1
+    assert step.call_count == 4 and read.call_count == 4
 
 
 @pytest.mark.parametrize("k", [2, 3])

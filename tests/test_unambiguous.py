@@ -225,6 +225,24 @@ def test_uuqc_allows_zero_probability_elements():
     assert cert.total_probability == pytest.approx(0.5, abs=1e-9)
 
 
+def test_uuqc_counts_elements_below_tol_that_share_the_unitary():
+    # Five U (x) T_k elements at p = 4e-10, each below tol: left out of q,
+    # their 2e-9 would put the definition residual at d * 2e-9 = 4e-9 > tol.
+    rng = np.random.default_rng(31)
+    ch, u, thetas, v1, v2 = make_uuqc(rng, 2, 3, 4, 2, 2, [0.5] + [4e-10] * 5)
+    cert = certify_uuqc(ch, v1, v2, 2, 2)
+    assert cert.is_uuqc
+    assert cert.total_probability == pytest.approx(0.5 + 2e-9, abs=1e-15)
+    assert cert.definition_residual <= 1e-14
+    # The same weights on another unitary stay out of q, and the residual sees them.
+    other = v2.columns @ random_unitary(2, rng) @ v1.columns.conj().T
+    ch2 = KrausChannel((ch.stack[0], *(tensor_product(other, t) for t in thetas[1:])))
+    cert = certify_uuqc(ch2, v1, v2, 2, 2)
+    assert not cert.is_uuqc and cert.mismatched_pair is None
+    assert cert.total_probability == pytest.approx(0.5, abs=1e-15)
+    assert cert.definition_residual > 1e-9
+
+
 def _with_non_factorable_and_zero_weight():
     """A certifying channel with env legs (2 in, 3 out), the same channel
     plus a non-factorable and a zero-weight element, and the subspaces."""
@@ -722,6 +740,18 @@ def test_omitted_subspaces_reject_empty_system_spaces():
             call()
     with pytest.raises(ValueError, match=r"invalid subspace shape \(0, 0\)"):
         SubspaceIsometry(np.eye(0))
+
+
+def test_environment_legs_must_divide_the_operator_dimensions():
+    ch = KrausChannel((np.eye(6, 4),))
+    sub = SubspaceIsometry(np.eye(2))
+    for call, message in ((lambda: certify_uum(np.eye(6), env_in=4, env_out=4), "env_in=4 .* dimension 6"),
+                          (lambda: certify_uum(np.eye(6), sub, sub, 3, 4), "env_out=4 .* dimension 6"),
+                          (lambda: certify_uuqc(ch, None, None, 2, 4), "env_out=4 .* dimension 6"),
+                          (lambda: refine(ch, None, None, 3, 3), "env_in=3 .* dimension 4"),
+                          (lambda: restrict_operator(np.eye(6), None, None, 1, 4), "env_out=4 .* dimension 6")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 @given(

@@ -71,20 +71,17 @@ The cases:
   three-element noise with a pure Choi state; on all of these also the
   ``probability then certainty`` chain that ``uuqc ec-prob`` and the ``qec``
   workload's ``ec-prob`` jobs run.  Every call in these cases and in the
-  chain gets fresh shallow copies of the code and the noise, so the memo
-  of recent ``ec-prob`` steps never carries over from one timed call to the
-  next; it hits only within one chain;
+  chain gets fresh shallow copies of the code and the noise;
 - ``kl_check``, ``standard_recovery``, ``verify_correction_uuqc`` (with
   that recovery), ``unambiguous_correction_probability`` and
-  ``meets_certainty_condition`` on the five-qubit code, and the same but
-  ``verify_correction_uuqc`` on Shor's code (``LARGE_REPEATS``;
-  its 28-element noise stack holds about 117 MB), both under
-  ``sqrt(0.7) I`` plus every single-qubit Pauli, built by
+  ``meets_certainty_condition`` on the five-qubit code and on Shor's code
+  (``LARGE_REPEATS``; its 28-element noise stack holds about 117 MB), both
+  under ``sqrt(0.7) I`` plus every single-qubit Pauli, built by
   ``tests/builders.py``, plus on both codes the ``check then recover``
   chain that the ``qec`` workload's correctable jobs run: ``kl_check``,
   ``standard_recovery`` and ``verify_correction_uuqc`` with that recovery,
   and the ``probability then certainty`` chain, all on fresh copies as
-  above (the memos hit only within one chain);
+  above (the Knill-Laflamme memo hits only within one chain);
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
   (6 x 48 x 48), ``certify_uuqc`` and ``refine`` of that channel with its
   subspaces omitted, as the ``cli`` workload's ``check-uuqc`` and
@@ -348,11 +345,10 @@ def _cases(workdir: str):
                       lambda code=code, noise=noise: uuqc.kl_check(*_fresh(code, noise)), repeats))
         cases.append(("standard_recovery", "qec", dims,
                       lambda code=code, noise=noise: uuqc.standard_recovery(*_fresh(code, noise)), repeats))
-        if n == 5:
-            recovery = uuqc.standard_recovery(code, noise)
-            cases.append(("verify_correction_uuqc", "qec", dims,
-                          lambda code=code, noise=noise, r=recovery: uuqc.verify_correction_uuqc(code, noise, r),
-                          repeats))
+        recovery = uuqc.standard_recovery(code, noise)
+        cases.append(("verify_correction_uuqc", "qec", dims,
+                      lambda code=code, noise=noise, r=recovery: uuqc.verify_correction_uuqc(code, noise, r),
+                      repeats))
         cases.append(("check then recover", "qec", dims,
                       lambda code=code, noise=noise: _check_then_recover(uuqc, *_fresh(code, noise)), repeats))
         cases += _ec_prob_cases(uuqc, code, noise, dims, repeats)
