@@ -14,16 +14,15 @@ from importlib import import_module
 
 # Each submodule and the names it exports here.
 _EXPORTS = {
-    "channels": ("KrausChannel", "PhysicalityReport", "apply", "choi_state", "compose", "identity_channel",
-                 "is_physical", "maximally_entangled_ket", "povm_of"),
+    "channels": ("KrausChannel", "PhysicalityReport", "apply", "choi_state", "compose", "is_physical", "povm_of"),
     "densecode": ("BoundReport", "DenseCodingProtocol", "SharedState", "SimulationResult", "capacity",
                   "optimal_protocol", "optimal_receiver", "simulate", "verify_protocol_bound", "weyl_operators"),
     "entanglement": ("SchmidtForm", "TeleportCertificate", "check_mixed_nonzero", "conversion_probability",
                      "is_rank_d_ues", "schmidt", "search_mixed_nonzero", "teleport_probability_pure",
                      "teleportation_parts", "ues_to_uuqc", "uuqc_to_ues"),
     "linalg": ("DEFAULT_TOL", "FactoredPair", "SubspaceIsometry", "factor_as_tensor", "partial_trace",
-               "random_ket", "random_unitary", "shift_clock_unitaries", "svd", "tensor_product"),
-    "qec": ("CodeSpec", "CorrectionReport", "KlReport", "diagonalize_errors", "encoding_channel", "kl_check",
+               "random_unitary", "shift_clock_unitaries", "tensor_product"),
+    "qec": ("CodeSpec", "CorrectionReport", "KlReport", "diagonalize_errors", "kl_check",
             "meets_certainty_condition", "noise_choi_state", "standard_recovery",
             "unambiguous_correction_probability", "verify_correction_uuqc"),
     "unambiguous": ("UumCertificate", "UuqcCertificate", "certify_uum", "certify_uuqc", "extend_by_identity",

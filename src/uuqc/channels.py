@@ -22,8 +22,6 @@ __all__ = [
     "choi_state",
     "compose",
     "povm_of",
-    "identity_channel",
-    "maximally_entangled_ket",
 ]
 
 
@@ -78,17 +76,6 @@ class PhysicalityReport:
     physical: bool
     trace_preserving: bool
     max_eigenvalue: float
-
-
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),))
-
-
-def maximally_entangled_ket(d: int) -> np.ndarray:
-    """The canonical rank-``d`` uniformly entangled ket on ``d x d``."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:

@@ -301,8 +301,8 @@ def _run_ec_prob(args):
     from . import qec
     code = doc_to_code(load_json(args.code, "code"), "code")
     noise = doc_to_channel(load_json(args.noise, "noise"), "noise")
-    prob, method = qec.unambiguous_correction_probability(code, noise, args.tol)
-    certain = qec.meets_certainty_condition(code, noise, args.tol)
+    # The step behind unambiguous_correction_probability and meets_certainty_condition, run once.
+    prob, method, certain = qec._ec_step(code, noise, args.tol)
     report = {
         "command": "ec-prob",
         "probability": float(prob),

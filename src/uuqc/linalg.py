@@ -26,10 +26,8 @@ __all__ = [
     "FactoredPair",
     "tensor_product",
     "partial_trace",
-    "svd",
     "factor_as_tensor",
     "random_unitary",
-    "random_ket",
     "dagger",
     "frobenius",
     "shift_clock_unitaries",
@@ -162,11 +160,6 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     return arr.reshape(kept, kept)
 
 
-def svd(m: np.ndarray):
-    """Thin SVD; returns ``(left, values, right_h)`` with values descending."""
-    return np.linalg.svd(_as_complex(m, "matrix"), full_matrices=False)
-
-
 def factor_as_tensor(
     m: np.ndarray, sys_out: int, env_out: int, sys_in: int, env_in: int
 ) -> FactoredPair:
@@ -221,15 +214,6 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     return q * phases
-
-
-def random_ket(dim: int, seed) -> np.ndarray:
-    """Haar-random unit vector; deterministic for a fixed seed."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
 
 
 def shift_clock_unitaries(dim: int) -> np.ndarray:

@@ -17,7 +17,8 @@ Every verdict reads the noise once, as the stacked blocks ``E_k C``
 (``_code_blocks``), and none builds the ``(d n) x (d n)`` Choi matrix that
 ``noise_choi_state`` shows.  ``kl_check`` and ``standard_recovery`` share one
 remembered Knill-Laflamme step (``_kl_step``); the probability and the
-certainty condition each run the Choi eigen-branch step (``_ec_step``).
+certainty condition each run the Choi eigen-branch step (``_ec_step``), and
+``uuqc ec-prob`` runs it once for both.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "kl_check",
     "diagonalize_errors",
     "standard_recovery",
-    "encoding_channel",
     "verify_correction_uuqc",
     "unambiguous_correction_probability",
     "noise_choi_state",
@@ -90,10 +90,6 @@ class CorrectionReport:
     certificate: UuqcCertificate
     identity_probability: float
     fully_corrected: bool
-
-
-def encoding_channel(code: CodeSpec) -> KrausChannel:
-    return KrausChannel((code.encoder,))
 
 
 def _code_blocks(code: CodeSpec, noise: KrausChannel) -> np.ndarray:

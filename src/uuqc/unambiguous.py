@@ -11,12 +11,10 @@ form, and tensors them with identity ancillas.
 Conventions.  Operators map ``system (x) env_in -> system (x) env_out``
 with the system factor slowest-varying.  Certification contracts the
 environment input against an *unnormalized* identity, so probabilities add
-up element by element without extra normalization factors;
-``probability_profile`` additionally accepts a fixed environment
-preparation for physical scenarios.  Pure-state probabilities are evaluated
-by applying the operator to ``ket (x) I_env_in`` and tracing the squared
-result over the environment output, which reproduces the factorization
-criterion exactly.
+up element by element without extra normalization factors.  Pure-state
+probabilities are evaluated by applying the operator to ``ket (x) I_env_in``
+and tracing the squared result over the environment output, which
+reproduces the factorization criterion exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import numpy as np
 # perfbench/smoke.py checks that the tracer patches this binding.
 from .channels import KrausChannel, apply  # noqa: F401
 from .linalg import DEFAULT_TOL, SubspaceIsometry, dagger, factor_as_tensor
-from .linalg import _density_eigh
 
 __all__ = [
     "UumCertificate",
@@ -201,7 +198,6 @@ def probability_profile(
     env_out: int = 1,
     samples: int = 100,
     seed=0,
-    env_state: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-state success probabilities over random subspace inputs.
 
@@ -209,31 +205,18 @@ def probability_profile(
     projected onto the output subspace, and the squared Frobenius norm is
     recorded.  A certified map yields a flat profile; anything else betrays
     its input preference here.
-
-    ``env_state`` optionally fixes a physical environment preparation in
-    place of the unnormalized identity the certification bookkeeping uses;
-    it must be a density matrix on the input environment (Hermitian,
-    positive semidefinite, unit trace) within ``VALIDATION_TOL``.
     """
     omega = np.asarray(omega, dtype=complex)
     c1, c2 = _subspace_columns(v1, v2, omega.shape, env_in, env_out)
     d = c1.shape[1]
     restricted = _restrict(omega, c1, c2, env_in, env_out)
-
-    if env_state is None:
-        env_block = np.eye(env_in)
-    else:
-        _, evals, evecs = _density_eigh(env_state, env_in, "env_state")
-        env_block = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ dagger(evecs)
-
     # One draw of every (real, imaginary) pair keeps the stream of drawing
     # the kets one by one.
     z = np.random.default_rng(seed).standard_normal((samples, 2, d))
     kets = z[:, 0] + 1j * z[:, 1]
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-    # restricted @ (ket (x) env_block) for every ket at once.
-    per_input = restricted.reshape(-1, d, env_in) @ env_block
-    blocks = np.tensordot(kets, per_input, axes=(1, 1))
+    # restricted @ (ket (x) I_env_in) for every ket at once.
+    blocks = np.tensordot(kets, restricted.reshape(-1, d, env_in), axes=(1, 1))
     return np.sum(np.abs(blocks) ** 2, axis=(1, 2))
 
 
@@ -378,54 +361,37 @@ def _certify_uuqc(ch: KrausChannel, v1: SubspaceIsometry | None, v2: SubspaceIso
     )
 
 
-def _env_basis(basis, dim: int) -> np.ndarray:
-    """The computational basis when ``basis`` is omitted; otherwise ``basis``,
-    checked to be a ``dim x dim`` unitary as a ``SubspaceIsometry``."""
-    if basis is None:
-        return np.eye(dim, dtype=complex)
-    if np.shape(basis) != (dim, dim):
-        raise ValueError("environment bases must be square in their leg dimensions")
-    return SubspaceIsometry(basis).columns
-
-
 def refine(
     ch: KrausChannel,
     v1: SubspaceIsometry | None = None,
     v2: SubspaceIsometry | None = None,
     env_in: int = 1,
     env_out: int = 1,
-    env_in_basis: np.ndarray | None = None,
-    env_out_basis: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
 ) -> KrausChannel:
     """Rewrite a certified channel so every environment factor is rank one.
 
-    The environment factors of all contributing elements are expanded in the
-    chosen environment bases and recombined per basis-index pair: the element
-    for ``(i, j)`` is ``w * U (x) |out_j><in_i|`` with
-    ``w = sqrt(sum_k |<out_j| T_k |in_i>|^2)``.  The result represents the
-    same unitary with the same total probability, and is supported on the
-    certified subspaces.  The environment bases (columns ``in_i`` and
-    ``out_j``) default to the computational ones and must be unitary within
-    ``VALIDATION_TOL``.
+    The environment factors of all contributing elements are recombined per
+    computational environment basis pair: the element for ``(i, j)`` is
+    ``w_ji U (x) |j><i|`` with ``w_ji = sqrt(sum_k |<j| T_k |i>|^2)``, in
+    row-major order of ``(j, i)``, and pairs with ``w_ji <= tol`` are left
+    out.  The result represents the same unitary with the same total
+    probability, and is supported on the certified subspaces.
     """
-    c1, c2 = _subspace_columns(v1, v2, ch.stack.shape, env_in, env_out)  # before the bases are checked
-    b_in, b_out = _env_basis(env_in_basis, env_in), _env_basis(env_out_basis, env_out)
+    c1, c2 = _subspace_columns(v1, v2, ch.stack.shape, env_in, env_out)
     # The caller's own v1 and v2, so a certificate remembered for them is found.
     cert = certify_uuqc(ch, v1, v2, env_in, env_out, tol)
     if not cert.is_uuqc:
         raise ValueError("refinement requires a certified channel")
-    # Expansion coefficients of every contributing environment factor:
-    # row j, column i holds <out_j| T_k |in_i>.
     factors = cert.per_element.env_factor[cert.per_element.probability > tol]
-    weights = np.sqrt((abs(b_out.conj().T @ factors @ b_in) ** 2).sum(0))
-    # One element per kept (j, i), in row-major order: w_ji U (x) |out_j><in_i|,
-    # with the axes (element, sys_out, env_out, sys_in, env_in).
-    env_parts = np.einsum("ji,cj,ei->jice", weights, b_out, b_in.conj())[weights > tol]
+    weights = np.sqrt((abs(factors) ** 2).sum(0)).reshape(-1)
+    # Row r of diag(w) is w_ji |j><i| flattened, r = j * env_in + i.
+    env_parts = np.diag(weights)[weights > tol]
     if len(env_parts) == 0:
         raise ValueError("refinement produced no elements")
+    # Axes (element, sys_out, env_out, sys_in, env_in).
     embedded_u = c2 @ cert.unitary @ dagger(c1)
-    elements = embedded_u[None, :, None, :, None] * env_parts[:, None, :, None, :]
+    elements = embedded_u[None, :, None, :, None] * env_parts.reshape(-1, 1, env_out, 1, env_in)
     return KrausChannel(elements.reshape(len(env_parts), len(embedded_u) * env_out, -1))
 
 

@@ -12,6 +12,18 @@ def rand_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def random_ket(dim: int, seed) -> np.ndarray:
+    """Haar-random unit vector; deterministic for a fixed seed or generator."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
+def maximally_entangled_ket(d: int) -> np.ndarray:
+    """The canonical rank-``d`` uniformly entangled ket on ``d x d``."""
+    return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
+
+
 def random_subspace(rng, ambient: int, sub: int) -> SubspaceIsometry:
     q, _ = np.linalg.qr(rand_complex(rng, (ambient, sub)))
     return SubspaceIsometry(q[:, :sub])

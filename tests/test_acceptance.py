@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from uuqc.channels import KrausChannel, choi_state, maximally_entangled_ket
+from uuqc.channels import KrausChannel, choi_state
 from uuqc.cli import dispatch
 from uuqc.densecode import (
     SharedState,
@@ -49,6 +49,7 @@ from builders import (
     PAULI_Z,
     make_uum,
     make_uuqc,
+    maximally_entangled_ket,
     repetition_code,
     single_qubit_on,
 )

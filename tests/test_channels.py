@@ -7,9 +7,7 @@ from uuqc.channels import (
     apply,
     choi_state,
     compose,
-    identity_channel,
     is_physical,
-    maximally_entangled_ket,
     povm_of,
 )
 from uuqc.densecode import SharedState, optimal_protocol, simulate, weyl_operators
@@ -18,7 +16,7 @@ from uuqc.linalg import SubspaceIsometry, factor_as_tensor, random_unitary, shif
 from uuqc.qec import CodeSpec, kl_check
 from uuqc.unambiguous import certify_uum, certify_uuqc
 
-from builders import PAULI_X, PAULI_Y, PAULI_Z, rand_complex
+from builders import PAULI_X, PAULI_Y, PAULI_Z, maximally_entangled_ket, rand_complex
 from oracles import choi_by_kron
 
 
@@ -31,7 +29,7 @@ def random_density(rng, dim):
 def test_apply_identity():
     rng = np.random.default_rng(0)
     rho = random_density(rng, 3)
-    np.testing.assert_allclose(apply(identity_channel(3), rho), rho, atol=1e-12)
+    np.testing.assert_allclose(apply(KrausChannel((np.eye(3),)), rho), rho, atol=1e-12)
 
 
 def test_apply_unitary_conjugation():
@@ -80,11 +78,11 @@ def test_apply_stack_of_states_matches_one_by_one():
 
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply(identity_channel(2), np.eye(3))
+        apply(KrausChannel((np.eye(2),)), np.eye(3))
 
 
 def test_is_physical_identity():
-    rep = is_physical(identity_channel(2))
+    rep = is_physical(KrausChannel((np.eye(2),)))
     assert rep.physical and rep.trace_preserving
     assert rep.max_eigenvalue == pytest.approx(1.0)
 
@@ -105,7 +103,7 @@ def test_is_physical_filter():
 def test_choi_identity():
     phi = maximally_entangled_ket(2)
     np.testing.assert_allclose(
-        choi_state(identity_channel(2)), np.outer(phi, phi.conj()), atol=1e-12
+        choi_state(KrausChannel((np.eye(2),))), np.outer(phi, phi.conj()), atol=1e-12
     )
 
 
@@ -172,7 +170,7 @@ def test_choi_matches_kron_reference_at_large_dims():
 def test_compose_with_identity():
     rng = np.random.default_rng(4)
     ch = KrausChannel(tuple(0.7 * rand_complex(rng, (2, 2)) for _ in range(2)))
-    comp = compose(identity_channel(2), ch)
+    comp = compose(KrausChannel((np.eye(2),)), ch)
     for _ in range(5):
         rho = random_density(rng, 2)
         np.testing.assert_allclose(apply(comp, rho), apply(ch, rho), atol=1e-12)
@@ -289,7 +287,7 @@ def _state():
     lambda: factor_as_tensor(np.eye(4), 2, 2, 2, 2),
     lambda: KrausChannel((np.eye(2), PAULI_X)),
     lambda: certify_uum(np.eye(2)),
-    lambda: certify_uuqc(identity_channel(2)),
+    lambda: certify_uuqc(KrausChannel((np.eye(2),))),
     lambda: schmidt(maximally_entangled_ket(2), 2, 2),
     lambda: CodeSpec(np.eye(2)),
     lambda: kl_check(CodeSpec(np.eye(2)), KrausChannel(np.stack([np.eye(2)] * 2) / np.sqrt(2))),

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import uuqc
-from uuqc.channels import KrausChannel, maximally_entangled_ket
+from uuqc.channels import KrausChannel
 from uuqc.cli import dispatch
 from uuqc.densecode import SharedState, optimal_protocol, optimal_receiver
 from uuqc.formats import (
@@ -32,6 +32,7 @@ from builders import (
     flagged_erasure,
     leung_code,
     make_uuqc,
+    maximally_entangled_ket,
     rand_complex,
     random_subspace,
     repetition_code,
@@ -177,6 +178,20 @@ def test_ec_prob(capsys, tmp_path):
     assert report["method"] == "pure-exact"
     assert report["certainty_condition"] is False
 
+
+def test_ec_prob_runs_one_ec_step(capsys, tmp_path, monkeypatch):
+    # The probability and the certainty condition come from one step per run.
+    code_file = write(tmp_path / "rep.json", code_to_doc(repetition_code()))
+    flips = [np.sqrt(0.1) * single_qubit_on(PAULI_X, k) for k in range(3)]
+    noise_file = write(tmp_path / "flips.json", channel_to_doc(KrausChannel([np.sqrt(0.7) * np.eye(8), *flips])))
+    calls = []
+    step = uuqc.qec._ec_step
+    monkeypatch.setattr(uuqc.qec, "_ec_step", lambda *args: calls.append(args) or step(*args))
+    for runs in (1, 2):
+        code, report, _ = run(capsys, ["ec-prob", code_file, noise_file])
+        assert code == 0 and len(calls) == runs
+    assert report["probability"] == pytest.approx(1.0, abs=1e-12)
+    assert report["method"] == "filter-lower-bound" and report["certainty_condition"] is False
 
 
 def test_ec_prob_on_all_zero_noise_reports_probability_zero(capsys, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uuqc import entanglement
-from uuqc.channels import KrausChannel, apply, maximally_entangled_ket
+from uuqc.channels import KrausChannel, apply
 from uuqc.entanglement import (
     SchmidtForm,
     check_mixed_nonzero,
@@ -21,14 +21,13 @@ from uuqc.entanglement import (
 )
 from uuqc.linalg import (
     SubspaceIsometry,
-    random_ket,
     random_unitary,
     shift_clock_unitaries,
     tensor_product,
 )
 from uuqc.unambiguous import certify_uuqc
 
-from builders import make_uuqc, rand_complex
+from builders import make_uuqc, maximally_entangled_ket, rand_complex, random_ket
 from oracles import (
     filter_conversion_max,
     majorized_by_uniform,

@@ -5,10 +5,8 @@ from uuqc.linalg import (
     SubspaceIsometry,
     factor_as_tensor,
     partial_trace,
-    random_ket,
     random_unitary,
     shift_clock_unitaries,
-    svd,
     tensor_product,
 )
 from uuqc.unambiguous import _subspace_columns
@@ -88,31 +86,6 @@ def test_partial_trace_dims_mismatch():
         partial_trace(np.eye(6), (2, 2), keep=(0,))
 
 
-def test_svd_identity_and_diag():
-    _, s, _ = svd(np.eye(3))
-    np.testing.assert_allclose(s, [1, 1, 1])
-    _, s, _ = svd(np.diag([3.0, 0.0]))
-    np.testing.assert_allclose(s, [3, 0])
-
-
-def test_svd_reconstruction_and_eigenvalue_oracle():
-    rng = np.random.default_rng(8)
-    m = rand_complex(rng, (4, 3))
-    u, s, vh = svd(m)
-    np.testing.assert_allclose(u @ np.diag(s) @ vh, m, atol=1e-9)
-    gram_eigs = np.sort(np.linalg.eigvalsh(m.conj().T @ m))[::-1]
-    np.testing.assert_allclose(s**2, gram_eigs, atol=1e-9)
-    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-
-
-def test_svd_reconstruction_bounded_entries_dim64():
-    rng = np.random.default_rng(9)
-    m = rand_complex(rng, (64, 64))
-    m /= np.max(np.abs(m))
-    u, s, vh = svd(m)
-    assert np.linalg.norm(u @ np.diag(s) @ vh - m) <= 1e-9
-
-
 def test_factor_exact_product():
     rng = np.random.default_rng(10)
     a = rand_complex(rng, (3, 2))
@@ -188,14 +161,6 @@ def test_random_unitary_properties():
     scalar = random_unitary(1, 3)
     assert abs(abs(scalar[0, 0]) - 1.0) <= 1e-12
     np.testing.assert_allclose(random_unitary(3, 17), random_unitary(3, 17))
-
-
-def test_random_ket_haar_moment():
-    acc = 0.0
-    n = 100_000
-    for seed in range(n):
-        acc += abs(random_ket(2, seed)[0]) ** 2
-    assert acc / n == pytest.approx(0.5, abs=0.01)
 
 
 def test_shift_clock_unitaries_basic():

@@ -14,7 +14,6 @@ from uuqc.linalg import random_unitary
 from uuqc.qec import (
     CodeSpec,
     diagonalize_errors,
-    encoding_channel,
     kl_check,
     meets_certainty_condition,
     noise_choi_state,
@@ -64,7 +63,7 @@ def trivial_code(d=2):
     return CodeSpec(np.eye(d, dtype=complex))
 
 
-def test_code_spec_validates_once_and_keeps_its_subspace():
+def test_code_spec_validates_once_and_keeps_a_read_only_encoder():
     with pytest.raises(ValueError, match="orthonormal"):
         CodeSpec(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="shape"):
@@ -345,7 +344,7 @@ def test_unit_probability_correction_has_uniform_choi():
     recovery = standard_recovery(code, errors)
     rep = verify_correction_uuqc(code, errors, recovery)
     assert rep.identity_probability == pytest.approx(1.0, abs=1e-9)
-    corrected = compose(compose(encoding_channel(code), errors), recovery)
+    corrected = compose(compose(KrausChannel((code.encoder,)), errors), recovery)
     sigma = choi_state(corrected)
     evals, evecs = np.linalg.eigh(sigma)
     assert np.trace(sigma).real - evals[-1] <= 1e-8

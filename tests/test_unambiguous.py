@@ -10,14 +10,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from uuqc import unambiguous
-from uuqc.channels import KrausChannel, apply, maximally_entangled_ket
+from uuqc.channels import KrausChannel, apply
 from uuqc.entanglement import _ues_ket, uuqc_to_ues
 from uuqc.linalg import (
     DEFAULT_TOL,
     SubspaceIsometry,
     factor_as_tensor,
     partial_trace,
-    random_ket,
     random_unitary,
     tensor_product,
 )
@@ -31,7 +30,17 @@ from uuqc.unambiguous import (
     restrict_operator,
 )
 
-from builders import PAULI_X, PAULI_Z, env_factors, make_uum, make_uuqc, rand_complex, random_subspace
+from builders import (
+    PAULI_X,
+    PAULI_Z,
+    env_factors,
+    make_uum,
+    make_uuqc,
+    maximally_entangled_ket,
+    rand_complex,
+    random_ket,
+    random_subspace,
+)
 from oracles import (
     partial_trace_sum,
     projected_choi_by_kron,
@@ -140,17 +149,6 @@ def test_profile_exposes_filter_preference():
     filt = np.diag([1.0, 0.5])
     assert np.linalg.norm(filt @ [1, 0]) ** 2 == pytest.approx(1.0)
     assert np.linalg.norm(filt @ [0, 1]) ** 2 == pytest.approx(0.25)
-
-
-def test_profile_with_fixed_environment_state():
-    rng = np.random.default_rng(20)
-    u = random_unitary(2, 21)
-    theta = env_factors(rng, 2, 2, [0.6])[0]
-    omega = tensor_product(u, theta)
-    sigma = np.diag([0.75, 0.25]).astype(complex)
-    prof = probability_profile(omega, env_in=2, env_out=2, samples=30, seed=3, env_state=sigma)
-    expected = np.trace(theta @ sigma @ theta.conj().T).real
-    np.testing.assert_allclose(prof, expected, atol=1e-10)
 
 
 def test_degenerate_spectrum_reported_not_uum():
@@ -436,42 +434,25 @@ def test_refine_matches_kron_oracle_in_random_bases(shape):
     rng = np.random.default_rng(sum(shape) + 40)
     ch, u, thetas, v1, v2 = make_uuqc(rng, d, amb_in, amb_out, env_in, env_out,
                                       list(rng.uniform(0.05, 0.2, k)), with_noise=True)
-    b_in = np.linalg.qr(rand_complex(rng, (env_in, env_in)))[0]
-    b_out = np.linalg.qr(rand_complex(rng, (env_out, env_out)))[0]
-    refined = refine(ch, v1, v2, env_in, env_out, env_in_basis=b_in, env_out_basis=b_out)
+    refined = refine(ch, v1, v2, env_in, env_out)
     unitary = certify_uuqc(ch, v1, v2, env_in, env_out).unitary
     # the certified unitary differs from the constructed one by a global
     # phase, which each certified environment factor carries conjugated
     assert abs(abs(np.trace(unitary.conj().T @ u)) - d) <= 1e-9
-    want = refine_by_kron(unitary, thetas, v1.columns, v2.columns, b_in, b_out)
+    want = refine_by_kron(unitary, thetas, v1.columns, v2.columns, np.eye(env_in), np.eye(env_out))
     assert len(refined.stack) == len(want) == env_in * env_out
     np.testing.assert_allclose(refined.stack, np.array(want), atol=1e-12)
-
-
-@pytest.mark.parametrize("which", ["in", "out"])
-def test_refine_rejects_non_unitary_environment_basis(which):
-    # A skewed basis rescales the weights: this q = 0.38 channel would come
-    # out "refined" and certified at q = 1.04 (input basis) or 1.00 (output basis).
-    rng = np.random.default_rng(41)
-    ch, _, _, v1, v2 = make_uuqc(rng, 2, 3, 3, 2, 2, [0.2, 0.18])
-    skewed = np.array([[1.0, 0.9], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="not orthonormal"):
-        refine(ch, v1, v2, 2, 2, **{f"env_{which}_basis": skewed})
-    nearly = np.linalg.qr(rand_complex(rng, (2, 2)))[0] * (1 + 1e-12)
-    assert certify_uuqc(refine(ch, v1, v2, 2, 2, **{f"env_{which}_basis": nearly}), v1, v2, 2, 2).is_uuqc
-
-
-@pytest.mark.parametrize("env_state", [
-    [[0.75, 0.2], [0.0, 0.25]],  # not Hermitian: eigh would read one triangle
-    [[1.5, 0.0], [0.0, -0.5]],  # unit trace, not positive semidefinite
-    [[0.5, 0.0], [0.0, 0.25]],  # positive, trace 0.75
-    [[np.nan, 0.0], [0.0, 1.0]],  # not finite
-])
-def test_profile_rejects_invalid_environment_state(env_state):
-    u = random_unitary(2, 42)
-    omega = tensor_product(u, np.eye(2) / 2)
-    with pytest.raises(ValueError, match="density matrix"):
-        probability_profile(omega, env_in=2, env_out=2, samples=5, env_state=np.array(env_state))
+    # Covariance: refining the channel seen through environment bases b_in
+    # and b_out, then rotating back, is the refinement in those bases.
+    b_in = np.linalg.qr(rand_complex(rng, (env_in, env_in)))[0]
+    b_out = np.linalg.qr(rand_complex(rng, (env_out, env_out)))[0]
+    rot_in, rot_out = np.kron(np.eye(amb_in), b_in), np.kron(np.eye(amb_out), b_out)
+    seen = KrausChannel(rot_out.conj().T @ ch.stack @ rot_in)
+    rotated = refine(seen, v1, v2, env_in, env_out)
+    # at d = 2, |U_00| = |U_11|: the peak that fixes the phase may move
+    unitary = certify_uuqc(seen, v1, v2, env_in, env_out).unitary
+    want = refine_by_kron(unitary, thetas, v1.columns, v2.columns, b_in, b_out)
+    np.testing.assert_allclose(rot_out @ rotated.stack @ rot_in.conj().T, np.array(want), atol=1e-12)
 
 
 @pytest.mark.parametrize("zeros", [0, 2])
@@ -551,17 +532,16 @@ def test_refine_rank_one_environment_invariant():
         assert pair.schmidt_values[1] <= 1e-9
 
 
-def test_refine_in_chosen_environment_bases():
+def test_refine_in_the_computational_environment_basis():
     rng = np.random.default_rng(19)
     ch, u, thetas, v1, v2 = make_uuqc(rng, 2, 3, 4, 2, 3, [0.3, 0.2], with_noise=True)
-    b_in = np.linalg.qr(rand_complex(rng, (2, 2)))[0]
-    b_out = np.linalg.qr(rand_complex(rng, (3, 3)))[0]
-    refined = refine(ch, v1, v2, 2, 3, env_in_basis=b_in, env_out_basis=b_out)
+    refined = refine(ch, v1, v2, 2, 3)
     assert len(refined.stack) == 6
     embedded = v2.columns @ u @ v1.columns.conj().T
     for e, (j, i) in zip(refined.stack, [(j, i) for j in range(3) for i in range(2)]):
-        w2 = sum(abs(b_out[:, j].conj() @ t @ b_in[:, i]) ** 2 for t in thetas)
-        part = np.outer(b_out[:, j], b_in[:, i].conj())
+        w2 = sum(abs(t[j, i]) ** 2 for t in thetas)
+        part = np.zeros((3, 2))
+        part[j, i] = 1.0
         target = np.sqrt(w2) * tensor_product(embedded, part)
         assert abs(abs(np.vdot(target, e)) - np.vdot(target, target).real) <= 1e-9
         np.testing.assert_allclose(np.linalg.norm(e), np.linalg.norm(target), atol=1e-9)

@@ -6,6 +6,10 @@ against (``git clone`` or ``git archive``) in ``PARENT``:
 
     python3 tools/layer_timings.py --before PARENT/src --after src --out BENCH_6.json
 
+With ``--cases REGEX`` only the cases whose name the regular expression
+matches (``re.search``, for example ``'refine|cli ec-prob'``) are timed;
+every other case is still built, so the inputs stay put, but never called.
+
 Each round starts one interpreter per side that imports ``uuqc`` from the
 given ``src`` directory, with one BLAS thread, builds every case once and
 then times one call of a case on request.  Per case, each side makes one
@@ -117,6 +121,7 @@ import copy
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -444,13 +449,14 @@ def _ec_prob_cases(uuqc, code, noise, dims, repeats):
              lambda: _probability_then_certainty(uuqc, *_fresh(code, noise)), repeats)]
 
 
-def child(src: str) -> None:
-    """Build every case with the ``uuqc`` found in ``src`` and print their
-    descriptions as one JSON line; then, for each case index read from
-    standard input, call that case once and print its time in ms as one line."""
+def child(src: str, pattern: str) -> None:
+    """Build every case with the ``uuqc`` found in ``src`` and print the
+    descriptions of those whose name ``pattern`` matches as one JSON line;
+    then, for each index into them read from standard input, call that case
+    once and print its time in ms as one line."""
     sys.path.insert(0, os.path.abspath(src))
     with tempfile.TemporaryDirectory() as workdir:
-        cases = _cases(workdir)
+        cases = [case for case in _cases(workdir) if re.search(pattern, case[0])]
         _reply([{"name": name, "layer": layer, "dims": dims, "repeats": repeats}
                 for name, layer, dims, _, repeats in cases])
         for line in sys.stdin:
@@ -519,10 +525,15 @@ def main(argv=None) -> int:
     parser.add_argument("--before", help="src directory of the commit compared against")
     parser.add_argument("--after", help="src directory of the change")
     parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--cases", default="", help="regular expression: time only the cases whose name it matches")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    try:
+        re.compile(args.cases)
+    except re.error as exc:
+        parser.error(f"--cases: {exc}")
     if args.child:
-        child(args.child)
+        child(args.child, args.cases)
         return 0
     if not (args.before and args.after and args.out):
         parser.error("--before, --after and --out are required")
@@ -530,11 +541,14 @@ def main(argv=None) -> int:
     sides = {"before": args.before, "after": args.after}
     described, times = None, None
     for r in range(ROUNDS):
-        procs = {side: subprocess.Popen([sys.executable, os.path.abspath(__file__), "--child", src],
+        procs = {side: subprocess.Popen([sys.executable, os.path.abspath(__file__), "--child", src,
+                                         f"--cases={args.cases}"],
                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
                  for side, src in sides.items()}
         try:
             described = [_next_reply(proc) for proc in procs.values()][0]
+            if not described:
+                raise SystemExit(f"--cases {args.cases!r} matches no case")
             if times is None:
                 times = {side: [[] for _ in described] for side in sides}
                 # raises before any timing when ROUNDS is too few for the cases
@@ -584,6 +598,7 @@ def main(argv=None) -> int:
                    f"change with probability <= {FAMILY_ALPHA}), and a case whose interval contains "
                    "1 reads \"no change\""),
         "interval_level": round(level, 6),
+        "cases_selected": args.cases,
         "machine": machine_note(),
         "median_interval_width": round(statistics.median(widths), 3),
         "cases": cases,
