@@ -57,7 +57,6 @@ def _add_common(sub, trials: bool = False):
     if trials:
         sub.add_argument("--seed", type=int, default=0, help="random seed")
         sub.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials")
-    sub.add_argument("--out", default=None, help="report path (default: stdout)")
 
 
 def _add_subspace_args(sub):
@@ -99,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_subspace_args(p)
     _add_common(p)
 
+    # No --tol: the optimum is a closed form, with no tolerance to set.
     p = cmds.add_parser("teleport", help="optimal unambiguous teleportation probability (pure shared state)")
     p.add_argument("state")
     p.add_argument("--dims", required=True, help="factor dims, e.g. 2,2")
     p.add_argument("--d", type=int, required=True, help="dimension of the teleported space")
-    _add_common(p)
 
     p = cmds.add_parser("kl-check", help="Knill-Laflamme correctability check")
     p.add_argument("code")
@@ -126,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas2", required=True)
     _add_common(p)
 
+    for sub in cmds.choices.values():
+        sub.add_argument("--out", default=None, help="report path (default: stdout)")
     return parser
 
 

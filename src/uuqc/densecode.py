@@ -130,15 +130,15 @@ def weyl_operators(D: int) -> np.ndarray:
     return shift_clock_unitaries(D)
 
 
-def _encoder_channel(encoders, D: int, tol: float) -> KrausChannel:
+def _encoder_channel(encoders, D: int) -> KrausChannel:
     """The encoders as a channel of ``D**2`` elements of shape ``D x D``, each
-    trace-non-increasing within ``tol``; the first that is not is named."""
+    trace-non-increasing within ``VALIDATION_TOL``; the first that is not is named."""
     if len(encoders) != D * D:
         raise ValueError(f"expected {D * D} encoders, got {len(encoders)}")
     channel = KrausChannel(encoders)
     if channel.stack.shape[1:] != (D, D):
         raise ValueError(f"encoders must be {D} x {D}, got {channel.out_dim} x {channel.in_dim}")
-    bad = np.flatnonzero(np.linalg.eigvalsh(povm_of(channel))[:, -1] > 1.0 + tol)
+    bad = np.flatnonzero(np.linalg.eigvalsh(povm_of(channel))[:, -1] > 1.0 + VALIDATION_TOL)
     if len(bad):
         raise ValueError(f"encoder {bad[0]} is not trace-non-increasing")
     return channel
@@ -180,21 +180,21 @@ def simulate(
     should be zero for an unambiguous protocol.  The encoders must be
     ``D**2`` trace-non-increasing ``D x D`` matrices, as in
     ``verify_protocol_bound``, the filter a ``D x D`` contraction and the
-    discrimination basis unitary within ``VALIDATION_TOL``.
+    discrimination basis unitary, each within ``VALIDATION_TOL``.
     """
     # multinomial takes the count as a C long
     if not 1 <= trials < 2**63:
         raise ValueError("trials must be in [1, 2^63 - 1]")
     D = state.rank
     n_msg = D * D
-    encoders = _encoder_channel(protocol.encoders, D, DEFAULT_TOL)
+    encoders = _encoder_channel(protocol.encoders, D)
     if np.shape(protocol.discrimination_basis) != (n_msg, n_msg):
         raise ValueError(f"discrimination basis must be {n_msg} x {n_msg}")
     basis = SubspaceIsometry(protocol.discrimination_basis).columns
     filt = protocol.filter
     if np.shape(filt) != (D, D):
         raise ValueError(f"filter must be {D} x {D}, got shape {np.shape(filt)}")
-    if not is_physical(KrausChannel((filt,))).physical:
+    if not is_physical(KrausChannel((filt,)), VALIDATION_TOL).physical:
         raise ValueError("filter must satisfy F^dag F <= I")
     # Column x is message x encoded on the shared ket, then filtered.
     kets = _choi_vectors(encoders.stack).T
@@ -228,15 +228,16 @@ def verify_protocol_bound(
     ``verify_correction_uuqc``.  Then ``|r|**2`` is the protocol's equal
     success probability and must respect ``D * lambda_D**2``.  The trace
     condition on the stacked encoders' Gram operator is verified alongside;
-    it holds whenever every encoder is trace-non-increasing.
+    it holds whenever every encoder is trace-non-increasing.  ``tol`` sets
+    the verdicts; the inputs are checked within ``VALIDATION_TOL``.
     """
     D = state.rank
     n_msg = D * D
-    encoders = _encoder_channel(encoders, D, tol)
+    encoders = _encoder_channel(encoders, D)
     bob = np.asarray(bob, dtype=complex)
     if bob.shape != (n_msg, n_msg):
         raise ValueError(f"receiver operator must be {n_msg} x {n_msg}")
-    if not is_physical(KrausChannel((bob,)), tol).physical:
+    if not is_physical(KrausChannel((bob,)), VALIDATION_TOL).physical:
         raise ValueError("receiver operator must satisfy B^dag B <= I")
 
     product = bob @ (np.repeat(state.lambdas, D)[:, None] * _choi_vectors(encoders.stack).T)
@@ -246,7 +247,7 @@ def verify_protocol_bound(
     bound = capacity(state)
     success = float(abs(r) ** 2)
     # The Gram operator's partial trace over the transmitted slot is sum_x A_x^dag A_x.
-    gram_max = is_physical(encoders, tol).max_eigenvalue
+    gram_max = is_physical(encoders).max_eigenvalue
 
     return BoundReport(
         r=r,

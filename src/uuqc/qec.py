@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import KrausChannel, _choi_vectors, choi_state
 from .entanglement import _is_flat, _vidal_optimum
-from .linalg import DEFAULT_TOL, SubspaceIsometry, dagger, frobenius
+from .linalg import DEFAULT_TOL, VALIDATION_TOL, SubspaceIsometry, dagger, frobenius
 from .unambiguous import UuqcCertificate, _certify_uuqc, _Memo, _phase_distance
 
 __all__ = [
@@ -253,7 +253,9 @@ def unambiguous_correction_probability(code: CodeSpec, noise: KrausChannel, tol:
     ``C^dag F_m^dag F_m' C = lambda_m delta I`` holds for any eigenbasis of
     ``h``, which the Choi eigenvectors are, so every branch is separated and
     maximally entangled and the bound equals ``Tr h``, the standard-recovery
-    probability.
+    probability.  Noise that increases the trace on the code space,
+    ``lambda_max(sum_k (E_k C)^dag E_k C) > 1 + VALIDATION_TOL``, raises
+    ``ValueError``, here and in ``meets_certainty_condition``.
     """
     return _ec_step(code, noise, tol)[:2]
 
@@ -263,6 +265,12 @@ def _ec_step(code: CodeSpec, noise: KrausChannel, tol: float) -> tuple:
     eigen-branches, a pure state being one branch of the whole weight) and one of the branch kets."""
     blocks = _code_blocks(code, noise)
     _, out, d = blocks.shape
+    stacked = blocks.reshape(-1, d)
+    # A trace-increasing noise would read as a "probability" above one.
+    top = np.linalg.eigvalsh(dagger(stacked) @ stacked)[-1]
+    if top > 1.0 + VALIDATION_TOL:
+        raise ValueError(f"noise must not increase the trace on the code space: "
+                         f"lambda_max(sum_k (E_k C)^dag E_k C) = {top:.9g} > 1")
     _, svals, vh = np.linalg.svd(_choi_vectors(blocks), full_matrices=False)
     evals = svals**2 / d
     weight = float(evals.sum())

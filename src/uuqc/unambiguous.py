@@ -196,28 +196,22 @@ def probability_profile(
     v2: SubspaceIsometry | None = None,
     env_in: int = 1,
     env_out: int = 1,
-    samples: int = 100,
-    seed=0,
 ) -> np.ndarray:
-    """Per-state success probabilities over random subspace inputs.
+    """The exact range of the success probability over subspace inputs.
 
-    For each sampled ket the operator is applied to ``ket (x) I_env_in``,
-    projected onto the output subspace, and the squared Frobenius norm is
-    recorded.  A certified map yields a flat profile; anything else betrays
-    its input preference here.
+    A unit ket ``psi`` of the input subspace enters as ``psi (x) I_env_in``
+    and succeeds with ``psi^dag M psi``, the squared Frobenius norm of the
+    restricted operator's output, where ``M = Tr_env_in(R^dag R)`` is the
+    ``d x d`` success operator of the restricted operator ``R``.  Returns the
+    ``d`` eigenvalues of ``M`` in ascending order: every input succeeds with
+    a probability between the first and the last, and an eigenvector attains
+    each, so a certified map returns its ``p`` ``d`` times and anything else
+    betrays its input preference in the spread.
     """
     omega = np.asarray(omega, dtype=complex)
     c1, c2 = _subspace_columns(v1, v2, omega.shape, env_in, env_out)
-    d = c1.shape[1]
-    restricted = _restrict(omega, c1, c2, env_in, env_out)
-    # One draw of every (real, imaginary) pair keeps the stream of drawing
-    # the kets one by one.
-    z = np.random.default_rng(seed).standard_normal((samples, 2, d))
-    kets = z[:, 0] + 1j * z[:, 1]
-    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-    # restricted @ (ket (x) I_env_in) for every ket at once.
-    blocks = np.tensordot(kets, restricted.reshape(-1, d, env_in), axes=(1, 1))
-    return np.sum(np.abs(blocks) ** 2, axis=(1, 2))
+    restricted = _restrict(omega, c1, c2, env_in, env_out).reshape(-1, c1.shape[1], env_in)
+    return np.linalg.eigvalsh(np.einsum("rie,rje->ij", restricted.conj(), restricted))
 
 
 def _phase_distance(us: np.ndarray, v: np.ndarray) -> np.ndarray:

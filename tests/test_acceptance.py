@@ -50,10 +50,11 @@ from builders import (
     make_uum,
     make_uuqc,
     maximally_entangled_ket,
+    random_ket,
     repetition_code,
     single_qubit_on,
 )
-from oracles import binom_sigma, filter_conversion_max
+from oracles import binom_sigma, filter_conversion_max, restrict_by_kron
 
 
 def report(n, label):
@@ -61,7 +62,8 @@ def report(n, label):
 
 
 def test_criterion_1_input_independence():
-    # 50 constructed maps, 100 Haar inputs each, probability spread <= 1e-9
+    # 50 constructed maps: the exact probability range over all inputs has
+    # spread <= 1e-9, and 100 Haar inputs each fall inside it
     start = time.time()
     rng = np.random.default_rng(101)
     for trial in range(50):
@@ -73,9 +75,15 @@ def test_criterion_1_input_independence():
             rng, d, d + int(rng.integers(0, 2)), d + int(rng.integers(0, 2)),
             env_in, env_out, p, with_noise=True,
         )
-        prof = probability_profile(omega, v1, v2, env_in, env_out, samples=100, seed=trial)
-        assert prof.max() - prof.min() <= 1e-9
+        prof = probability_profile(omega, v1, v2, env_in, env_out)
+        assert prof[-1] - prof[0] <= 1e-9
         assert prof.mean() == pytest.approx(p, abs=1e-8)
+        restricted = restrict_by_kron(omega, v1.columns, v2.columns, env_in, env_out)
+        kets = np.random.default_rng(trial)
+        for _ in range(100):
+            psi = random_ket(d, kets)
+            block = restricted @ tensor_product(psi.reshape(-1, 1), np.eye(env_in))
+            assert prof[0] - 1e-12 <= np.linalg.norm(block) ** 2 <= prof[-1] + 1e-12
     elapsed = time.time() - start
     assert elapsed < 10.0
     report(1, f"input independence, {elapsed:.1f}s")

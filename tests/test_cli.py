@@ -29,10 +29,12 @@ from uuqc.qec import CodeSpec
 
 from builders import (
     PAULI_X,
+    five_qubit_code,
     flagged_erasure,
     leung_code,
     make_uuqc,
     maximally_entangled_ket,
+    pauli_noise,
     rand_complex,
     random_subspace,
     repetition_code,
@@ -221,6 +223,52 @@ def test_ec_prob_tol_sets_the_pure_schmidt_rank(capsys, tmp_path):
     code, report, _ = run(capsys, ["ec-prob", code_file, noise_file, "--tol", "1e-6"])
     assert code == 0
     assert report["probability"] == 0.0 and report["method"] == "pure-exact"
+
+
+def test_ec_prob_refuses_trace_increasing_noise_in_one_line(capsys, tmp_path):
+    # five-qubit Pauli noise times 100 once read as probability 9999.999999999996
+    code_file = write(tmp_path / "code.json", code_to_doc(five_qubit_code()))
+    noise_file = write(tmp_path / "noise.json", channel_to_doc(KrausChannel(100 * pauli_noise(5, 0.1).stack)))
+    code, report, err = run(capsys, ["ec-prob", code_file, noise_file])
+    assert code == 1 and report is None
+    assert err == ("error: noise must not increase the trace on the code space: "
+                   "lambda_max(sum_k (E_k C)^dag E_k C) = 10000 > 1\n")
+    # The Knill-Laflamme condition does not depend on the noise's scale.
+    code, report, _ = run(capsys, ["kl-check", code_file, noise_file])
+    assert code == 0 and report["correctable"]
+
+
+@pytest.mark.parametrize("D", range(2, 9))
+def test_optimal_protocol_inputs_pass_at_tol_zero(capsys, tmp_path, D):
+    # Squared Schmidt coefficients proportional to D, D-1, ..., 1: the
+    # library's own encoders and receiver carry rounding that a verdict
+    # tolerance of 0 must not turn into an input error.
+    squares = np.arange(D, 0, -1) / (D * (D + 1) / 2)
+    text = ",".join(repr(float(x)) for x in squares)
+    code, report, err = run(capsys, ["dense-code", "--D", str(D), "--lambdas2", text, "--trials", "100",
+                                     "--tol", "0"])
+    assert code == 0, err
+    assert report["capacity"] == pytest.approx(D * squares[-1], rel=1e-12)
+    prot = optimal_protocol(SharedState.from_squares(squares))
+    enc_file = write(tmp_path / "enc.json", channel_to_doc(KrausChannel(prot.encoders)))
+    bob_file = write(tmp_path / "bob.json", matrix_to_doc(optimal_receiver(prot)))
+    for tol in ("0", "1e-9"):
+        code, report, err = run(capsys, ["verify-dc", enc_file, bob_file, "--lambdas2", text, "--tol", tol])
+        assert code in (0, 3) and report is not None, err
+        assert report["success_probability"] == pytest.approx(D * squares[-1], rel=1e-12)
+    assert code == 0
+
+
+def test_teleport_takes_no_tol(capsys, tmp_path):
+    # teleport's optimum is a closed form: --tol was accepted and ignored
+    ket = np.zeros(4, dtype=complex)
+    ket[0], ket[3] = np.sqrt(0.99), 0.1
+    argv = ["teleport", write(tmp_path / "shared.json", ket_to_doc(ket)), "--dims", "2,2", "--d", "2"]
+    code, report, _ = run(capsys, argv)
+    assert code == 0 and report["probability"] == pytest.approx(0.02, abs=1e-12)
+    code, report, err = run(capsys, argv + ["--tol", "1e-3"])
+    assert code == 1 and report is None
+    assert err.splitlines()[-1] == "uuqc: error: unrecognized arguments: --tol 1e-3"
 
 
 def test_dense_code_stats(capsys):

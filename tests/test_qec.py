@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import uuqc.qec
 from uuqc.channels import KrausChannel, apply, choi_state, compose
 from uuqc.entanglement import check_mixed_nonzero, is_rank_d_ues, schmidt, search_mixed_nonzero
-from uuqc.linalg import random_unitary
+from uuqc.linalg import VALIDATION_TOL, random_unitary
 from uuqc.qec import (
     CodeSpec,
     diagonalize_errors,
@@ -26,9 +26,11 @@ from builders import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    five_qubit_code,
     flagged_erasure,
     kron_chain,
     leung_code,
+    pauli_noise,
     rand_complex,
     repetition_code,
     single_qubit_on,
@@ -705,6 +707,22 @@ def _noise_with_branches(seed, dims, branches, extra, separated, trace_preservin
     return CodeSpec(enc), noise
 
 
+_TRACE_INCREASING = "^noise must not increase the trace on the code space: "
+
+
+def _refused_as_trace_increasing(code, noise):
+    """Whether ``sum_k C^dag E_k^dag E_k C``, summed element by element, has
+    an eigenvalue above ``1 + VALIDATION_TOL``; if so, both ``ec-prob``
+    answers must refuse the noise by name."""
+    gram = sum(code.encoder.conj().T @ e.conj().T @ e @ code.encoder for e in noise.stack)
+    if np.linalg.eigvalsh(gram)[-1] <= 1.0 + VALIDATION_TOL:
+        return False
+    for answer in (unambiguous_correction_probability, meets_certainty_condition):
+        with pytest.raises(ValueError, match=_TRACE_INCREASING):
+            answer(code, noise)
+    return True
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     dims=st.sampled_from([(3, 2), (4, 2), (6, 2), (6, 3), (8, 2)]),
@@ -715,6 +733,8 @@ def _noise_with_branches(seed, dims, branches, extra, separated, trace_preservin
 )
 def test_choi_free_verdicts_match_choi_eigh_oracle(seed, dims, branches, extra, separated, trace_preserving):
     code, noise = _noise_with_branches(seed, dims, branches, extra, separated, trace_preserving)
+    if _refused_as_trace_increasing(code, noise):
+        return
     # Inside a degenerate eigenspace the branch basis is an arbitrary choice;
     # the Knill-Laflamme exactness property covers degenerate spectra.
     evals = np.linalg.eigvalsh(noise_choi_state(code, noise))[::-1]
@@ -742,6 +762,8 @@ def test_ec_prob_agrees_with_teleport_search_on_the_choi_state(
     # exact: on pure noise it gives the conversion optimum, and it is nonzero
     # whenever the branch bound is.
     code, noise = _noise_with_branches(seed, dims, branches, extra, separated, trace_preserving)
+    if _refused_as_trace_increasing(code, noise):
+        return
     sigma = noise_choi_state(code, noise)
     weight = np.trace(sigma).real
     d = code.logical_dim
@@ -819,6 +841,8 @@ def test_ec_answers_match_fresh_objects_in_either_order(
     seed, dims, branches, extra, separated, trace_preserving, certainty_first
 ):
     code, noise = _noise_with_branches(seed, dims, branches, extra, separated, trace_preserving)
+    if _refused_as_trace_increasing(code, noise):
+        return
     fresh = [(CodeSpec(code.encoder), KrausChannel(noise.stack)) for _ in range(2)]
     (prob, method), certain = unambiguous_correction_probability(*fresh[0]), meets_certainty_condition(*fresh[1])
     assert _ec_answers(code, noise, certainty_first) == (np.float64(prob).tobytes(), method, certain)
@@ -844,4 +868,26 @@ def test_ec_prob_with_fewer_outputs_than_logical_dims(k, certainty_first):
     rng = np.random.default_rng(k)
     code = CodeSpec(random_unitary(4, rng)[:, :3])
     noise = KrausChannel(rand_complex(rng, (k, 2, 4)) / 4)
+    if _refused_as_trace_increasing(code, noise):
+        # The same draw scaled onto the boundary, lambda_max = 1.
+        blocks = noise.stack @ code.encoder
+        noise = KrausChannel(noise.stack / np.linalg.norm(blocks.reshape(-1, 3), 2))
     assert _ec_answers(code, noise, certainty_first) == (np.float64(0.0).tobytes(), "filter-lower-bound", False)
+
+
+def test_trace_increasing_noise_is_refused_by_ec_prob_alone():
+    # Five-qubit Pauli noise times 100 read 9999.999999999996 as a
+    # "probability"; the Knill-Laflamme condition does not depend on scale.
+    code = five_qubit_code()
+    noise = KrausChannel(100 * pauli_noise(5, 0.1).stack)
+    for answer in (unambiguous_correction_probability, meets_certainty_condition):
+        with pytest.raises(ValueError, match=_TRACE_INCREASING + r"lambda_max.* = 10000 > 1$"):
+            answer(code, noise)
+    report = kl_check(code, noise)
+    assert report.correctable
+    np.testing.assert_allclose(np.trace(report.h), 1e4, rtol=1e-12)
+    # Trace-decreasing noise and trace-preserving noise up to rounding pass.
+    assert unambiguous_correction_probability(code, pauli_noise(5, 0.1)) == (pytest.approx(1.0, abs=1e-12),
+                                                                              "filter-lower-bound")
+    assert unambiguous_correction_probability(code, KrausChannel(0.5 * pauli_noise(5, 0.1).stack))[0] == \
+        pytest.approx(0.25, abs=1e-12)

@@ -115,40 +115,70 @@ def test_certified_matrices_round_trip_both_directions():
         )
 
 
+def _per_ket_probability(restricted, psi, env_in):
+    """``||R (psi (x) I_env_in)||_F^2`` by an explicit Kronecker product."""
+    return np.linalg.norm(restricted @ tensor_product(psi.reshape(-1, 1), np.eye(env_in))) ** 2
+
+
 def test_profile_flat_for_identity():
-    prof = probability_profile(np.eye(4, dtype=complex), samples=10, seed=0)
+    prof = probability_profile(np.eye(4, dtype=complex))
+    assert prof.shape == (4,)
     np.testing.assert_allclose(prof, 1.0, atol=1e-12)
 
 
 def test_profile_flat_for_constructed_map():
     rng = np.random.default_rng(5)
     omega, *_ , v1, v2 = make_uum(rng, 2, 4, 4, 2, 2, 0.42)
-    prof = probability_profile(omega, v1, v2, 2, 2, samples=100, seed=1)
+    prof = probability_profile(omega, v1, v2, 2, 2)
     np.testing.assert_allclose(prof, 0.42, atol=1e-10)
 
 
 def test_profile_matches_per_ket_evaluation():
-    # every ket drawn from one generator, in the order of one-by-one draws
+    # no Haar ket leaves the range, and a diagonal filter's basis kets
+    # attain its values
     rng = np.random.default_rng(26)
     omega = rand_complex(rng, (4 * 3, 3 * 2))
     v1, v2 = SubspaceIsometry(np.eye(3)), random_subspace(rng, 4, 3)
-    prof = probability_profile(omega, v1, v2, 2, 3, samples=20, seed=9)
-    draws = np.random.default_rng(9)
+    prof = probability_profile(omega, v1, v2, 2, 3)
     restricted = restrict_by_kron(omega, v1.columns, v2.columns, 2, 3)
-    for value in prof:
-        psi = random_ket(3, draws)
-        block = restricted @ tensor_product(psi.reshape(3, 1), np.eye(2))
-        assert value == pytest.approx(np.linalg.norm(block) ** 2, rel=1e-12)
+    per_ket = [_per_ket_probability(restricted, random_ket(3, rng), 2) for _ in range(20)]
+    assert prof[0] - 1e-12 <= min(per_ket) <= max(per_ket) <= prof[-1] + 1e-12
+    filt = np.diag([0.3, 1.0, 0.6]).astype(complex)
+    prof = probability_profile(filt)
+    np.testing.assert_allclose(prof, [0.09, 0.36, 1.0], rtol=1e-15)
+    for value, k in zip(prof, (0, 2, 1)):
+        assert value == pytest.approx(_per_ket_probability(filt, np.eye(3)[k], 1), rel=1e-15)
 
 
 def test_profile_exposes_filter_preference():
-    prof_0 = probability_profile(np.diag([1.0, 0.5]).astype(complex), samples=200, seed=2)
-    assert prof_0.max() <= 1.0 + 1e-12
-    assert prof_0.max() - prof_0.min() > 0.5
-    # endpoint values from direct evaluation
-    filt = np.diag([1.0, 0.5])
-    assert np.linalg.norm(filt @ [1, 0]) ** 2 == pytest.approx(1.0)
-    assert np.linalg.norm(filt @ [0, 1]) ** 2 == pytest.approx(0.25)
+    # the whole range, not a sample of it: |1> succeeds with 0.25, |0> with 1
+    prof_0 = probability_profile(np.diag([1.0, 0.5]).astype(complex))
+    np.testing.assert_allclose(prof_0, [0.25, 1.0], rtol=1e-15)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    grow_in=st.integers(0, 2),
+    grow_out=st.integers(0, 2),
+    env_in=st.integers(1, 3),
+    env_out=st.integers(1, 3),
+)
+def test_profile_is_the_exact_range_of_per_ket_probabilities(seed, d, grow_in, grow_out, env_in, env_out):
+    rng = np.random.default_rng(seed)
+    omega = rand_complex(rng, ((d + grow_out) * env_out, (d + grow_in) * env_in))
+    v1, v2 = random_subspace(rng, d + grow_in, d), random_subspace(rng, d + grow_out, d)
+    prof = probability_profile(omega, v1, v2, env_in, env_out)
+    assert prof.shape == (d,) and np.all(np.diff(prof) >= 0)
+    restricted = restrict_by_kron(omega, v1.columns, v2.columns, env_in, env_out)
+    # The success operator M_ij = Tr(A_i^dag A_j), A_i the output of basis ket i.
+    outputs = [restricted @ tensor_product(e.reshape(-1, 1), np.eye(env_in)) for e in np.eye(d)]
+    success = np.array([[np.vdot(a, b) for b in outputs] for a in outputs])
+    scale = 1e-12 * prof[-1]
+    for value, vec in zip(prof, np.linalg.eigh(success)[1].T):
+        assert _per_ket_probability(restricted, vec, env_in) == pytest.approx(value, abs=scale)
+    for _ in range(200):
+        assert prof[0] - scale <= _per_ket_probability(restricted, random_ket(d, rng), env_in) <= prof[-1] + scale
 
 
 def test_degenerate_spectrum_reported_not_uum():
@@ -165,12 +195,13 @@ def test_degenerate_spectrum_reported_not_uum():
 
 
 def test_input_preference_constant_invariant():
-    # flat profile over Haar inputs for any certified map
+    # flat over all inputs for any certified map, at its probability
     rng = np.random.default_rng(6)
     for d, env in ((2, 2), (3, 3), (2, 3)):
         omega, *_, v1, v2 = make_uum(rng, d, d + 1, d + 2, env, env, 0.3, with_noise=True)
-        prof = probability_profile(omega, v1, v2, env, env, samples=100, seed=7)
-        assert prof.max() - prof.min() <= 1e-9
+        prof = probability_profile(omega, v1, v2, env, env)
+        assert prof[-1] - prof[0] <= 1e-9
+        assert prof.mean() == pytest.approx(0.3, abs=1e-8)
 
 
 def test_uuqc_single_unitary():

@@ -7,12 +7,16 @@ against (``git clone`` or ``git archive``) in ``PARENT``:
     python3 tools/layer_timings.py --before PARENT/src --after src --out BENCH_6.json
 
 With ``--cases REGEX`` only the cases whose name the regular expression
-matches (``re.search``, for example ``'refine|cli ec-prob'``) are timed;
-every other case is still built, so the inputs stay put, but never called.
+matches (``re.search``, for example ``'refine|cli ec-prob'``) are built and
+timed.  The cases come in families (``FAMILIES``), each with its own
+builder and seed, so a case's inputs do not depend on the selection, and
+only the families that hold a matching name are built; the ``cli`` round,
+whose names are known once it is drawn, is always drawn, which only writes
+its documents.
 
 Each round starts one interpreter per side that imports ``uuqc`` from the
-given ``src`` directory, with one BLAS thread, builds every case once and
-then times one call of a case on request.  Per case, each side makes one
+given ``src`` directory, with one BLAS thread, builds the selected cases
+once and then times one call of a case on request.  Per case, each side makes one
 warm-up call, and then the two sides take turns call by call (``ABBA...``),
 the side that goes first switching from one case to the next and from one
 round to the next, so host drift over milliseconds to minutes falls on both
@@ -242,40 +246,36 @@ def _probability_then_certainty(uuqc, code, noise):
     return uuqc.unambiguous_correction_probability(code, noise), uuqc.meets_certainty_condition(code, noise)
 
 
-def _cases(workdir: str):
-    """``(name, layer, dims, call, repeats)`` for every timed case; the
-    subprocess cases write their documents under ``workdir``."""
+def _rand_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _certified_cases():
+    """Channels that certify, of every ``CERTIFIED`` shape of the ``certify`` workload."""
     import numpy as np
 
     import uuqc
-
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from common import random_split, random_unitary
-    from wl_certify import CERTIFIED, _channel
-    from wl_cli import DENSE_D, LARGE
-
-    from uuqc import formats
+    from wl_certify import CERTIFIED
 
     rng = np.random.default_rng(6)
 
-    def rand_complex(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
     def frame(ambient, d):
-        q = np.linalg.qr(rand_complex((ambient, ambient)))[0]
+        q = np.linalg.qr(_rand_complex(rng, (ambient, ambient)))[0]
         return q[:, :d], q[:, d:]
 
     cases = []
     for d, a_in, a_out, e_in, e_out, k in CERTIFIED:
         # V2 U V1^dag (x) theta_k plus maps from and into the complements
         (v1, c1), (v2, c2) = frame(a_in, d), frame(a_out, d)
-        core = v2 @ np.linalg.qr(rand_complex((d, d)))[0] @ v1.conj().T
+        core = v2 @ np.linalg.qr(_rand_complex(rng, (d, d)))[0] @ v1.conj().T
         elems = []
         for _ in range(k):
-            theta = rand_complex((e_out, e_in))
+            theta = _rand_complex(rng, (e_out, e_in))
             e = np.kron(core, theta * np.sqrt(0.8 / k) / np.linalg.norm(theta))
-            e = e + 0.3 * np.kron(c2 @ rand_complex((a_out - d, d)) @ v1.conj().T, rand_complex((e_out, e_in)))
-            e = e + 0.3 * np.kron(rand_complex((a_out, a_in - d)) @ c1.conj().T, rand_complex((e_out, e_in)))
+            e = e + 0.3 * np.kron(c2 @ _rand_complex(rng, (a_out - d, d)) @ v1.conj().T,
+                                  _rand_complex(rng, (e_out, e_in)))
+            e = e + 0.3 * np.kron(_rand_complex(rng, (a_out, a_in - d)) @ c1.conj().T,
+                                  _rand_complex(rng, (e_out, e_in)))
             elems.append(e)
         ch = uuqc.KrausChannel(tuple(elems))
         sub1, sub2 = uuqc.SubspaceIsometry(v1), uuqc.SubspaceIsometry(v2)
@@ -293,33 +293,67 @@ def _cases(workdir: str):
         cases.append(("certify_uuqc chain", "unambiguous", dims,
                       lambda a=args: _chain(uuqc, copy.copy(a[0]), *a[1:]), REPEATS))
         cases.append(("is_physical", "channels", dims, lambda ch=ch: uuqc.is_physical(ch), REPEATS))
+    return cases
 
-    for d in TELEPORT_DIMS:
-        cases.append(("certify_uuqc(ues_to_uuqc)", "unambiguous", {"d": d, "K": d * d},
-                      lambda d=d: uuqc.certify_uuqc(uuqc.ues_to_uuqc(d)), REPEATS))
 
-    for shape in STACK_SHAPES:
-        stack = rand_complex(shape)
-        cases.append(("KrausChannel", "channels", dict(zip(("K", "out_dim", "in_dim"), shape)),
-                      lambda stack=stack: uuqc.KrausChannel(stack), REPEATS))
+def _teleport_cases():
+    import uuqc
 
+    return [("certify_uuqc(ues_to_uuqc)", "unambiguous", {"d": d, "K": d * d},
+             lambda d=d: uuqc.certify_uuqc(uuqc.ues_to_uuqc(d)), REPEATS) for d in TELEPORT_DIMS]
+
+
+def _stack_cases():
+    import numpy as np
+
+    import uuqc
+
+    rng = np.random.default_rng(7)
+    return [("KrausChannel", "channels", dict(zip(("K", "out_dim", "in_dim"), shape)),
+             lambda stack=_rand_complex(rng, shape): uuqc.KrausChannel(stack), REPEATS) for shape in STACK_SHAPES]
+
+
+def _search_cases():
+    """Product states of every ``SWEEP_DIMS`` shape, then the ``_witness_states``."""
+    import numpy as np
+
+    import uuqc
+
+    rng = np.random.default_rng(8)
+    states = []
     for dim_a, dim_b in SWEEP_DIMS:
-        ga, gb = rand_complex((dim_a, dim_a)), rand_complex((dim_b, dim_b))
+        ga, gb = _rand_complex(rng, (dim_a, dim_a)), _rand_complex(rng, (dim_b, dim_b))
         rho = np.kron(ga @ ga.conj().T, gb @ gb.conj().T)
-        rho /= np.trace(rho).real
-        cases.append(("search_mixed_nonzero", "entanglement", {"dim_a": dim_a, "dim_b": dim_b, "d": 2},
-                      lambda rho=rho, a=dim_a, b=dim_b: uuqc.search_mixed_nonzero(rho, a, b, 2), REPEATS))
-    for kind, (rho, dim_a, dim_b) in _witness_states().items():
-        cases.append(("search_mixed_nonzero", "entanglement", {"dim_a": dim_a, "dim_b": dim_b, "d": 2, "state": kind},
-                      lambda rho=rho, a=dim_a, b=dim_b: uuqc.search_mixed_nonzero(rho, a, b, 2), REPEATS))
+        states.append((rho / np.trace(rho).real, dim_a, dim_b, {}))
+    states += [(rho, dim_a, dim_b, {"state": kind}) for kind, (rho, dim_a, dim_b) in _witness_states().items()]
+    return [("search_mixed_nonzero", "entanglement", {"dim_a": dim_a, "dim_b": dim_b, "d": 2, **extra},
+             lambda rho=rho, a=dim_a, b=dim_b: uuqc.search_mixed_nonzero(rho, a, b, 2), REPEATS)
+            for rho, dim_a, dim_b, extra in states]
 
+
+def _choi_cases():
+    import numpy as np
+
+    import uuqc
+
+    rng = np.random.default_rng(9)
+    cases = []
     for in_dim, out_dim, k in CHOI_SHAPES:
-        ch = uuqc.KrausChannel(tuple(rand_complex((k, out_dim, in_dim))))
+        ch = uuqc.KrausChannel(tuple(_rand_complex(rng, (k, out_dim, in_dim))))
         cases.append(("choi_state", "channels", {"in_dim": in_dim, "out_dim": out_dim, "K": k,
                                                  "N": in_dim * out_dim},
                       lambda ch=ch: uuqc.choi_state(ch), REPEATS))
+    return cases
+
+
+def _repetition_cases():
+    """Repetition codes under ``0.7 I`` plus single bit flips."""
+    import numpy as np
+
+    import uuqc
 
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases = []
     for n in EC_PROB_QUBITS:
         enc = np.zeros((2**n, 2), dtype=complex)
         enc[0, 0] = enc[-1, 1] = 1.0
@@ -338,10 +372,17 @@ def _cases(workdir: str):
                           REPEATS))
         repeats = REPEATS if n in REPETITION_QUBITS else LARGE_REPEATS
         cases += _ec_prob_cases(uuqc, code, noise, dims, repeats)
+    return cases
+
+
+def _stabilizer_cases():
+    """The five-qubit code and Shor's code under single-qubit Paulis."""
+    import uuqc
 
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     from builders import five_qubit_code, pauli_noise, shor_code
 
+    cases = []
     for name, build, n in (("five-qubit", five_qubit_code, 5), ("shor", shor_code, 9)):
         code, noise = build(), pauli_noise(n, 0.3)
         dims = {"code": name, "n_phys": 2**n, "K": len(noise.stack)}
@@ -357,57 +398,125 @@ def _cases(workdir: str):
         cases.append(("check then recover", "qec", dims,
                       lambda code=code, noise=noise: _check_then_recover(uuqc, *_fresh(code, noise)), repeats))
         cases += _ec_prob_cases(uuqc, code, noise, dims, repeats)
+    return cases
 
+
+def _ec_prob_input_cases():
+    import uuqc
+
+    cases = []
     for kind, (code, noise) in _ec_prob_inputs().items():
         dims = {"n_phys": code.physical_dim, "d": code.logical_dim, "K": len(noise.stack), "noise": kind}
         cases += _ec_prob_cases(uuqc, code, noise, dims, REPEATS)
+    return cases
 
+
+def _large_channel_cases():
+    """The ``cli`` workload's large channel, its document and its refinement."""
+    import numpy as np
+
+    import uuqc
+    from common import random_split, random_unitary
+    from wl_certify import _channel
+    from wl_cli import LARGE
+
+    from uuqc import formats
+
+    rng = np.random.default_rng(10)
     d, e, k = LARGE
     elems, _, _ = _channel(rng, d, d, d, e, e, random_split(rng, 0.7, k), [random_unitary(rng, d)] * k)
     large = uuqc.KrausChannel(tuple(elems))
     doc = json.loads(json.dumps(formats.channel_to_doc(large)))
-    cases.append(("doc_to_channel", "formats", {"K": k, "out_dim": d * e, "in_dim": d * e},
-                  lambda doc=doc: formats.doc_to_channel(doc), REPEATS))
     dims = {"d": d, "env_in": e, "env_out": e, "K": k, "subspaces": "omitted"}
-    cases.append(("certify_uuqc", "unambiguous", dims,
-                  lambda ch=large, e=e: uuqc.certify_uuqc(copy.copy(ch), None, None, e, e), REPEATS))
-    cases.append(("refine", "unambiguous", dims,
-                  lambda ch=large, e=e: uuqc.refine(copy.copy(ch), None, None, e, e), REPEATS))
     refined = uuqc.refine(large, None, None, e, e)
-    cases.append(("dump_json(channel_to_doc)", "formats",
-                  {"K": len(refined.stack), "out_dim": d * e, "in_dim": d * e},
-                  lambda ch=refined: formats.dump_json(formats.channel_to_doc(ch)), REPEATS))
+    return [("doc_to_channel", "formats", {"K": k, "out_dim": d * e, "in_dim": d * e},
+             lambda: formats.doc_to_channel(doc), REPEATS),
+            ("certify_uuqc", "unambiguous", dims, lambda: uuqc.certify_uuqc(copy.copy(large), None, None, e, e),
+             REPEATS),
+            ("refine", "unambiguous", dims, lambda: uuqc.refine(copy.copy(large), None, None, e, e), REPEATS),
+            ("dump_json(channel_to_doc)", "formats", {"K": len(refined.stack), "out_dim": d * e, "in_dim": d * e},
+             lambda: formats.dump_json(formats.channel_to_doc(refined)), REPEATS)]
 
-    lam2 = np.sort(rng.uniform(0.3, 1.0, DENSE_D))[::-1]
-    state = uuqc.SharedState.from_squares(lam2 / lam2.sum())
-    protocol = uuqc.optimal_protocol(state)
-    for trials in SIMULATE_TRIALS:
-        cases.append(("simulate", "densecode", {"D": DENSE_D, "trials": trials},
-                      lambda n=trials: uuqc.simulate(state, protocol, n, 7), REPEATS))
-    # The smaller ranks draw from their own seed, so the inputs above stay put.
-    verify_rng = np.random.default_rng(14)
-    states = {DENSE_D: state}
-    for D in VERIFY_D:
+
+def _dense_coding_cases():
+    """The optimal protocol at D = ``DENSE_D``, then at the other ``VERIFY_D`` ranks."""
+    import numpy as np
+
+    import uuqc
+    from wl_cli import DENSE_D
+
+    rng = np.random.default_rng(14)
+    states = {}
+    for D in [DENSE_D] + VERIFY_D:
         if D not in states:
-            lam2 = np.sort(verify_rng.uniform(0.3, 1.0, D))[::-1]
+            lam2 = np.sort(rng.uniform(0.3, 1.0, D))[::-1]
             states[D] = uuqc.SharedState.from_squares(lam2 / lam2.sum())
+    state = states[DENSE_D]
+    protocol = uuqc.optimal_protocol(state)
+    cases = [("simulate", "densecode", {"D": DENSE_D, "trials": trials},
+              lambda n=trials: uuqc.simulate(state, protocol, n, 7), REPEATS) for trials in SIMULATE_TRIALS]
+    for D in VERIFY_D:
         prot = uuqc.optimal_protocol(states[D])
         cases.append(("verify_protocol_bound", "densecode", {"D": D},
                       lambda s=states[D], p=prot, b=uuqc.optimal_receiver(prot):
                       uuqc.verify_protocol_bound(s, p.encoders, b), REPEATS))
+    return cases
 
-    # Vidal's optimum, from its own seed, so the inputs above stay put.
-    vidal_rng = np.random.default_rng(16)
+
+def _vidal_cases():
+    """Vidal's optimum on random spectra, and ``ec-prob`` on one random operator."""
+    import numpy as np
+
+    import uuqc
+
+    rng = np.random.default_rng(16)
+    cases = []
     for d, rank in CONVERSION_DIMS:
-        lam2 = np.sort(vidal_rng.uniform(0.05, 1.0, rank))[::-1]
+        lam2 = np.sort(rng.uniform(0.05, 1.0, rank))[::-1]
         form = uuqc.schmidt(np.diag(np.sqrt(lam2 / lam2.sum())).reshape(-1), rank, rank)
         cases.append(("conversion_probability", "entanglement", {"d": d, "rank": rank},
                       lambda f=form, d=d: uuqc.conversion_probability(f, d), REPEATS))
-    code = uuqc.CodeSpec(np.linalg.qr(vidal_rng.standard_normal((16, 8)))[0])
-    noise = uuqc.KrausChannel((vidal_rng.standard_normal((16, 16)) / 8,))
+    code = uuqc.CodeSpec(np.linalg.qr(rng.standard_normal((16, 8)))[0])
+    noise = uuqc.KrausChannel((rng.standard_normal((16, 16)) / 8,))
     cases.append(("unambiguous_correction_probability", "qec", {"n_phys": 16, "d": 8, "K": 1, "noise": "pure"},
                   lambda: uuqc.unambiguous_correction_probability(*_fresh(code, noise)), REPEATS))
-    return cases + _cli_cases(os.path.dirname(os.path.dirname(uuqc.__file__)), workdir)
+    return cases
+
+
+_QEC = ("kl_check", "standard_recovery", "verify_correction_uuqc")
+_EC_PROB = ("unambiguous_correction_probability", "meets_certainty_condition", "probability then certainty")
+# (the names of its cases, its builder) for every case family.  Each builder
+# draws its inputs from its own seed, so a family's inputs do not depend on
+# which other families are built.
+FAMILIES = [
+    (("certify_uuqc", "restrict_operator", "refine", "uuqc_to_ues", "certify_uuqc chain", "is_physical"),
+     _certified_cases),
+    (("certify_uuqc(ues_to_uuqc)",), _teleport_cases),
+    (("KrausChannel",), _stack_cases),
+    (("search_mixed_nonzero",), _search_cases),
+    (("choi_state",), _choi_cases),
+    (_QEC + _EC_PROB, _repetition_cases),
+    (_QEC + ("check then recover",) + _EC_PROB, _stabilizer_cases),
+    (_EC_PROB, _ec_prob_input_cases),
+    (("doc_to_channel", "certify_uuqc", "refine", "dump_json(channel_to_doc)"), _large_channel_cases),
+    (("simulate", "verify_protocol_bound"), _dense_coding_cases),
+    (("conversion_probability", "unambiguous_correction_probability"), _vidal_cases),
+]
+
+
+def _cases(workdir: str, pattern: str):
+    """``(name, layer, dims, call, repeats)`` for every case whose name
+    ``pattern`` matches, building only the families that hold one; the
+    subprocess cases write their documents under ``workdir``."""
+    import uuqc
+
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    cases = [case for names, build in FAMILIES if any(re.search(pattern, name) for name in names)
+             for case in build()]
+    # The cli cases are named after the jobs of a round, known once it is
+    # drawn; drawing it only writes its documents.
+    cases += _cli_cases(os.path.dirname(os.path.dirname(uuqc.__file__)), workdir)
+    return [case for case in cases if re.search(pattern, case[0])]
 
 
 def _cli_cases(src: str, workdir: str) -> list:
@@ -450,13 +559,13 @@ def _ec_prob_cases(uuqc, code, noise, dims, repeats):
 
 
 def child(src: str, pattern: str) -> None:
-    """Build every case with the ``uuqc`` found in ``src`` and print the
-    descriptions of those whose name ``pattern`` matches as one JSON line;
+    """Build the cases whose name ``pattern`` matches with the ``uuqc`` found
+    in ``src`` and print their descriptions as one JSON line;
     then, for each index into them read from standard input, call that case
     once and print its time in ms as one line."""
     sys.path.insert(0, os.path.abspath(src))
     with tempfile.TemporaryDirectory() as workdir:
-        cases = [case for case in _cases(workdir) if re.search(pattern, case[0])]
+        cases = _cases(workdir, pattern)
         _reply([{"name": name, "layer": layer, "dims": dims, "repeats": repeats}
                 for name, layer, dims, _, repeats in cases])
         for line in sys.stdin:
