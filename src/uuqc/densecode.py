@@ -164,6 +164,11 @@ def optimal_protocol(state: SharedState) -> DenseCodingProtocol:
     return DenseCodingProtocol(encoders=encoders, filter=filt, discrimination_basis=basis)
 
 
+def _receiver_amplitudes(state: SharedState, encoders: KrausChannel, bob: np.ndarray) -> np.ndarray:
+    """``B (diag(lambdas) (x) I) A``, column ``x`` being message ``x`` encoded, then read by ``bob``."""
+    return bob @ (np.repeat(state.lambdas, state.rank)[:, None] * _choi_vectors(encoders.stack).T)
+
+
 def simulate(
     state: SharedState,
     protocol: DenseCodingProtocol,
@@ -190,19 +195,14 @@ def simulate(
     encoders = _encoder_channel(protocol.encoders, D)
     if np.shape(protocol.discrimination_basis) != (n_msg, n_msg):
         raise ValueError(f"discrimination basis must be {n_msg} x {n_msg}")
-    basis = SubspaceIsometry(protocol.discrimination_basis).columns
-    filt = protocol.filter
-    if np.shape(filt) != (D, D):
-        raise ValueError(f"filter must be {D} x {D}, got shape {np.shape(filt)}")
-    if not is_physical(KrausChannel((filt,)), VALIDATION_TOL).physical:
+    SubspaceIsometry(protocol.discrimination_basis)  # refuses a basis that is not unitary
+    if np.shape(protocol.filter) != (D, D):
+        raise ValueError(f"filter must be {D} x {D}, got shape {np.shape(protocol.filter)}")
+    if not is_physical(KrausChannel((protocol.filter,)), VALIDATION_TOL).physical:
         raise ValueError("filter must satisfy F^dag F <= I")
-    # Column x is message x encoded on the shared ket, then filtered.
-    kets = _choi_vectors(encoders.stack).T
-    filtered = tensor_product(filt @ np.diag(state.lambdas), np.eye(D)) @ kets
-    # A contraction filter leaves only rounding above one.
-    success_prob = np.minimum(np.sum(np.abs(filtered) ** 2, axis=0), 1.0)
-    dist = np.abs(dagger(basis) @ filtered) ** 2
+    dist = np.abs(_receiver_amplitudes(state, encoders, optimal_receiver(protocol))) ** 2
     total = np.sum(dist, axis=0)
+    success_prob = np.minimum(total, 1.0)  # a contraction filter leaves only rounding above one
     hit = np.divide(np.diagonal(dist), total, out=np.zeros(n_msg), where=total > 0)
 
     rng = np.random.default_rng(seed)
@@ -240,7 +240,7 @@ def verify_protocol_bound(
     if not is_physical(KrausChannel((bob,)), VALIDATION_TOL).physical:
         raise ValueError("receiver operator must satisfy B^dag B <= I")
 
-    product = bob @ (np.repeat(state.lambdas, D)[:, None] * _choi_vectors(encoders.stack).T)
+    product = _receiver_amplitudes(state, encoders, bob)
     cert = _certify_restricted(product[None], n_msg, 1, 1, tol)
     form_residual = float(_phase_distance(cert.unitary, np.eye(n_msg))[0])
     r = complex(np.trace(product) / n_msg)
@@ -264,6 +264,5 @@ def verify_protocol_bound(
 def optimal_receiver(protocol: DenseCodingProtocol) -> np.ndarray:
     """Receiver operator of the optimal protocol in one matrix: project onto
     each discrimination ket after filtering the retained slot."""
-    basis = protocol.discrimination_basis
-    D = protocol.filter.shape[0]
-    return dagger(basis) @ tensor_product(protocol.filter, np.eye(D))
+    D = len(protocol.filter)
+    return dagger(protocol.discrimination_basis) @ tensor_product(protocol.filter, np.eye(D))

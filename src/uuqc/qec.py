@@ -30,7 +30,7 @@ import numpy as np
 from .channels import KrausChannel, _choi_vectors, choi_state
 from .entanglement import _is_flat, _vidal_optimum
 from .linalg import DEFAULT_TOL, VALIDATION_TOL, SubspaceIsometry, dagger, frobenius
-from .unambiguous import UuqcCertificate, _certify_uuqc, _Memo, _phase_distance
+from .unambiguous import UuqcCertificate, _certify_stack, _Memo, _phase_distance
 
 __all__ = [
     "CodeSpec",
@@ -192,7 +192,8 @@ def verify_correction_uuqc(
     The composite is read on the code space only, as the ``d x d`` blocks
     ``C^dag R_m E_k C`` (noise index slow) of a channel on the logical
     space.  The identity-consistent probability is one exactly when the
-    recovery corrects the noise completely.
+    recovery corrects the noise completely.  A composite that weighs more
+    than ``1 + VALIDATION_TOL`` on the code space raises ``ValueError``.
     """
     if recovery.out_dim != code.physical_dim:
         raise ValueError("recovery must map back into the physical space")
@@ -201,14 +202,23 @@ def verify_correction_uuqc(
         raise ValueError(f"recovery input dimension {recovery.in_dim} differs from "
                          f"the noise output dimension {errors.out_dim}")
     d = code.logical_dim
-    logical = (dagger(code.encoder) @ recovery.stack)[None] @ blocks[:, None]
-    # Not the remembering certify_uuqc: a composite built here is never certified twice.
-    cert = _certify_uuqc(KrausChannel(logical.reshape(-1, d, d)), None, None, 1, 1, tol)
+    logical = ((dagger(code.encoder) @ recovery.stack)[None] @ blocks[:, None]).reshape(-1, d, d)
+    _refuse_trace_increase(logical, "recovery after noise", "sum_mk (C^dag R_m E_k C)^dag C^dag R_m E_k C")
+    cert = _certify_stack(logical, d, 1, 1, tol)
     per = cert.per_element
     # Elements that factorize with U = I count at any probability, as in certify_uuqc.
     counted = (per.residual <= tol) & (per.unitarity_deviation <= tol)
     q_id = float(np.sum(per.probability[counted & (_phase_distance(per.unitary, np.eye(d)) <= tol)]))
     return CorrectionReport(cert, q_id, cert.is_uuqc and abs(q_id - 1.0) <= tol)
+
+
+def _refuse_trace_increase(blocks: np.ndarray, name: str, gram: str) -> None:
+    """Refuse, by ``name``, ``blocks`` whose summed Gram ``gram`` has ``lambda_max > 1 + VALIDATION_TOL``."""
+    stacked = blocks.reshape(-1, blocks.shape[-1])
+    top = np.linalg.eigvalsh(dagger(stacked) @ stacked)[-1]
+    if top > 1.0 + VALIDATION_TOL:
+        raise ValueError(f"{name} must not increase the trace on the code space: "
+                         f"lambda_max({gram}) = {top:.9g} > 1")
 
 
 def noise_choi_state(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
@@ -265,12 +275,7 @@ def _ec_step(code: CodeSpec, noise: KrausChannel, tol: float) -> tuple:
     eigen-branches, a pure state being one branch of the whole weight) and one of the branch kets."""
     blocks = _code_blocks(code, noise)
     _, out, d = blocks.shape
-    stacked = blocks.reshape(-1, d)
-    # A trace-increasing noise would read as a "probability" above one.
-    top = np.linalg.eigvalsh(dagger(stacked) @ stacked)[-1]
-    if top > 1.0 + VALIDATION_TOL:
-        raise ValueError(f"noise must not increase the trace on the code space: "
-                         f"lambda_max(sum_k (E_k C)^dag E_k C) = {top:.9g} > 1")
+    _refuse_trace_increase(blocks, "noise", "sum_k (E_k C)^dag E_k C")
     _, svals, vh = np.linalg.svd(_choi_vectors(blocks), full_matrices=False)
     evals = svals**2 / d
     weight = float(evals.sum())

@@ -115,7 +115,8 @@ def restrict_operator(
     env_in: int = 1,
     env_out: int = 1,
 ) -> np.ndarray:
-    """Compress the system legs of ``omega`` onto the chosen subspaces.
+    """Compress the system legs of ``omega`` onto the chosen subspaces: the
+    one restriction, which every certificate reads.
 
     Returns ``(V2^dag (x) I) omega (V1 (x) I)`` of shape
     ``(d * env_out, d * env_in)``; an omitted ``v1`` or ``v2`` (``None``)
@@ -123,17 +124,10 @@ def restrict_operator(
     such as ``KrausChannel.stack``) is compressed in one pass.
     """
     omega = np.asarray(omega, dtype=complex)
-    return _restrict(omega, *_subspace_columns(v1, v2, omega.shape, env_in, env_out), env_in, env_out)
-
-
-def _restrict(omega: np.ndarray, c1: np.ndarray, c2: np.ndarray, env_in: int, env_out: int) -> np.ndarray:
-    """``restrict_operator`` on the subspaces' column arrays."""
+    c1, c2 = _subspace_columns(v1, v2, omega.shape, env_in, env_out)
     (amb1, d1), (amb2, d2) = c1.shape, c2.shape
     if omega.shape[-2:] != (amb2 * env_out, amb1 * env_in):
-        raise ValueError(
-            f"operator shape {omega.shape} does not match "
-            f"({amb2}*{env_out}, {amb1}*{env_in})"
-        )
+        raise ValueError(f"operator shape {omega.shape} does not match ({amb2}*{env_out}, {amb1}*{env_in})")
     batch = omega.shape[:-2]
     # Move the input system leg last and contract it with V1 in one 2-D
     # product, then contract the output leg with V2^dag.
@@ -183,10 +177,8 @@ def certify_uum(
     to the full spaces (with ``omega`` square on the system after removing
     the declared environment legs).
     """
-    omega = np.asarray(omega, dtype=complex)
-    c1, c2 = _subspace_columns(v1, v2, omega.shape, env_in, env_out)
-    restricted = _restrict(omega[None], c1, c2, env_in, env_out)
-    stacked = _certify_restricted(restricted, c1.shape[1], env_in, env_out, tol)
+    restricted = restrict_operator(np.asarray(omega)[None], v1, v2, env_in, env_out)
+    stacked = _certify_restricted(restricted, restricted.shape[-1] // env_in, env_in, env_out, tol)
     return UumCertificate(*(v[0].item() if v.ndim == 1 else v[0] for v in vars(stacked).values()))
 
 
@@ -208,9 +200,8 @@ def probability_profile(
     each, so a certified map returns its ``p`` ``d`` times and anything else
     betrays its input preference in the spread.
     """
-    omega = np.asarray(omega, dtype=complex)
-    c1, c2 = _subspace_columns(v1, v2, omega.shape, env_in, env_out)
-    restricted = _restrict(omega, c1, c2, env_in, env_out).reshape(-1, c1.shape[1], env_in)
+    restricted = restrict_operator(omega, v1, v2, env_in, env_out)
+    restricted = restricted.reshape(-1, restricted.shape[-1] // env_in, env_in)
     return np.linalg.eigvalsh(np.einsum("rie,rje->ij", restricted.conj(), restricted))
 
 
@@ -320,10 +311,14 @@ def certify_uuqc(
 
 def _certify_uuqc(ch: KrausChannel, v1: SubspaceIsometry | None, v2: SubspaceIsometry | None,
                   env_in: int, env_out: int, tol: float) -> UuqcCertificate:
-    """``certify_uuqc`` without the memo."""
-    c1, c2 = _subspace_columns(v1, v2, ch.stack.shape, env_in, env_out)
-    d = c1.shape[1]
-    restricted = _restrict(ch.stack, c1, c2, env_in, env_out)
+    """``certify_uuqc`` without the memo: ``restrict_operator``, then the kernel
+    ``_certify_stack``, which ``verify_correction_uuqc`` calls on its own stack."""
+    restricted = restrict_operator(ch.stack, v1, v2, env_in, env_out)
+    return _certify_stack(restricted, restricted.shape[-1] // env_in, env_in, env_out, tol)
+
+
+def _certify_stack(restricted: np.ndarray, d: int, env_in: int, env_out: int, tol: float) -> UuqcCertificate:
+    """The read-only certificate of restricted Kraus elements, a ``(K, d * env_out, d * env_in)`` stack."""
     per = _certify_restricted(restricted, d, env_in, env_out, tol)
     contributing = per.probability > tol
     first = contributing.argmax()

@@ -1,10 +1,12 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uuqc import densecode
 from uuqc.densecode import (
     DenseCodingProtocol,
     SharedState,
@@ -188,6 +190,16 @@ def test_simulate_matches_oracle_with_decode_errors():
     prot = optimal_protocol(state)
     wrong = DenseCodingProtocol(prot.encoders, prot.filter, random_unitary(16, 5))
     assert _assert_same_law(state, wrong, trials=1000, runs=400) > 0
+
+
+def test_simulate_draws_from_the_amplitudes_the_bound_certifies():
+    state = _spectrum(4, 60)
+    prot = optimal_protocol(state)
+    with mock.patch.object(densecode, "_receiver_amplitudes", wraps=densecode._receiver_amplitudes) as spy:
+        simulate(state, prot, trials=1000, seed=3)
+        verify_protocol_bound(state, prot.encoders, optimal_receiver(prot))
+    (simulated, _), (bounded, _) = spy.call_args_list
+    assert simulated[2].tobytes() == bounded[2].tobytes()
 
 
 def test_simulate_takes_any_c_long_trial_count():

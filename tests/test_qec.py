@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import uuqc.qec
+from uuqc import unambiguous
 from uuqc.channels import KrausChannel, apply, choi_state, compose
 from uuqc.entanglement import check_mixed_nonzero, is_rank_d_ues, schmidt, search_mixed_nonzero
 from uuqc.linalg import VALIDATION_TOL, random_unitary
@@ -378,6 +379,31 @@ def test_flagged_erasure_into_a_larger_space_agrees_across_verdicts():
     assert (recovery.in_dim, recovery.out_dim) == (81, 16)
     assert verify_correction_uuqc(code, noise, recovery).identity_probability == pytest.approx(1.0, abs=1e-12)
     assert noise_choi_state(code, noise).shape == (2 * 81, 2 * 81)
+
+
+def test_trace_increasing_composite_is_refused():
+    # Five-qubit Pauli noise times 100 read identity_probability 10000.000000000015
+    # after its standard recovery; twice that recovery increases the trace of physical noise.
+    code, noise = five_qubit_code(), pauli_noise(5, 0.1)
+    scaled = KrausChannel(100 * noise.stack)
+    recovery = standard_recovery(code, noise)
+    refused = r"^recovery after noise must not increase the trace on the code space: lambda_max\(sum_mk .* = "
+    for errors, rec, top in ((scaled, standard_recovery(code, scaled), "10000"),
+                             (noise, KrausChannel(2 * recovery.stack), "4"),
+                             (noise, KrausChannel((1 + 1e-8) * recovery.stack), "1.00000002")):
+        with pytest.raises(ValueError, match=refused + top + " > 1$"):
+            verify_correction_uuqc(code, errors, rec)
+    # Within VALIDATION_TOL of trace-preserving, the composite is certified as before.
+    rep = verify_correction_uuqc(code, noise, KrausChannel((1 + 1e-9) * recovery.stack))
+    assert rep.certificate.is_uuqc and rep.identity_probability == pytest.approx(1.0, abs=1e-8)
+
+
+def test_correction_certifies_its_code_space_stack_without_subspaces():
+    code, noise = repetition_code(), bit_flip_errors()
+    recovery = standard_recovery(code, noise)
+    with mock.patch.object(unambiguous, "_subspace_columns", side_effect=AssertionError("restricted again")):
+        rep = verify_correction_uuqc(code, noise, recovery)
+    assert rep.fully_corrected and rep.certificate.is_uuqc
 
 
 def test_recovery_must_map_back_into_the_physical_space():

@@ -604,6 +604,22 @@ def test_chain_certifies_each_channel_once(subspaces):
     assert certify_uuqc(ch, v1, v2, 2, 3) is cert
 
 
+@pytest.mark.parametrize("subspaces", ["given", "omitted"])
+def test_each_certificate_restricts_once_through_restrict_operator(subspaces):
+    rng = np.random.default_rng(35)
+    if subspaces == "given":
+        ch, _, _, v1, v2 = make_uuqc(rng, 2, 3, 4, 2, 3, [0.3, 0.2], with_noise=True)
+    else:
+        ch, v1, v2 = make_uuqc(rng, 2, 2, 2, 2, 3, [0.3, 0.2])[0], None, None
+    for call in (lambda: certify_uum(ch.stack[0], v1, v2, 2, 3),
+                 lambda: probability_profile(ch.stack, v1, v2, 2, 3),
+                 # a fresh channel, so no remembered certificate answers
+                 lambda: certify_uuqc(KrausChannel(ch.stack), v1, v2, 2, 3)):
+        with mock.patch.object(unambiguous, "restrict_operator", wraps=unambiguous.restrict_operator) as spy:
+            call()
+        assert spy.call_count == 1
+
+
 def test_certificate_memo_misses_on_any_other_key():
     rng = np.random.default_rng(32)
     ch, _, _, v1, v2 = make_uuqc(rng, 2, 3, 4, 2, 3, [0.3, 0.2], with_noise=True)
