@@ -15,14 +15,16 @@ Knill-Laflamme-correctable noise.
 
 Every verdict reads the noise once, as the stacked blocks ``E_k C``
 (``_code_blocks``), and none builds the ``(d n) x (d n)`` Choi matrix that
-``noise_choi_state`` shows.  ``kl_check`` and ``standard_recovery`` share one
-remembered Knill-Laflamme step (``_kl_step``); the probability and the
+``noise_choi_state`` shows.  ``kl_check`` and ``standard_recovery`` share the
+Knill-Laflamme step (``_kl_step``) and remember its two most recently used
+results, holding the code and noise by weak reference; the probability and the
 certainty condition each run the Choi eigen-branch step (``_ec_step``), and
 ``uuqc ec-prob`` runs it once for both.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ import numpy as np
 from .channels import KrausChannel, _choi_vectors, choi_state
 from .entanglement import _is_flat, _vidal_optimum
 from .linalg import DEFAULT_TOL, VALIDATION_TOL, SubspaceIsometry, dagger, frobenius
-from .unambiguous import UuqcCertificate, _certify_stack, _Memo, _phase_distance
+from .unambiguous import UuqcCertificate, _certify_stack, _phase_distance, _weak
 
 __all__ = [
     "CodeSpec",
@@ -99,8 +101,10 @@ def _code_blocks(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     return noise.stack @ code.encoder
 
 
-# The two most recent Knill-Laflamme steps, for kl_check -> standard_recovery.
-_kl_steps = _Memo()
+# The two most recently used Knill-Laflamme steps, for kl_check -> standard_recovery.
+@functools.lru_cache(maxsize=2)
+def _remembered_kl_step(refs: tuple, tol: float) -> tuple:
+    return _kl_step(*(ref() for ref in refs), tol)
 
 
 def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> KlReport:
@@ -112,13 +116,13 @@ def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> 
     ``h`` comes back Hermitian and positive semidefinite for correctable
     sets, with unit trace when the noise is trace-preserving.
 
-    The check is shared with ``standard_recovery``: the two most recent
-    checks are remembered, keyed by the identity of ``code`` and ``errors``
+    The check is shared with ``standard_recovery``: the two most recently
+    used checks are remembered, keyed by the identity of ``code`` and ``errors``
     (held by weak reference only) and an equal ``tol``, so the recovery of
     a set just checked does not check it again.  Since one report may reach
     several callers, ``h`` is read-only.
     """
-    return _kl_steps(_kl_step, (code, errors), (tol,))[1]
+    return _remembered_kl_step(_weak((code, errors)), tol)[1]
 
 
 def _kl_step(code: CodeSpec, errors: KrausChannel, tol: float) -> tuple:
@@ -164,10 +168,11 @@ def standard_recovery(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT
     recovery elements project onto those spaces and rotate them back.  The
     result is trace-decreasing when the corrupted spaces do not fill the
     noise's output space, which is fine for unambiguous bookkeeping.  The
-    Knill-Laflamme check and the blocks it ran on come from ``kl_check``'s
-    memo when the same ``code`` and ``errors`` were just checked at ``tol``.
+    Knill-Laflamme check and the blocks it ran on come from the two most
+    recently used checks, held by weak reference, when the same ``code`` and
+    ``errors`` were just checked at ``tol``.
     """
-    blocks, report = _kl_steps(_kl_step, (code, errors), (tol,))
+    blocks, report = _remembered_kl_step(_weak((code, errors)), tol)
     if not report.correctable:
         raise ValueError("error set is not correctable on this code")
     blocks = diagonalize_errors(report, KrausChannel(blocks)).stack

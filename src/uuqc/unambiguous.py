@@ -19,6 +19,7 @@ reproduces the factorization criterion exactly.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -124,6 +125,8 @@ def restrict_operator(
     such as ``KrausChannel.stack``) is compressed in one pass.
     """
     omega = np.asarray(omega, dtype=complex)
+    if omega.ndim < 2:
+        raise ValueError(f"operator shape {omega.shape} has fewer than two axes")
     c1, c2 = _subspace_columns(v1, v2, omega.shape, env_in, env_out)
     (amb1, d1), (amb2, d2) = c1.shape, c2.shape
     if omega.shape[-2:] != (amb2 * env_out, amb1 * env_in):
@@ -168,7 +171,7 @@ def certify_uum(
     env_out: int = 1,
     tol: float = DEFAULT_TOL,
 ) -> UumCertificate:
-    """Decide whether ``omega`` acts as ``U (x) T`` between the subspaces.
+    """Decide whether the one matrix ``omega`` acts as ``U (x) T`` between the subspaces.
 
     The restricted operator is factorized across the system/environment cut.
     Certification requires the rank-one residual to vanish within ``tol``,
@@ -177,7 +180,10 @@ def certify_uum(
     to the full spaces (with ``omega`` square on the system after removing
     the declared environment legs).
     """
-    restricted = restrict_operator(np.asarray(omega)[None], v1, v2, env_in, env_out)
+    omega = np.asarray(omega)
+    if omega.ndim != 2:
+        raise ValueError(f"operator shape {omega.shape} is not one matrix")
+    restricted = restrict_operator(omega[None], v1, v2, env_in, env_out)
     stacked = _certify_restricted(restricted, restricted.shape[-1] // env_in, env_in, env_out, tol)
     return UumCertificate(*(v[0].item() if v.ndim == 1 else v[0] for v in vars(stacked).values()))
 
@@ -236,46 +242,19 @@ def _definition_residual(restricted: np.ndarray, d: int, env_in: int, env_out: i
     return float((squared + np.vdot(gram, gram).real) ** 0.5)
 
 
-_MEMO_SIZE = 2
-
-
-def _same(ref, obj) -> bool:
-    """Whether ``ref`` (a weak reference, or ``None`` for an omitted
-    argument) refers to ``obj``; a dead reference matches nothing."""
-    return ref is None if obj is None else ref is not None and ref() is obj
-
-
-class _Memo:
-    """The ``_MEMO_SIZE`` newest results of a computation, newest first.
-
-    A call ``memo(compute, objs, params)`` returns ``compute(*objs,
-    *params)``, or the result remembered for the same ``objs`` (compared by
-    identity, held by weak reference, ``None`` matching only ``None``) with
-    equal ``params``.  The inputs it serves are frozen objects holding
-    read-only arrays, so identity pins down a result for as long as the
-    objects live; a result may reach several callers, so its arrays must be
-    read-only.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries = ()
-
-    def __call__(self, compute, objs: tuple, params: tuple):
-        for refs, entry_params, result in self._entries:
-            if entry_params == params and all(map(_same, refs, objs)):
-                return result
-        result = compute(*objs, *params)
-        refs = tuple(None if obj is None else weakref.ref(obj) for obj in objs)
-        # One rebinding of a tuple: a thread that races this one can only miss.
-        self._entries = ((refs, params, result),) + self._entries[: _MEMO_SIZE - 1]
-        return result
+def _weak(objs: tuple) -> tuple:
+    """A memo key for ``objs`` that keeps none of them alive: weak references
+    compare live referents (frozen, read-only) by identity, a dead one equals
+    no other, so an object that reuses its id misses, and ``None`` (omitted)
+    stays.  A result may reach several callers, so its arrays are read-only."""
+    return tuple(None if obj is None else weakref.ref(obj) for obj in objs)
 
 
 # Two certificates cover certify -> refine -> certify the refined channel ->
 # uuqc_to_ues on the original.
-_certificates = _Memo()
+@functools.lru_cache(maxsize=2)
+def _remembered(refs: tuple, env_in: int, env_out: int, tol: float) -> UuqcCertificate:
+    return _certify_uuqc(*(None if ref is None else ref() for ref in refs), env_in, env_out, tol)
 
 
 def certify_uuqc(
@@ -298,7 +277,7 @@ def certify_uuqc(
     ``tol`` of ``q |U>><<U|``, which bounds the deviation from
     ``q U rho U^dag`` on every subspace state.  The check is deterministic.
 
-    The two most recent certificates are remembered, so ``refine`` and
+    The two most recently used certificates are remembered, so ``refine`` and
     ``uuqc_to_ues`` on a channel just certified do not certify it again.  A
     call returns a remembered certificate when it passes the same channel
     object and the same ``v1`` and ``v2`` objects (or ``None``) with equal
@@ -306,7 +285,7 @@ def certify_uuqc(
     weak reference only.  Since one certificate may reach several callers,
     its arrays are read-only.
     """
-    return _certificates(_certify_uuqc, (ch, v1, v2), (env_in, env_out, tol))
+    return _remembered(_weak((ch, v1, v2)), env_in, env_out, tol)
 
 
 def _certify_uuqc(ch: KrausChannel, v1: SubspaceIsometry | None, v2: SubspaceIsometry | None,

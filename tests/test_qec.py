@@ -11,7 +11,7 @@ import uuqc.qec
 from uuqc import unambiguous
 from uuqc.channels import KrausChannel, apply, choi_state, compose
 from uuqc.entanglement import check_mixed_nonzero, is_rank_d_ues, schmidt, search_mixed_nonzero
-from uuqc.linalg import VALIDATION_TOL, random_unitary
+from uuqc.linalg import DEFAULT_TOL, VALIDATION_TOL, random_unitary
 from uuqc.qec import (
     CodeSpec,
     diagonalize_errors,
@@ -617,6 +617,30 @@ def test_kl_step_memo_keeps_no_object_alive():
     with _counting_kl_steps() as step:
         kl_check(repetition_code(), bit_flip_errors())
     assert step.call_count == 1
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from(["check", "recover"]), st.integers(0, 2)), min_size=1, max_size=10))
+def test_kl_memo_interleavings_match_fresh_steps(steps):
+    code = repetition_code()
+    # two correctable sets, one sharing its code with the uncorrectable third
+    cases = [(code, bit_flip_errors()), symmetric_bit_flips(), (code, phase_errors())]
+
+    def recover(code, errors):
+        try:
+            return standard_recovery(code, errors).stack.tobytes()
+        except ValueError as err:
+            return str(err)
+
+    fresh = [(uuqc.qec._kl_step(CodeSpec(c.encoder), KrausChannel(e.stack), DEFAULT_TOL)[1],
+              recover(CodeSpec(c.encoder), KrausChannel(e.stack))) for c, e in cases]
+    for call, i in steps:
+        want, recovery = fresh[i]
+        if call == "check":
+            got = kl_check(*cases[i])
+            assert (got.h.tobytes(), got.residual, got.correctable) == (want.h.tobytes(), want.residual,
+                                                                        want.correctable)
+        else:
+            assert recover(*cases[i]) == recovery
 
 
 def depolarizing_on_qubit():

@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import sys
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -644,11 +646,12 @@ def test_certificate_memo_misses_on_any_other_key():
     for legs in ((2, 1), (1, 2)):
         with pytest.raises(ValueError, match="subspace dimensions differ"):
             certify_uuqc(full, None, None, *legs)
-    # Nor does a collected subspace stand for an omitted one.
-    certify_uuqc(full, SubspaceIsometry(np.eye(2)), None, 2, 2)
+    # Nor does a collected subspace stand for an omitted one, on a channel with no other certificate.
+    fresh = KrausChannel(full.stack)
+    certify_uuqc(fresh, SubspaceIsometry(np.eye(2)), None, 2, 2)
     gc.collect()
     with mock.patch.object(unambiguous, "_certify_uuqc", wraps=unambiguous._certify_uuqc) as spy:
-        certify_uuqc(full, None, None, 2, 2)
+        certify_uuqc(fresh, None, None, 2, 2)
     assert spy.call_count == 1
 
 
@@ -670,6 +673,48 @@ def test_certificate_memo_keeps_no_object_alive():
     del ch, v1, v2
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_certificate_memo_keeps_the_two_most_recently_used():
+    rng = np.random.default_rng(36)
+    a, b, c = (make_uuqc(rng, 2, 2, 2, 2, 3, [0.3, 0.2])[0] for _ in range(3))
+    for ch in (a, b, a, c):
+        certify_uuqc(ch, None, None, 2, 3)
+    # a was used after b, so c evicted b.
+    with mock.patch.object(unambiguous, "_certify_uuqc", wraps=unambiguous._certify_uuqc) as spy:
+        certify_uuqc(a, None, None, 2, 3)
+        certify_uuqc(b, None, None, 2, 3)
+    assert [call.args[0] for call in spy.call_args_list] == [b]
+
+
+def _assert_same_certificate(got, want):
+    for a, b in ((got, want), (got.per_element, want.per_element)):
+        for field, value in vars(b).items():
+            if field != "per_element":
+                assert np.asarray(getattr(a, field)).tobytes() == np.asarray(value).tobytes(), field
+
+
+def test_certificate_memo_serves_concurrent_chains():
+    rng = np.random.default_rng(37)
+    cases = [make_uuqc(rng, 2, 3, 4, 2, 3, [0.3, 0.2], with_noise=True) for _ in range(4)]
+
+    def chain(case):
+        ch, _, _, v1, v2 = case
+        for _ in range(50):
+            cert = certify_uuqc(ch, v1, v2, 2, 3)
+            refined = refine(ch, v1, v2, 2, 3)
+            for channel, got in ((ch, cert), (refined, certify_uuqc(refined, v1, v2, 2, 3))):
+                _assert_same_certificate(got, unambiguous._certify_uuqc(channel, v1, v2, 2, 3, DEFAULT_TOL))
+            assert uuqc_to_ues(ch, v1, v2, 2, 3)[0] == cert.total_probability
+
+    # More threads than cores, switching often, so that a race would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(chain, cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @given(
@@ -754,6 +799,15 @@ def test_dimension_errors():
         restrict_operator(np.eye(4), SubspaceIsometry(np.eye(2)), SubspaceIsometry(np.eye(2)), 3, 2)
     with pytest.raises(ValueError, match="subspace dimensions differ: 2 vs 3"):
         restrict_operator(np.eye(4), SubspaceIsometry(np.eye(4)[:, :2]), SubspaceIsometry(np.eye(4)[:, :3]))
+
+
+def test_malformed_operators_are_refused_by_shape():
+    for call in (lambda: restrict_operator(np.ones(3), None, None), lambda: probability_profile(np.ones(3))):
+        with pytest.raises(ValueError, match=r"^operator shape \(3,\) has fewer than two axes$"):
+            call()
+    for omega, shape in ((np.ones(3), r"\(3,\)"), (np.ones((2, 2, 2)), r"\(2, 2, 2\)")):
+        with pytest.raises(ValueError, match=rf"^operator shape {shape} is not one matrix$"):
+            certify_uum(omega)
 
 
 def test_omitted_subspaces_reject_empty_system_spaces():
