@@ -15,24 +15,22 @@ Knill-Laflamme-correctable noise.
 
 Every verdict reads the noise once, as the stacked blocks ``E_k C``
 (``_code_blocks``), and none builds the ``(d n) x (d n)`` Choi matrix that
-``noise_choi_state`` shows.  ``kl_check`` and ``standard_recovery`` share the
-Knill-Laflamme step (``_kl_step``) and remember its two most recently used
-results, holding the code and noise by weak reference; the probability and the
-certainty condition each run the Choi eigen-branch step (``_ec_step``), and
-``uuqc ec-prob`` runs it once for both.
+``noise_choi_state`` shows.  ``kl_check`` and ``standard_recovery`` each run
+the Knill-Laflamme step (``_kl_step``); the probability and the certainty
+condition each run the Choi eigen-branch step (``_ec_step``), and
+``uuqc ec-prob`` runs it once for both.  No step is remembered.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import KrausChannel, _choi_vectors, choi_state
 from .entanglement import _is_flat, _vidal_optimum
-from .linalg import DEFAULT_TOL, VALIDATION_TOL, SubspaceIsometry, dagger, frobenius
-from .unambiguous import UuqcCertificate, _certify_stack, _phase_distance, _weak
+from .linalg import DEFAULT_TOL, VALIDATION_TOL, SubspaceIsometry, dagger
+from .unambiguous import UuqcCertificate, _certify_stack, _phase_distance
 
 __all__ = [
     "CodeSpec",
@@ -69,8 +67,8 @@ class CodeSpec:
 
 @dataclass(frozen=True, eq=False)
 class KlReport:
-    """Knill-Laflamme verdict: the overlap matrix ``h`` (read-only) and the
-    worst deviation of ``P E_j^dag E_i P`` from ``h_ji P``."""
+    """Knill-Laflamme verdict: the overlap matrix ``h`` and the worst
+    deviation of ``P E_j^dag E_i P`` from ``h_ji P``."""
 
     correctable: bool
     h: np.ndarray
@@ -101,12 +99,6 @@ def _code_blocks(code: CodeSpec, noise: KrausChannel) -> np.ndarray:
     return noise.stack @ code.encoder
 
 
-# The two most recently used Knill-Laflamme steps, for kl_check -> standard_recovery.
-@functools.lru_cache(maxsize=2)
-def _remembered_kl_step(refs: tuple, tol: float) -> tuple:
-    return _kl_step(*(ref() for ref in refs), tol)
-
-
 def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> KlReport:
     """Test ``P E_j^dag E_i P = h_ji P`` on the code projector.
 
@@ -114,35 +106,29 @@ def kl_check(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT_TOL) -> 
     deviation over element pairs, evaluated on the logical blocks
     ``(E_j C)^dag E_i C`` (an isometry-invariant, hence identical, norm).
     ``h`` comes back Hermitian and positive semidefinite for correctable
-    sets, with unit trace when the noise is trace-preserving.
-
-    The check is shared with ``standard_recovery``: the two most recently
-    used checks are remembered, keyed by the identity of ``code`` and ``errors``
-    (held by weak reference only) and an equal ``tol``, so the recovery of
-    a set just checked does not check it again.  Since one report may reach
-    several callers, ``h`` is read-only.
+    sets, with unit trace when the noise is trace-preserving.  Each call
+    runs the check; ``standard_recovery`` runs it again.
     """
-    return _remembered_kl_step(_weak((code, errors)), tol)[1]
+    return _kl_step(code, errors, tol)[1]
 
 
 def _kl_step(code: CodeSpec, errors: KrausChannel, tol: float) -> tuple:
-    """The read-only ``(K, out, d)`` stack ``E_k C`` and its ``KlReport``,
-    from one pass over the pairs of blocks."""
+    """The ``(K, out, d)`` stack ``E_k C`` and its ``KlReport``, one row of
+    block products ``(E_j C)^dag E_i C`` at a time."""
     blocks = _code_blocks(code, errors)
     n, _, d = blocks.shape
-    h = np.zeros((n, n), dtype=complex)
-    deviation = np.zeros((n, n))
+    h = np.empty((n, n), dtype=complex)
+    deviation = np.empty((n, n))
     eye = np.eye(d)
     for j in range(n):
-        for i in range(n):
-            block = dagger(blocks[j]) @ blocks[i]
-            hij = np.trace(block) / d
-            h[j, i] = hij
-            deviation[j, i] = frobenius(block - hij * eye)
+        row = dagger(blocks[j]) @ blocks
+        h[j] = hj = np.trace(row, axis1=1, axis2=2) / d
+        off = (row - hj[:, None, None] * eye).reshape(n, 1, d * d)
+        # Each deviation as ``frobenius`` takes it: re.re + im.im, two (1 x m) @ (m x 1) dot products.
+        re, im = off.real, off.imag
+        deviation[j] = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel()
     # The array maximum, unlike the builtin one, keeps a NaN deviation.
     residual = float(deviation.max())
-    blocks.setflags(write=False)
-    h.setflags(write=False)
     return blocks, KlReport(correctable=residual <= tol, h=h, residual=residual)
 
 
@@ -167,12 +153,10 @@ def standard_recovery(code: CodeSpec, errors: KrausChannel, tol: float = DEFAULT
     code space isometrically onto a mutually orthogonal corrupted space; the
     recovery elements project onto those spaces and rotate them back.  The
     result is trace-decreasing when the corrupted spaces do not fill the
-    noise's output space, which is fine for unambiguous bookkeeping.  The
-    Knill-Laflamme check and the blocks it ran on come from the two most
-    recently used checks, held by weak reference, when the same ``code`` and
-    ``errors`` were just checked at ``tol``.
+    noise's output space, which is fine for unambiguous bookkeeping.  It
+    runs the Knill-Laflamme check itself, on its own read of the noise.
     """
-    blocks, report = _remembered_kl_step(_weak((code, errors)), tol)
+    blocks, report = _kl_step(code, errors, tol)
     if not report.correctable:
         raise ValueError("error set is not correctable on this code")
     blocks = diagonalize_errors(report, KrausChannel(blocks)).stack

@@ -331,3 +331,21 @@ def kl_by_projector(encoder, elements) -> tuple:
             h[j, i] = np.trace(sandwich) / d
             residual = max(residual, float(np.linalg.norm(sandwich - h[j, i] * proj)))
     return h, residual
+
+
+def kl_by_pair_loop(blocks) -> tuple:
+    """The Knill-Laflamme data of a ``(K, out, d)`` stack ``E_k C`` by one
+    ``d x d`` product per pair of blocks: ``h`` and the largest Frobenius
+    deviation of ``(E_j C)^dag E_i C`` from ``h_ji I``."""
+    n, _, d = blocks.shape
+    h = np.zeros((n, n), dtype=complex)
+    deviation = np.zeros((n, n))
+    eye = np.eye(d)
+    for j in range(n):
+        for i in range(n):
+            block = np.conj(blocks[j]).T @ blocks[i]
+            hij = np.trace(block) / d
+            h[j, i] = hij
+            deviation[j, i] = float(np.linalg.norm(block - hij * eye))
+    # The array maximum, unlike the builtin one, keeps a NaN deviation.
+    return h, float(deviation.max())

@@ -1,5 +1,3 @@
-import gc
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -39,6 +37,7 @@ from builders import (
 from oracles import (
     correction_by_choi_eigh,
     filter_conversion_max,
+    kl_by_pair_loop,
     kl_by_projector,
     orthogonal_branch_probability,
     standard_recovery_two_pass,
@@ -471,6 +470,36 @@ def test_kl_check_matches_projector_oracle(seed, n, d, k, grow, correctable):
     assert not correctable or report.correctable
 
 
+def _kl_bytes(h, residual):
+    return h.tobytes(), np.float64(residual).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 64),
+    d=st.integers(1, 8),
+    k=st.integers(1, 12),
+    real=st.booleans(),
+)
+def test_kl_step_matches_pair_loop_byte_for_byte(seed, n, d, k, real):
+    assume(d <= n)
+    rng = np.random.default_rng(seed)
+    enc = random_unitary(n, rng)[:, :d]
+    elems = rand_complex(rng, (k, n, n)) / np.sqrt(2 * n * k)
+    if real:
+        enc, elems = np.linalg.qr(enc.real)[0], elems.real
+    code, noise = CodeSpec(enc), KrausChannel(elems)
+    report = uuqc.qec._kl_step(code, noise, DEFAULT_TOL)[1]
+    assert _kl_bytes(report.h, report.residual) == _kl_bytes(*kl_by_pair_loop(noise.stack @ code.encoder))
+
+
+def test_kl_step_matches_pair_loop_on_the_five_qubit_code():
+    code, noise = five_qubit_code(), pauli_noise(5, 0.1)
+    report = uuqc.qec._kl_step(code, noise, DEFAULT_TOL)[1]
+    assert report.correctable
+    assert _kl_bytes(report.h, report.residual) == _kl_bytes(*kl_by_pair_loop(noise.stack @ code.encoder))
+
+
 def _flip(wire, n_qubits):
     return kron_chain(*[PAULI_X if k == wire else np.eye(2) for k in range(n_qubits)])
 
@@ -579,68 +608,22 @@ def _counting_kl_steps():
     return mock.patch.object(uuqc.qec, "_kl_step", wraps=uuqc.qec._kl_step)
 
 
-def test_check_then_recover_runs_one_kl_step():
+def test_check_then_recover_runs_two_kl_steps():
+    # No step is remembered: each public call runs one step on one read of the noise.
     code, noise = repetition_code(), bit_flip_errors()
-    with _counting_kl_steps() as step:
+    with _counting_kl_steps() as step, \
+            mock.patch.object(uuqc.qec, "_code_blocks", wraps=uuqc.qec._code_blocks) as read:
         report = kl_check(code, noise)
         standard_recovery(code, noise)
-        assert kl_check(code, noise) is report
-    assert step.call_count == 1
-    with pytest.raises(ValueError, match="read-only"):
-        report.h[0, 0] = 0
-    # An uncorrectable set raises on a memo hit too.
+    assert step.call_count == 2 and read.call_count == 2
+    assert report.correctable and report.h.flags.writeable
+    # An uncorrectable set still raises the same one line.
     phase = phase_errors()
     assert not kl_check(code, phase).correctable
     with _counting_kl_steps() as step:
         with pytest.raises(ValueError, match="^error set is not correctable on this code$"):
             standard_recovery(code, phase)
-    assert step.call_count == 0
-
-
-def test_kl_step_memo_misses_on_any_other_key():
-    code, noise = repetition_code(), bit_flip_errors()
-    kl_check(code, noise)
-    for args in ((code, noise, 1e-7), (repetition_code(), noise), (code, bit_flip_errors())):
-        with _counting_kl_steps() as step:
-            standard_recovery(*args)
-        assert step.call_count == 1, args
-
-
-def test_kl_step_memo_keeps_no_object_alive():
-    code, noise = repetition_code(), bit_flip_errors()
-    kl_check(code, noise)
-    refs = [weakref.ref(code), weakref.ref(noise)]
-    del code, noise
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None]
-    # A dead reference matches nothing, even for objects that reuse an id.
-    with _counting_kl_steps() as step:
-        kl_check(repetition_code(), bit_flip_errors())
     assert step.call_count == 1
-
-
-@given(steps=st.lists(st.tuples(st.sampled_from(["check", "recover"]), st.integers(0, 2)), min_size=1, max_size=10))
-def test_kl_memo_interleavings_match_fresh_steps(steps):
-    code = repetition_code()
-    # two correctable sets, one sharing its code with the uncorrectable third
-    cases = [(code, bit_flip_errors()), symmetric_bit_flips(), (code, phase_errors())]
-
-    def recover(code, errors):
-        try:
-            return standard_recovery(code, errors).stack.tobytes()
-        except ValueError as err:
-            return str(err)
-
-    fresh = [(uuqc.qec._kl_step(CodeSpec(c.encoder), KrausChannel(e.stack), DEFAULT_TOL)[1],
-              recover(CodeSpec(c.encoder), KrausChannel(e.stack))) for c, e in cases]
-    for call, i in steps:
-        want, recovery = fresh[i]
-        if call == "check":
-            got = kl_check(*cases[i])
-            assert (got.h.tobytes(), got.residual, got.correctable) == (want.h.tobytes(), want.residual,
-                                                                        want.correctable)
-        else:
-            assert recover(*cases[i]) == recovery
 
 
 def depolarizing_on_qubit():

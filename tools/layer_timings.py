@@ -71,15 +71,15 @@ The cases:
   (with that recovery) on the 3-, 5- and 7-qubit repetition codes under
   ``0.7 I`` plus single bit flips that share the remaining 0.3;
   ``kl_check`` and ``standard_recovery`` get fresh shallow copies of the
-  code and the noise on every call, so the memo of recent Knill-Laflamme
-  steps never carries over from one timed call to the next;
+  code and the noise on every call, so a tree that still remembers its
+  recent Knill-Laflamme steps (any tree before the memo was retired) is
+  timed doing the step, as the ``qec`` workload's new objects make it;
 - ``unambiguous_correction_probability`` and ``meets_certainty_condition``
   on the same codes and noise at 3, 5, 7 and 9 qubits, and on the two
   ``_ec_prob_inputs``: the ``qec`` workload's mixed-noise shape and a
   three-element noise with a pure Choi state; on all of these also the
   ``probability then certainty`` chain that ``uuqc ec-prob`` and the ``qec``
-  workload's ``ec-prob`` jobs run.  Every call in these cases and in the
-  chain gets fresh shallow copies of the code and the noise;
+  workload's ``ec-prob`` jobs run;
 - ``kl_check``, ``standard_recovery``, ``verify_correction_uuqc`` (with
   that recovery), ``unambiguous_correction_probability`` and
   ``meets_certainty_condition`` on the five-qubit code and on Shor's code
@@ -88,8 +88,8 @@ The cases:
   ``tests/builders.py``, plus on both codes the ``check then recover``
   chain that the ``qec`` workload's correctable jobs run: ``kl_check``,
   ``standard_recovery`` and ``verify_correction_uuqc`` with that recovery,
-  and the ``probability then certainty`` chain, all on fresh copies as
-  above (the Knill-Laflamme memo hits only within one chain);
+  and the ``probability then certainty`` chain; the Knill-Laflamme cases
+  and the chain that checks then recovers get fresh copies as above;
 - ``doc_to_channel`` of the ``cli`` workload's large channel document
   (6 x 48 x 48), ``certify_uuqc`` and ``refine`` of that channel with its
   subspaces omitted, as the ``cli`` workload's ``check-uuqc`` and
@@ -230,7 +230,8 @@ def _chain(uuqc, ch, v1, v2, env_in, env_out):
 
 def _fresh(*objs) -> tuple:
     """Shallow copies (about 3 us each), so no memo of recent results keyed
-    by object identity carries over from one timed call to the next."""
+    by object identity carries over from one timed call to the next: the
+    certificate memo, and the Knill-Laflamme memo of trees that still have it."""
     return tuple(copy.copy(obj) for obj in objs)
 
 
@@ -479,7 +480,7 @@ def _vidal_cases():
     code = uuqc.CodeSpec(np.linalg.qr(rng.standard_normal((16, 8)))[0])
     noise = uuqc.KrausChannel((rng.standard_normal((16, 16)) / 8,))
     cases.append(("unambiguous_correction_probability", "qec", {"n_phys": 16, "d": 8, "K": 1, "noise": "pure"},
-                  lambda: uuqc.unambiguous_correction_probability(*_fresh(code, noise)), REPEATS))
+                  lambda: uuqc.unambiguous_correction_probability(code, noise), REPEATS))
     return cases
 
 
@@ -548,14 +549,13 @@ def _cli_cases(src: str, workdir: str) -> list:
 
 
 def _ec_prob_cases(uuqc, code, noise, dims, repeats):
-    """The probability and the certainty condition, each alone and the two
-    in a row, on fresh copies of the code and the noise."""
+    """The probability and the certainty condition, each alone and the two in a row."""
     return [("unambiguous_correction_probability", "qec", dims,
-             lambda: uuqc.unambiguous_correction_probability(*_fresh(code, noise)), repeats),
+             lambda: uuqc.unambiguous_correction_probability(code, noise), repeats),
             ("meets_certainty_condition", "qec", dims,
-             lambda: uuqc.meets_certainty_condition(*_fresh(code, noise)), repeats),
+             lambda: uuqc.meets_certainty_condition(code, noise), repeats),
             ("probability then certainty", "qec", dims,
-             lambda: _probability_then_certainty(uuqc, *_fresh(code, noise)), repeats)]
+             lambda: _probability_then_certainty(uuqc, code, noise), repeats)]
 
 
 def child(src: str, pattern: str) -> None:
